@@ -10,15 +10,11 @@ per utilization group so the whole harness finishes in a few minutes; pass
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
 _FIGURES_PATH = Path(__file__).parent / "figures_output.txt"
-_TRAJECTORY_PATH = Path(__file__).parent / "BENCH_PR5.json"
-_KERNEL_TRAJECTORY_PATH = Path(__file__).parent / "BENCH_PR7.json"
-_CAMPAIGN_TRAJECTORY_PATH = Path(__file__).parent / "BENCH_PR9.json"
 
 
 def pytest_addoption(parser):
@@ -41,112 +37,6 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if Path(str(item.fspath)).is_relative_to(bench_dir):
             item.add_marker(pytest.mark.bench)
-
-
-def _bench_seconds(bench) -> float | None:
-    """Best-effort wall-clock seconds of one recorded benchmark."""
-    extra = getattr(bench, "extra_info", None) or {}
-    for key in ("seconds", "kernel_seconds", "fast_seconds"):
-        value = extra.get(key)
-        if value is not None:
-            return float(value)
-    stats = getattr(bench, "stats", None)
-    stats = getattr(stats, "stats", stats)
-    mean = getattr(stats, "mean", None)
-    return float(mean) if mean is not None else None
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the machine-readable perf trajectories (BENCH_PR5.json and,
-    for kernel-tier benches, BENCH_PR7.json).
-
-    Every benchmark that ran in this session is recorded as
-    ``name -> {seconds, baseline_seconds, speedup}`` (the latter two are
-    ``null`` for benches without a frozen-baseline comparison), so future
-    PRs can regress-check against recorded history instead of re-measuring
-    the seed paths ad hoc.  Entries of benches that did *not* run this
-    session are kept, so partial runs update rather than erase the
-    trajectory.  The file is a measurement record (uploaded by CI), not a
-    golden pin.
-    """
-    benchsession = getattr(session.config, "_benchmarksession", None)
-    if benchsession is None or not benchsession.benchmarks:
-        return
-    trajectory = {}
-    if _TRAJECTORY_PATH.exists():
-        try:
-            trajectory = json.loads(_TRAJECTORY_PATH.read_text("utf-8"))
-        except (OSError, ValueError):
-            trajectory = {}
-    kernel_trajectory = {}
-    if _KERNEL_TRAJECTORY_PATH.exists():
-        try:
-            kernel_trajectory = json.loads(
-                _KERNEL_TRAJECTORY_PATH.read_text("utf-8")
-            )
-        except (OSError, ValueError):
-            kernel_trajectory = {}
-    campaign_trajectory = {}
-    if _CAMPAIGN_TRAJECTORY_PATH.exists():
-        try:
-            campaign_trajectory = json.loads(
-                _CAMPAIGN_TRAJECTORY_PATH.read_text("utf-8")
-            )
-        except (OSError, ValueError):
-            campaign_trajectory = {}
-    wrote_kernel_entry = False
-    wrote_campaign_entry = False
-    for bench in benchsession.benchmarks:
-        extra = getattr(bench, "extra_info", None) or {}
-        baseline = extra.get("baseline_seconds")
-        if baseline is None:
-            baseline = extra.get("seed_seconds")
-        speedup = extra.get("speedup")
-        record = {
-            "seconds": _bench_seconds(bench),
-            "baseline_seconds": (
-                float(baseline) if baseline is not None else None
-            ),
-            "speedup": float(speedup) if speedup is not None else None,
-        }
-        trajectory[bench.name] = record
-        # Benches of the compiled-kernel/dedup layer additionally record
-        # their kernel tier and dedup hit-rate counters; those land in
-        # BENCH_PR7.json so the PR 7 trajectory carries the evidence that
-        # the dedup subsystem was actually exercised, not just fast.
-        if "kernel_tier" in extra:
-            kernel_trajectory[bench.name] = dict(
-                record,
-                kernel_tier=extra["kernel_tier"],
-                dedup_counters=extra.get("dedup_counters") or {},
-            )
-            wrote_kernel_entry = True
-        # Benches of the campaign fast path record the design-dedup and
-        # batched/fallback trial counters plus the dedup-only split; those
-        # land in BENCH_PR9.json so the PR 9 trajectory carries the
-        # evidence that both fast-path layers were actually exercised.
-        if "campaign_counters" in extra:
-            campaign_trajectory[bench.name] = dict(
-                record,
-                dedup_only_seconds=extra.get("dedup_only_seconds"),
-                dedup_only_speedup=extra.get("dedup_only_speedup"),
-                campaign_counters=extra.get("campaign_counters") or {},
-            )
-            wrote_campaign_entry = True
-    _TRAJECTORY_PATH.write_text(
-        json.dumps(trajectory, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    if wrote_kernel_entry:
-        _KERNEL_TRAJECTORY_PATH.write_text(
-            json.dumps(kernel_trajectory, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if wrote_campaign_entry:
-        _CAMPAIGN_TRAJECTORY_PATH.write_text(
-            json.dumps(campaign_trajectory, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,7 @@ observation window):
 Both timed paths must produce records identical to the baseline, and a
 short prefix of the stream is additionally checked against the tick
 oracle (``backend="tick"``, ``dedup=False`` -- the frozen reference).
-The recorded fast-path counters flow into ``BENCH_PR9.json`` (see
-``conftest.pytest_sessionfinish``).
+The fast-path counters land in the benchmark's ``extra_info``.
 """
 
 import time
@@ -107,7 +106,7 @@ def test_bench_campaign_fast_path(benchmark):
     )
 
     # An untimed replay with a stats sink records the fast-path activity
-    # for BENCH_PR9.json (the timed runs stay free of sink bookkeeping).
+    # (the timed runs stay free of sink bookkeeping).
     stats = CampaignStats()
     batch.run_trials(trials, stats=stats)
     assert stats.design_dedup_hits > 0, "design dedup idle on the workload"

@@ -12,10 +12,8 @@ RtaContext` warm between questions.  The gate:
   oracle (:func:`repro.batch.reference.reference_evaluate_one`) -- the
   serve layer accelerates repeat queries, it never changes them.
 
-Besides the ``BENCH_PR5.json`` perf trajectory every bench feeds, this
-module records its p50/p99/QPS numbers into ``benchmarks/
-BENCH_SERVE.json`` (uploaded by CI next to the trajectory) so serve
-latency has its own machine-readable history.
+The p50/p99/QPS numbers land in the benchmark's ``extra_info``; the
+recorded serve measurement is ``perfbench``'s ``serve-mixed`` workload.
 """
 
 import json
@@ -30,7 +28,6 @@ from repro.batch.reference import reference_evaluate_one
 from repro.serve import ServeClient
 from repro.serve.service import AdmissionService
 
-_SERVE_BENCH_PATH = Path(__file__).parent / "BENCH_SERVE.json"
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: Distinct admission questions (seed, group_index, normalized_range):
@@ -65,21 +62,6 @@ def _percentile(samples, q):
     ordered = sorted(samples)
     index = min(len(ordered) - 1, round(q / 100.0 * (len(ordered) - 1)))
     return ordered[index]
-
-
-def _record(name, numbers):
-    """Merge one bench's numbers into BENCH_SERVE.json (keep the rest)."""
-    history = {}
-    if _SERVE_BENCH_PATH.exists():
-        try:
-            history = json.loads(_SERVE_BENCH_PATH.read_text("utf-8"))
-        except (OSError, ValueError):
-            history = {}
-    history[name] = numbers
-    _SERVE_BENCH_PATH.write_text(
-        json.dumps(history, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _frozen_answers():
@@ -144,7 +126,6 @@ def test_bench_serve_warm_vs_cold(benchmark):
     benchmark.extra_info["seconds"] = round(warm_seconds, 3)
     benchmark.extra_info["baseline_seconds"] = round(sum(cold_latencies), 3)
     benchmark.extra_info["speedup"] = round(cold_p50 / warm_p50, 2)
-    _record("serve_warm_vs_cold", numbers)
 
     assert warm_p50 < cold_p50, (
         f"warm p50 {warm_p50 * 1e3:.1f} ms is not below cold p50 "
@@ -214,4 +195,3 @@ def test_bench_serve_daemon_round_trip(benchmark, tmp_path):
     }
     benchmark.extra_info.update(numbers)
     benchmark.extra_info["seconds"] = round(design_seconds, 3)
-    _record("serve_daemon_round_trip", numbers)

@@ -26,6 +26,11 @@
 #            through `hydra-c query`: ping, a design query, an infeasible
 #            admission (an answer, not an error), a query that exceeds a
 #            tiny timeout budget, then SIGTERM and a clean (exit 0) drain.
+#            (c) a 4-core sweep under --kernel compiled and --kernel
+#            python must print byte-identical reports.  Only meaningful
+#            where the compiled backend builds (the compiled-extra CI
+#            job); elsewhere the compiled run is the warned python
+#            fallback and the diff is trivially equal.
 #   bench -- the speedup gates: the batched pipeline must stay >= 2x
 #            faster than the frozen seed path (repro/batch/reference.py),
 #            the RTA kernel >= 2x on the allocation-heavy Fig. 7a columns,
@@ -39,20 +44,18 @@
 #            these rewrite benchmarks/figures_output.txt or
 #            campaign_golden.txt
 #            -- that is asserted after the stage, because a dirty golden
-#            pin means results changed.  The stage also leaves the
-#            measured perf trajectories in benchmarks/BENCH_PR5.json,
-#            benchmarks/BENCH_PR9.json and
-#            benchmarks/BENCH_SERVE.json (uploaded as CI artifacts).
+#            pin means results changed.  The recorded measurement is
+#            perfbench/ (python3 perfbench/run.py), not these gates.
 #            Wall-clock based, so on shared CI runners they
 #            run as a separate, non-blocking workflow step; locally they
 #            are a hard gate.
-#   bench-compiled -- the PR 7 kernel gates: compiled fixed points + dedup
-#            >= 2x over the PR 5 vectorized path, and structural dedup
-#            alone >= 1.2x (pure python).  The compiled half skips cleanly
-#            when no C compiler / cffi is available -- the dedup-only gate
-#            runs everywhere.  Leaves benchmarks/BENCH_PR7.json (uploaded
-#            as a CI artifact next to the other trajectories).  Wall-clock
-#            based, same non-blocking-on-shared-runners policy as bench.
+#   bench-compiled -- the kernel-tier gates: the compiled tier (Eq. 1
+#            fixed points + one-call period selection) >= 2x over the
+#            vectorized path without dedup, and structural dedup alone >= 1.2x
+#            (pure python).  The compiled half skips cleanly when no C
+#            compiler / cffi is available -- the dedup-only gate runs
+#            everywhere.  Wall-clock based, same
+#            non-blocking-on-shared-runners policy as bench.
 #
 # The remaining benchmarks (full figure regenerations) are not run here --
 # they are the local `pytest benchmarks` workflow and rewrite
@@ -154,6 +157,17 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     trap - EXIT
     rm -rf "$serve_dir"
     echo "serve smoke OK"
+
+    echo "== kernel smoke: 4-core sweep, compiled and python tiers byte-identical =="
+    sweep_args=(--cores 4 --tasksets-per-group 2 --quiet)
+    compiled_report=$(python -m repro sweep "${sweep_args[@]}" --kernel compiled)
+    python_report=$(python -m repro sweep "${sweep_args[@]}" --kernel python)
+    if [[ "$compiled_report" != "$python_report" ]]; then
+        echo "kernel smoke FAILED: compiled and python sweeps disagree" >&2
+        diff <(printf '%s\n' "$python_report") <(printf '%s\n' "$compiled_report") >&2 || true
+        exit 1
+    fi
+    echo "kernel smoke OK"
 fi
 
 if [[ "$stage" == "bench" || "$stage" == "all" ]]; then

@@ -275,6 +275,7 @@ class _SeedPeriodSelector(PeriodSelector):
         kwargs.setdefault("warm_start", False)
         super().__init__(*args, **kwargs)
         self._rt_cache = _SeedRtWorkloadCache(self._rt_by_core)
+        self._kernel = None  # never the compiled selector
 
     def _response_time(
         self,
@@ -301,9 +302,12 @@ def reference_select_periods(
     taskset: TaskSet,
     rt_allocation: Mapping[str, int],
     platform: Platform,
+    strategy: CarryInStrategy = CarryInStrategy.AUTO,
 ):
     """HYDRA-C period adaptation through the frozen seed analysis."""
-    return _SeedPeriodSelector(taskset, rt_allocation, platform).select()
+    return _SeedPeriodSelector(
+        taskset, rt_allocation, platform, strategy=strategy
+    ).select()
 
 
 def reference_design_hydra_c(

@@ -34,6 +34,14 @@ solve-skipping on top: whole-task probe pinning (:meth:`PeriodSelector.
 _probe_pins`), certification floors, and verbatim reuse of the chosen
 probe's chain for Algorithm 1's Line-8 refresh.  Those do reduce
 ``analysis_calls`` -- results stay byte-identical, as the same test pins.
+
+On the compiled kernel tier :meth:`PeriodSelector.select` runs the whole
+of Algorithms 1-2 in one C call (``hydra_select_periods`` in
+:mod:`repro.rta.compiled`), keeping the seed ledger and the Line-8 chain
+reuse; the probe pins, certification and verdict store stay python-tier
+layers.  Task sets whose operands fail the kernel's guards run the python
+selector below, which remains the reference
+(``tests/rta/test_selector_differential.py`` pins the equality).
 """
 
 from __future__ import annotations
@@ -47,11 +55,14 @@ from repro.model.platform import Platform
 from repro.model.tasks import RealTimeTask, SecurityTask
 from repro.model.taskset import TaskSet
 from repro.core.analysis import (
+    DEFAULT_EXACT_ENUMERATION_LIMIT,
     CarryInStrategy,
     RtWorkloadCache,
     SecurityTaskState,
     security_response_time,
 )
+from repro.rta.compiled import INT31_LIMIT, MAX_COMPILED_SETS
+from repro.schedulability.carry_in import count_carry_in_sets
 
 __all__ = [
     "SearchMode",
@@ -192,6 +203,9 @@ class PeriodSelector:
         self._strategy = strategy
         self._search_mode = search_mode
         self._rta_context = rta_context
+        #: The compiled backend running :meth:`select` in one call, or
+        #: ``None`` on the python tier.
+        self._kernel = getattr(rta_context, "compiled_kernel", None)
         if rta_context is not None and hasattr(rta_context, "prime_blocking"):
             # No-op unless the context carries a lock-using platform model
             # and the task set declares resource claims.
@@ -235,7 +249,81 @@ class PeriodSelector:
         #: every later solve of that task (see :meth:`_probe_pins`).
         self._task_floors: Dict[int, int] = {}
 
+    # -- compiled tier ----------------------------------------------------------
+
+    def _select_compiled(self) -> Optional[PeriodSelectionResult]:
+        """Algorithms 1-2 in one compiled call; ``None`` when an operand
+        falls outside the kernel's guards (the python selector then runs).
+
+        Same arithmetic as :meth:`_response_time`: the analysed task's
+        demand is ``wcet + B``, higher-priority tasks interfere with their
+        raw ``wcet``, and AUTO resolves per task exactly as
+        :func:`~repro.rta.migrating.security_response_time` does.
+        """
+        if not self._rt_cache.compiled_fit():
+            return None
+        max_carry_in = self._platform.num_cores - 1
+        demands: List[int] = []
+        set_counts: List[int] = []
+        for index, task in enumerate(self._security):
+            demand = task.wcet + self._blocking(task)
+            if demand >= INT31_LIMIT or task.max_period >= INT31_LIMIT:
+                return None
+            sets = count_carry_in_sets(index, max_carry_in)
+            if self._strategy is CarryInStrategy.GREEDY or (
+                self._strategy is CarryInStrategy.AUTO
+                and sets > DEFAULT_EXACT_ENUMERATION_LIMIT
+            ):
+                sets = 0
+            elif sets > MAX_COMPILED_SETS:
+                return None
+            demands.append(demand)
+            set_counts.append(sets)
+        status, periods, responses, counters = self._kernel.select_periods(
+            self._platform.num_cores,
+            self._rt_cache.partition_arrays(),
+            demands,
+            [task.wcet for task in self._security],
+            [task.max_period for task in self._security],
+            set_counts,
+            self._search_mode is SearchMode.LINEAR,
+        )
+        analysis_calls, solves, seeded = counters
+        stats = self._rta_context.stats
+        stats.compiled_solves += solves
+        stats.seeded_solves += seeded
+        names = [task.name for task in self._security]
+        if status < 0:  # pragma: no cover - guarded by Algorithm 2
+            raise UnschedulableError(
+                "internal inconsistency: a lower-priority task became "
+                "unschedulable after a feasible period was selected"
+            )
+        if status < len(names):
+            reported: Dict[str, Optional[int]] = dict(
+                zip(names[:status], responses[:status])
+            )
+            reported[names[status]] = None
+            return PeriodSelectionResult(
+                schedulable=False,
+                response_times=reported,
+                unschedulable_task=names[status],
+                analysis_calls=analysis_calls,
+            )
+        return PeriodSelectionResult(
+            schedulable=True,
+            periods=dict(zip(names, periods)),
+            response_times=dict(zip(names, responses)),
+            analysis_calls=analysis_calls,
+        )
+
     # -- low-level response-time plumbing -------------------------------------
+
+    def _blocking(self, task: SecurityTask) -> int:
+        """Blocking term ``B`` of *task* under the context's protocol (or 0)."""
+        context = self._rta_context
+        if context is not None and getattr(context, "has_blocking", False):
+            return context.blocking_of(task.name)
+        return 0
 
     def _states_above(
         self,
@@ -279,12 +367,6 @@ class PeriodSelector:
         """
         task = self._security[index]
         self._analysis_calls += 1
-        blocking = (
-            self._rta_context.blocking_of(task.name)
-            if self._rta_context is not None
-            and getattr(self._rta_context, "has_blocking", False)
-            else 0
-        )
         return security_response_time(
             security_wcet=task.wcet,
             limit=task.max_period,
@@ -298,7 +380,7 @@ class PeriodSelector:
             set_uppers=uppers,
             seed_sink=sink,
             response_floor=floor,
-            blocking=blocking,
+            blocking=self._blocking(task),
         )
 
     def _lower_priority_schedulable(
@@ -583,6 +665,10 @@ class PeriodSelector:
 
     def select(self) -> PeriodSelectionResult:
         """Run Algorithm 1 and return the selected periods."""
+        if self._kernel is not None:
+            compiled = self._select_compiled()
+            if compiled is not None:
+                return compiled
         self._analysis_calls = 0
         self._ledger = _SeedLedger()
         self._task_floors = {}

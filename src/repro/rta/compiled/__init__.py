@@ -19,9 +19,12 @@ The backend is strictly optional and strictly behind the
   **once per process** and falls back to the pure-python kernels;
 * ``kernel="auto"`` uses the backend when available, silently.
 
-Dispatch is per solve and guarded: operands must fit the C kernels'
-integer-width preconditions (:data:`INT31_LIMIT` and, for Eq. 6-8,
-``wcet <= period``), otherwise the solve stays in Python.  Every result
+Dispatch is guarded: operands must fit the C kernels' integer-width
+preconditions (:data:`INT31_LIMIT`, ``wcet <= period`` for RT tasks and
+:data:`MAX_COMPILED_SETS`), otherwise the work stays in Python.  Eq. 1
+dispatches per solve; HYDRA-C period selection (Algorithms 1-2 with every
+Eq. 6-8 solve inside) dispatches once per task set from
+:meth:`~repro.core.period_selection.PeriodSelector.select`.  Every result
 is byte-equal to the pure path -- the differential suites in
 ``tests/rta/`` run both ways, and the frozen oracles
 (:mod:`repro.schedulability`, :mod:`repro.batch.reference`) keep gating.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -60,9 +63,9 @@ INT31_LIMIT = 1 << 31
 #: outside the compiled kernels' guarded range (caller stays in Python).
 UNSUPPORTED = object()
 
-#: Exact carry-in enumerations larger than this stay in Python; AUTO caps
-#: enumeration at 32 sets, so only an explicit EXACT request on a large
-#: higher-priority set can exceed it.
+#: A period selection with an exact carry-in enumeration larger than this
+#: stays in Python; AUTO caps enumeration at 32 sets, so only an explicit
+#: EXACT request on a large higher-priority set can exceed it.
 MAX_COMPILED_SETS = 4096
 
 
@@ -117,72 +120,64 @@ class CompiledKernel:
         )
         return None if result < 0 else int(result)
 
-    def eq7(
+    def select_periods(
         self,
-        security_wcet: int,
-        limit: int,
         num_cores: int,
-        rt_core_ids,
-        rt_wcets,
-        rt_periods,
-        n_partition_cores: int,
-        hp_tasks: Sequence[Tuple[int, int, int]],
-        max_carry_in: int,
-        greedy: bool,
-        seeds: Sequence[int],
+        rt_arrays,
+        demands: Sequence[int],
+        wcets: Sequence[int],
+        max_periods: Sequence[int],
+        set_counts: Sequence[int],
+        linear: bool,
     ):
-        """Eq. 6-8 solve.  ``hp_tasks`` holds ``(wcet, period, shift)``.
+        """Algorithms 1-2 for one task set's security tasks (priority order).
 
-        ``seeds`` must hold one entry per carry-in set in enumeration
-        order (or a single entry for the greedy bound), ``-1`` meaning
-        unseeded.  Returns ``(response_or_None, sink_list)`` where
-        ``sink_list`` mirrors ``seeds`` (``-1`` = set not solved); the
-        caller is responsible for the integer-range guards on the RT
-        arrays (see :meth:`RtWorkloadCache.compiled_fit`).
+        ``rt_arrays`` is the partition's ``(core positions, wcets, periods,
+        core count)`` (:meth:`RtWorkloadCache.partition_arrays`, already
+        range-checked by ``compiled_fit``); ``demands`` holds each task's
+        ``wcet + blocking`` and ``set_counts`` its number of exact
+        carry-in sets (``0`` = greedy bound).  Returns ``(status, periods,
+        responses, (analysis_calls, solves, seeded_solves))`` where
+        *status* is ``len(demands)`` when schedulable, else the index of
+        the first task unschedulable at ``T^max`` (``responses`` valid
+        before it).
         """
         ffi = self._ffi
-        n_hp = len(hp_tasks)
-        n_sets = len(seeds)
-        hp_wcets = ffi.new("int64_t[]", [task[0] for task in hp_tasks] or [0])
-        hp_periods = ffi.new("int64_t[]", [task[1] for task in hp_tasks] or [0])
-        hp_shifts = ffi.new("int64_t[]", [task[2] for task in hp_tasks] or [0])
-        sink = ffi.new("int64_t[]", [-1] * n_sets)
-        scratch_cores = ffi.new("int64_t[]", max(n_partition_cores, 1))
-        scratch_delta = ffi.new("int64_t[]", max(n_hp, 1))
-        scratch_topk = ffi.new("int64_t[]", max(max_carry_in, 1))
-        scratch_set = ffi.new("int64_t[]", max(max_carry_in, 1))
-        n_rt = len(rt_wcets)
-        if n_rt:
-            core_buf = ffi.from_buffer("int64_t[]", rt_core_ids)
-            wcet_buf = ffi.from_buffer("int64_t[]", rt_wcets)
-            period_buf = ffi.from_buffer("int64_t[]", rt_periods)
+        n_sec = len(demands)
+        core_ids, rt_wcets, rt_periods, n_partition_cores = rt_arrays
+        if len(rt_wcets):
+            rt = [
+                ffi.from_buffer("int64_t[]", array)
+                for array in (core_ids, rt_wcets, rt_periods)
+            ]
         else:
-            core_buf = wcet_buf = period_buf = ffi.new("int64_t[]", [0])
-        result = self._lib.hydra_eq7_solve(
-            security_wcet,
-            limit,
+            rt = [ffi.NULL] * 3
+        periods = ffi.new("int64_t[]", max(n_sec, 1))
+        responses = ffi.new("int64_t[]", max(n_sec, 1))
+        counters = ffi.new("int64_t[3]")
+        status = self._lib.hydra_select_periods(
             num_cores,
-            n_rt,
-            core_buf,
-            wcet_buf,
-            period_buf,
+            len(rt_wcets),
+            *rt,
             n_partition_cores,
-            scratch_cores,
-            n_hp,
-            hp_wcets,
-            hp_periods,
-            hp_shifts,
-            scratch_delta,
-            scratch_topk,
-            max_carry_in,
-            1 if greedy else 0,
-            ffi.new("int64_t[]", list(seeds)),
-            sink,
-            n_sets,
-            scratch_set,
+            n_sec,
+            ffi.new("int64_t[]", list(demands)),
+            ffi.new("int64_t[]", list(wcets)),
+            ffi.new("int64_t[]", list(max_periods)),
+            ffi.new("int64_t[]", list(set_counts)),
+            1 if linear else 0,
+            periods,
+            responses,
+            counters,
         )
-        sink_list: List[int] = [int(sink[i]) for i in range(n_sets)]
-        return (None if result < 0 else int(result)), sink_list
+        if status == -1:
+            raise MemoryError("compiled period selection: out of memory")
+        return (
+            status,
+            ffi.unpack(periods, n_sec),
+            ffi.unpack(responses, n_sec),
+            tuple(ffi.unpack(counters, 3)),
+        )
 
 
 # -- availability ------------------------------------------------------------

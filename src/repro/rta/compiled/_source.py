@@ -1,7 +1,7 @@
 """C source of the compiled fixed-point kernels (cffi API mode).
 
-Two functions cover every integer fixed point the kernel tier dispatches
-(see :mod:`repro.rta.compiled`):
+Two exported functions cover every integer fixed point the kernel tier
+dispatches (see :mod:`repro.rta.compiled`):
 
 * ``hydra_eq1_solve`` -- the Eq. 1 demand iteration shared by
   :meth:`~repro.rta.core_state.CoreState._solve` (prefix and
@@ -10,20 +10,25 @@ Two functions cover every integer fixed point the kernel tier dispatches
   Algorithm 2 per-level probe; its fixed RT tasks and varying
   higher-priority security pairs concatenate into one task array because
   both contribute identical ``ceil(x/T) * C`` terms);
-* ``hydra_eq7_solve`` -- the migrating-security-task busy window
-  (Eq. 6-8) end to end: clamped per-core RT workloads (Eq. 2-3), clamped
+* ``hydra_select_periods`` -- HYDRA-C period adaptation for a whole task
+  set: Algorithm 1 (the all-``T^max`` pass, then the per-task period
+  fixing and Line-8 refresh) around Algorithm 2's binary or linear
+  search, with the warm-start seed ledger of
+  :class:`~repro.core.period_selection.PeriodSelector` kept per
+  ``(task, carry-in set)``.  Each response is the static Eq. 6-8 solver
+  ``hydra_eq7_solve``: clamped per-core RT workloads (Eq. 2-3), clamped
   non-carry-in/carry-in security terms (Eq. 4-5, the arithmetic of
   :mod:`repro.rta.terms` inlined), greedy top-k carry-in selection or
   exact carry-in-set enumeration -- in exactly the order of
-  :func:`repro.schedulability.carry_in.enumerate_carry_in_sets`, so the
-  seed/sink index contract of the warm-start ledger is preserved -- and
-  the Eq. 7 iteration ``x = floor(Omega(x)/M) + C_s`` per set.
+  :func:`repro.schedulability.carry_in.enumerate_carry_in_sets`, so ledger
+  slots line up with the python tier's seed keys -- and the Eq. 7
+  iteration ``x = floor(Omega(x)/M) + C_s`` per set.
 
 The iterates are the same integers the pure-python kernels produce (the
-Python dispatchers guard every operand below ``2**31`` and per-task
+Python callers guard every operand below ``2**31`` and per-task
 ``wcet <= period`` where the argument needs it; accumulations that could
 exceed 63 bits run in ``__int128``), so results are byte-equal -- pinned
-by the differential suite in ``tests/rta/``.
+by the differential suites in ``tests/rta/``.
 """
 
 from __future__ import annotations
@@ -34,21 +39,22 @@ __all__ = ["CDEF", "C_SOURCE"]
 CDEF = """
 int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
                         const int64_t *periods, const int64_t *wcets);
-int64_t hydra_eq7_solve(int64_t security_wcet, int64_t limit,
-                        int64_t num_cores,
-                        int64_t n_rt, const int64_t *rt_cores,
-                        const int64_t *rt_wcets, const int64_t *rt_periods,
-                        int64_t n_partition_cores, int64_t *core_scratch,
-                        int64_t n_hp, const int64_t *hp_wcets,
-                        const int64_t *hp_periods, const int64_t *hp_shifts,
-                        int64_t *delta_scratch, int64_t *topk_scratch,
-                        int64_t max_carry_in, int use_greedy,
-                        const int64_t *seeds, int64_t *sink, int64_t n_sets,
-                        int64_t *set_scratch);
+int64_t hydra_select_periods(int64_t num_cores,
+                             int64_t n_rt, const int64_t *rt_cores,
+                             const int64_t *rt_wcets,
+                             const int64_t *rt_periods,
+                             int64_t n_partition_cores,
+                             int64_t n_sec, const int64_t *demands,
+                             const int64_t *wcets,
+                             const int64_t *max_periods,
+                             const int64_t *set_counts, int linear,
+                             int64_t *periods, int64_t *responses,
+                             int64_t *counters);
 """
 
 C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* ---- Eq. 1: x = C + sum_i ceil(x / T_i) * C_i ------------------------- */
 
@@ -200,17 +206,19 @@ static int64_t hydra_fixed_point(
     }
 }
 
-int64_t hydra_eq7_solve(int64_t security_wcet, int64_t limit,
-                        int64_t num_cores,
-                        int64_t n_rt, const int64_t *rt_cores,
-                        const int64_t *rt_wcets, const int64_t *rt_periods,
-                        int64_t n_partition_cores, int64_t *core_scratch,
-                        int64_t n_hp, const int64_t *hp_wcets,
-                        const int64_t *hp_periods, const int64_t *hp_shifts,
-                        int64_t *delta_scratch, int64_t *topk_scratch,
-                        int64_t max_carry_in, int use_greedy,
-                        const int64_t *seeds, int64_t *sink, int64_t n_sets,
-                        int64_t *set_scratch)
+/* Eq. 8: the worst per-set fixed point (-1 once any set exceeds limit).
+ * seeds[i] > 0 warm-starts set i; sink[i] receives each solved set's fixed
+ * point (seeds and sink may alias: every slot is read before written). */
+static int64_t hydra_eq7_solve(
+    int64_t security_wcet, int64_t limit, int64_t num_cores,
+    int64_t n_rt, const int64_t *rt_cores,
+    const int64_t *rt_wcets, const int64_t *rt_periods,
+    int64_t n_partition_cores, int64_t *core_scratch,
+    int64_t n_hp, const int64_t *hp_wcets,
+    const int64_t *hp_periods, const int64_t *hp_shifts,
+    int64_t *delta_scratch, int64_t *topk_scratch,
+    int64_t max_carry_in, int use_greedy,
+    const int64_t *seeds, int64_t *sink, int64_t *set_scratch)
 {
     int64_t worst = 0;
     int64_t set_index = 0;
@@ -264,8 +272,201 @@ int64_t hydra_eq7_solve(int64_t security_wcet, int64_t limit,
                     set_scratch[j] = set_scratch[j - 1] + 1;
             }
         }
-        (void)n_sets;
     }
     return worst;
+}
+
+/* ---- Algorithms 1-2: period selection for a whole task set ------------ */
+
+/* Security tasks are indexed in priority order.  Task j has j higher-
+ * priority security tasks; its per-set ledger slots start at offsets[j]
+ * (set_counts[j] exact carry-in sets, or one greedy slot when 0). */
+typedef struct {
+    int64_t num_cores, n_rt, n_partition_cores, n_sec;
+    const int64_t *rt_cores, *rt_wcets, *rt_periods;
+    const int64_t *demands, *wcets, *max_periods, *set_counts;
+    int64_t *periods, *responses;
+    int64_t *offsets, *shifts, *trial, *chosen, *ledger, *probe_sink;
+    int64_t *core_scratch, *delta_scratch, *topk_scratch, *set_scratch;
+    int64_t calls, solves, seeded;
+} hydra_selector;
+
+/* WCRT of task j (-1 above its T^max) against the current periods[] and
+ * the Eq. 4 shifts of tasks 0..j-1.  Blocking is already folded into
+ * demands[j]; higher-priority tasks interfere with their raw wcets. */
+static int64_t hydra_task_response(hydra_selector *s, int64_t j,
+                                   const int64_t *seeds, int64_t *sink)
+{
+    int64_t slots = s->offsets[j + 1] - s->offsets[j], i;
+    s->calls++;
+    if (s->demands[j] > s->max_periods[j])
+        return -1;
+    s->solves++;
+    for (i = 0; i < slots; i++)
+        if (seeds[i] > 0) {
+            s->seeded++;
+            break;
+        }
+    return hydra_eq7_solve(
+        s->demands[j], s->max_periods[j], s->num_cores,
+        s->n_rt, s->rt_cores, s->rt_wcets, s->rt_periods,
+        s->n_partition_cores, s->core_scratch,
+        j, s->wcets, s->periods, s->shifts,
+        s->delta_scratch, s->topk_scratch,
+        s->num_cores - 1, s->set_counts[j] == 0,
+        seeds, sink, s->set_scratch);
+}
+
+/* Algorithm 2 feasibility: with T_index = candidate, is every lower task
+ * schedulable?  Seeds come from the ledger; a feasible probe's chain
+ * becomes chosen[] and its per-set fixed points are merged into the
+ * ledger (in binary search the feasible probes are exactly those larger
+ * than every later candidate, so they soundly seed the rest of the run). */
+static int hydra_probe(hydra_selector *s, int64_t index, int64_t candidate)
+{
+    int64_t j;
+    s->periods[index] = candidate;
+    s->shifts[index] = s->wcets[index] - 1 + candidate - s->responses[index];
+    for (j = index + 1; j < s->n_sec; j++) {
+        int64_t r = hydra_task_response(s, j, s->ledger + s->offsets[j],
+                                        s->probe_sink + s->offsets[j]);
+        if (r < 0)
+            return 0;
+        s->trial[j] = r;
+        s->shifts[j] = s->wcets[j] - 1 + s->periods[j] - r;
+    }
+    for (j = s->offsets[index + 1]; j < s->offsets[s->n_sec]; j++)
+        if (s->ledger[j] < s->probe_sink[j])
+            s->ledger[j] = s->probe_sink[j];
+    for (j = index + 1; j < s->n_sec; j++)
+        s->chosen[j] = s->trial[j];
+    return 1;
+}
+
+/* Returns n_sec when schedulable (periods[] and responses[] filled), the
+ * index of the first task unschedulable at T^max (responses[] filled
+ * before it), -1 when out of memory, or -2 if a lower task failed the
+ * Line-8 refresh (impossible after a feasible Algorithm 2 search).
+ * counters[] receives (analysis calls, Eq. 6-8 solves, seeded solves). */
+int64_t hydra_select_periods(int64_t num_cores,
+                             int64_t n_rt, const int64_t *rt_cores,
+                             const int64_t *rt_wcets,
+                             const int64_t *rt_periods,
+                             int64_t n_partition_cores,
+                             int64_t n_sec, const int64_t *demands,
+                             const int64_t *wcets,
+                             const int64_t *max_periods,
+                             const int64_t *set_counts, int linear,
+                             int64_t *periods, int64_t *responses,
+                             int64_t *counters)
+{
+    hydra_selector s;
+    int64_t total = 0, width = num_cores > 1 ? num_cores - 1 : 1;
+    int64_t index, j, result = n_sec;
+    int64_t *block;
+
+    for (j = 0; j < n_sec; j++)
+        total += set_counts[j] > 0 ? set_counts[j] : 1;
+    block = (int64_t *)calloc(
+        (size_t)(5 * n_sec + 2 + 2 * total + n_partition_cores + 2 * width),
+        sizeof(int64_t));
+    if (!block)
+        return -1;
+    s.num_cores = num_cores;
+    s.n_rt = n_rt;
+    s.n_partition_cores = n_partition_cores;
+    s.n_sec = n_sec;
+    s.rt_cores = rt_cores;
+    s.rt_wcets = rt_wcets;
+    s.rt_periods = rt_periods;
+    s.demands = demands;
+    s.wcets = wcets;
+    s.max_periods = max_periods;
+    s.set_counts = set_counts;
+    s.periods = periods;
+    s.responses = responses;
+    s.offsets = block;
+    s.shifts = s.offsets + n_sec + 1;
+    s.trial = s.shifts + n_sec;
+    s.chosen = s.trial + n_sec;
+    s.delta_scratch = s.chosen + n_sec;
+    s.ledger = s.delta_scratch + n_sec + 1;
+    s.probe_sink = s.ledger + total;
+    s.core_scratch = s.probe_sink + total;
+    s.topk_scratch = s.core_scratch + n_partition_cores;
+    s.set_scratch = s.topk_scratch + width;
+    s.calls = s.solves = s.seeded = 0;
+    for (j = 0; j < n_sec; j++)
+        s.offsets[j + 1] =
+            s.offsets[j] + (set_counts[j] > 0 ? set_counts[j] : 1);
+
+    /* Lines 1-4: every task at T^max; its fixed points open the ledger. */
+    for (j = 0; j < n_sec; j++)
+        periods[j] = max_periods[j];
+    for (j = 0; j < n_sec; j++) {
+        int64_t r = hydra_task_response(&s, j, s.ledger + s.offsets[j],
+                                        s.ledger + s.offsets[j]);
+        if (r < 0) {
+            result = j;
+            goto done;
+        }
+        responses[j] = r;
+        s.shifts[j] = wcets[j] - 1 + periods[j] - r;
+    }
+
+    /* Lines 5-9: fix periods from highest to lowest priority. */
+    for (index = 0; index < n_sec; index++) {
+        int64_t low = responses[index], high = max_periods[index];
+        int64_t best = high;
+        int probed = 0;
+        for (j = 0; j < index; j++)
+            s.shifts[j] = wcets[j] - 1 + periods[j] - responses[j];
+        if (linear) {
+            for (; low <= high; low++)
+                if (hydra_probe(&s, index, low)) {
+                    best = low;
+                    probed = 1;
+                    break;
+                }
+        } else {
+            while (low <= high) {
+                int64_t mid = (low + high) / 2;
+                if (hydra_probe(&s, index, mid)) {
+                    best = mid;
+                    probed = 1;
+                    high = mid - 1;
+                } else {
+                    low = mid + 1;
+                }
+            }
+        }
+        periods[index] = best;
+        s.shifts[index] = wcets[index] - 1 + best - responses[index];
+        /* Line 8: the feasible probe at best analysed exactly this state;
+         * otherwise re-solve from ledger seeds and merge the result last. */
+        for (j = index + 1; j < n_sec; j++) {
+            int64_t r = s.chosen[j], k;
+            if (!probed) {
+                r = hydra_task_response(&s, j, s.ledger + s.offsets[j],
+                                        s.probe_sink + s.offsets[j]);
+                if (r < 0) {
+                    result = -2;
+                    goto done;
+                }
+                for (k = s.offsets[j]; k < s.offsets[j + 1]; k++)
+                    if (s.ledger[k] < s.probe_sink[k])
+                        s.ledger[k] = s.probe_sink[k];
+                s.shifts[j] = wcets[j] - 1 + periods[j] - r;
+            }
+            responses[j] = r;
+        }
+    }
+
+done:
+    counters[0] = s.calls;
+    counters[1] = s.solves;
+    counters[2] = s.seeded;
+    free(block);
+    return result;
 }
 """

@@ -226,9 +226,9 @@ class RtaContext:
         self.warm_start = warm_start
         self.kernel_name = normalise_kernel(kernel)
         #: The loaded compiled backend, or ``None`` on the pure-python tier
-        #: (requested, unavailable, or fallback).  Kernel consumers
-        #: (``CoreState``, ``CorePeriodAssigner``, ``security_response_time``)
-        #: dispatch on this per solve.
+        #: (requested, unavailable, or fallback).  ``CoreState`` and
+        #: ``CorePeriodAssigner`` dispatch Eq. 1 on this per solve;
+        #: ``PeriodSelector.select`` runs Algorithms 1-2 on it in one call.
         self.compiled_kernel = resolve_kernel(self.kernel_name)
         if structural_cache is not None:
             self.structural_cache: Optional[StructuralCache] = structural_cache

@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.model.tasks import RealTimeTask
-from repro.rta.compiled import INT31_LIMIT, MAX_COMPILED_SETS, UNSUPPORTED
+from repro.rta.compiled import INT31_LIMIT
 from repro.rta.dedup import MISS
 from repro.rta.terms import greedy_positive_sum, scalar_terms, vector_terms
 from repro.schedulability.carry_in import (
@@ -194,6 +194,11 @@ class RtWorkloadCache:
                     and bool((self._wcets <= self._periods).all())
                 )
         return self._compiled_fit
+
+    def partition_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``(core positions, wcets, periods, core count)`` of the partition
+        -- the RT operands of the compiled period selector."""
+        return self._core_ids, self._wcets, self._periods, self._num_cores
 
     def per_core_workloads(self, window: int) -> np.ndarray:
         """Un-clamped RT workload on each core for the given window."""
@@ -373,78 +378,6 @@ def _solve_fixed_point(
         window = candidate
 
 
-def _compiled_solve(
-    kernel,
-    security_wcet: int,
-    limit: int,
-    num_cores: int,
-    rt_cache: RtWorkloadCache,
-    higher_security: Sequence[SecurityTaskState],
-    max_carry_in: int,
-    strategy: CarryInStrategy,
-    set_seeds: Optional[Mapping],
-):
-    """Attempt the Eq. 6-8 solve on the compiled backend.
-
-    Returns ``(response, sink_items)`` -- ``sink_items`` being the solved
-    per-set fixed points in ``seed_sink`` key form -- or
-    :data:`~repro.rta.compiled.UNSUPPORTED` when any operand falls outside
-    the C kernels' guarded integer range (the caller then stays on the
-    python tier; both tiers produce byte-equal results).
-    """
-    if security_wcet >= INT31_LIMIT or limit >= INT31_LIMIT:
-        return UNSUPPORTED
-    if not rt_cache.compiled_fit():
-        return UNSUPPORTED
-    for state in higher_security:
-        # wcet <= period keeps the C per-window accumulation within int64;
-        # response_time only feeds the Eq. 4 shift and needs the magnitude
-        # guard alone.
-        if (
-            state.period >= INT31_LIMIT
-            or state.response_time >= INT31_LIMIT
-            or state.wcet > state.period
-        ):
-            return UNSUPPORTED
-    greedy = strategy is CarryInStrategy.GREEDY
-    if greedy:
-        seeds = [set_seeds.get(GREEDY_SEED, -1) if set_seeds else -1]
-    else:
-        n_sets = count_carry_in_sets(len(higher_security), max_carry_in)
-        if n_sets > MAX_COMPILED_SETS:
-            return UNSUPPORTED
-        if set_seeds:
-            seeds = [set_seeds.get(index, -1) for index in range(n_sets)]
-        else:
-            seeds = [-1] * n_sets
-    hp_tasks = [
-        (s.wcet, s.period, s.wcet - 1 + s.period - s.response_time)
-        for s in higher_security
-    ]
-    response, sink = kernel.eq7(
-        security_wcet,
-        limit,
-        num_cores,
-        rt_cache._core_ids,
-        rt_cache._wcets,
-        rt_cache._periods,
-        rt_cache._num_cores,
-        hp_tasks,
-        max_carry_in,
-        greedy,
-        seeds,
-    )
-    if greedy:
-        sink_items: Tuple = (
-            ((GREEDY_SEED, sink[0]),) if sink[0] >= 0 else ()
-        )
-    else:
-        sink_items = tuple(
-            (index, value) for index, value in enumerate(sink) if value >= 0
-        )
-    return response, sink_items
-
-
 def security_response_time(
     security_wcet: int,
     limit: int,
@@ -471,9 +404,9 @@ def security_response_time(
         :func:`repro.platform.blocking.blocking_terms`) is folded in as
         ``C_s + B`` at entry -- the Eq. 6-8 fixed point with an additive
         self-demand constant is identical to one with an inflated WCET, and
-        every downstream consumer (dedup verdict keys, warm-start seeds,
-        the compiled kernel) then sees the inflated value, keeping reuse
-        machinery automatically blocking-aware.
+        every downstream consumer (dedup verdict keys, warm-start seeds)
+        then sees the inflated value, keeping reuse machinery
+        automatically blocking-aware.
     limit:
         Abort threshold, normally ``T^max_s``: if the response time exceeds
         it the task is trivially unschedulable and ``None`` is returned.
@@ -563,11 +496,10 @@ def security_response_time(
             else CarryInStrategy.GREEDY
         )
 
-    # -- PR 7 kernel tiers: structural dedup + compiled dispatch ----------
-    # Both riders are context-sourced and flip-free: dedup replays the
-    # byte-identical verdict (per-set fixed points are seed-independent,
-    # so the cached sink applies to any caller), and the compiled backend
-    # iterates the same integers as the python tier below.
+    # -- structural dedup --------------------------------------------------
+    # Context-sourced and flip-free: dedup replays the byte-identical
+    # verdict (per-set fixed points are seed-independent, so the cached
+    # sink applies to any caller).
     #
     # The verdict key leads with the *identity* of ``rt_cache`` rather than
     # its nested layout tuple: within a :class:`StructuralCache`'s scope the
@@ -576,7 +508,6 @@ def security_response_time(
     # an O(1) hash instead of re-hashing ~N (wcet, period) pairs on every
     # solve (which used to cost more than the replayed hits saved).
     stats = rta_context.stats if rta_context is not None else None
-    kernel = rta_context.compiled_kernel if rta_context is not None else None
     structural = (
         rta_context.structural_cache if rta_context is not None else None
     )
@@ -601,27 +532,6 @@ def security_response_time(
                 seed_sink.update(sink_items)
             return response
         stats.dedup_verdict_misses += 1
-
-    if kernel is not None:
-        solved = _compiled_solve(
-            kernel,
-            security_wcet,
-            limit,
-            num_cores,
-            rt_cache,
-            higher_security,
-            max_carry_in,
-            strategy,
-            set_seeds,
-        )
-        if solved is not UNSUPPORTED:
-            response, sink_items = solved
-            stats.compiled_solves += 1
-            if seed_sink is not None:
-                seed_sink.update(sink_items)
-            if structural is not None:
-                structural.store_verdict(verdict_key, (response, sink_items))
-            return response
 
     memo = _OmegaMemo(rt_cache, higher_security, security_wcet, max_carry_in)
 

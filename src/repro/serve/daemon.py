@@ -43,6 +43,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple
 
+from repro.errors import ConfigurationError
 from repro.exec import PersistentPool
 from repro.serve.protocol import QueryError, error_response, parse_request
 from repro.serve.service import DEFAULT_MAX_CONTEXTS, AdmissionService
@@ -135,8 +136,10 @@ class ServeDaemon:
         kernel: str = "python",
         quiet: bool = False,
     ) -> None:
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
+        if timeout is not None and not timeout > 0:
+            raise ConfigurationError(
+                f"timeout must be a positive number of seconds, got {timeout}"
+            )
         self._jobs = max(1, jobs)
         self._timeout = timeout
         self._max_contexts = max_contexts

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.batch.service import BatchDesignService, TasksetSpec
-from repro.errors import AllocationError, ReproError
+from repro.errors import AllocationError, ConfigurationError, ReproError
 from repro.model.tasks import RealTimeTask, SecurityTask
 from repro.model.taskset import TaskSet
 from repro.partitioning.heuristics import partition_rt_tasks
@@ -82,7 +82,9 @@ class AdmissionService:
         kernel: str = "python",
     ) -> None:
         if max_contexts < 0:
-            raise ValueError("max_contexts must be >= 0")
+            raise ConfigurationError(
+                f"max_contexts must be >= 0, got {max_contexts}"
+            )
         self._max_contexts = max_contexts
         self._kernel = normalise_kernel(kernel)
         self._services: Dict[tuple, BatchDesignService] = {}

@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.analysis import CarryInStrategy, SecurityTaskState
 from repro.errors import ConfigurationError
-from repro.model import RealTimeTask
+from repro.model import Platform, RealTimeTask
 from repro.rta import (
     RtaContext,
     StructuralCache,
@@ -183,27 +183,27 @@ requires_compiled = pytest.mark.skipif(
 
 class TestCompiledTier:
     @requires_compiled
-    def test_compiled_solves_are_counted(self):
-        context = RtaContext(2, kernel="compiled")
-        result = _fallback_workload("python")
-        compiled_result = security_response_time(
-            security_wcet=4,
-            limit=300,
-            rt_tasks_by_core={
-                0: [RealTimeTask(name="rt0", wcet=2, period=10)],
-                1: [RealTimeTask(name="rt1", wcet=3, period=14)],
-            },
-            higher_security=[
-                SecurityTaskState(
-                    name="hp0", wcet=2, period=50, response_time=9
-                )
-            ],
-            num_cores=2,
-            strategy=CarryInStrategy.EXACT,
-            rta_context=context,
-        )
-        assert compiled_result == result
-        assert context.stats.compiled_solves > 0
+    def test_compiled_solves_are_counted(self, simple_taskset):
+        from repro.core.period_selection import select_periods
+
+        def select(kernel):
+            context = RtaContext(2, kernel=kernel)
+            result = select_periods(
+                simple_taskset,
+                {"rt-fast": 0, "rt-slow": 1},
+                Platform(num_cores=2),
+                rta_context=context,
+            )
+            return result, context.stats
+
+        compiled_result, compiled = select("compiled")
+        python_result, python = select("python")
+        assert compiled_result.periods == python_result.periods
+        assert compiled_result.response_times == python_result.response_times
+        assert compiled.compiled_solves > 0 and compiled.seeded_solves > 0
+        assert python.compiled_solves == 0
+        # The one-call selector bypasses the python tier's dedup layers.
+        assert compiled.dedup_verdict_hits == compiled.dedup_verdict_misses == 0
 
     @requires_compiled
     def test_summary_line_mentions_compiled_and_dedup(self):

@@ -7,12 +7,14 @@ randomized task sets -- including zero-slack tasks (``wcet == deadline``)
 and overloaded cores (utilization above one) -- every kernel path must
 reproduce the frozen response times and schedulability verdicts exactly.
 
-The Eq. 1 and Eq. 6-8 classes run once per kernel tier (``KERNEL_MODES``):
-the pure-python reference and the optional compiled backend of
+The Eq. 1 classes run once per kernel tier (``KERNEL_MODES``): the
+pure-python reference and the optional compiled backend of
 :mod:`repro.rta.compiled`.  Where the backend is unavailable (no cffi, no
 compiler, or ``REPRO_DISABLE_COMPILED=1`` -- the CI forced-fallback stage)
 the ``compiled`` parametrization transparently exercises the fallback
-path, which must equal the frozen oracles all the same.
+path, which must equal the frozen oracles all the same.  Compiled Eq. 6-8
+solves happen only inside the one-call period selector, whose
+differential lives in ``test_selector_differential.py``.
 """
 
 import numpy as np
@@ -39,7 +41,7 @@ from repro.schedulability.uniprocessor import (
     uniprocessor_response_time,
 )
 
-#: Kernel tiers every Eq. 1 / Eq. 6-8 differential runs under.  The
+#: Kernel tiers every Eq. 1 differential runs under.  The
 #: compiled tier degrades to the (once-per-process warned) python fallback
 #: when the backend cannot be built, so the suite runs on any machine --
 #: under ``REPRO_DISABLE_COMPILED=1`` both parametrizations exercise the
@@ -223,12 +225,9 @@ def migrating_scenarios(draw):
 
 
 class TestMigratingDifferential:
-    @pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
     @given(migrating_scenarios(), st.sampled_from(list(CarryInStrategy)))
     @settings(max_examples=150, deadline=None)
-    def test_kernel_engine_equals_frozen_seed_engine(
-        self, kernel_mode, scenario, strategy
-    ):
+    def test_kernel_engine_equals_frozen_seed_engine(self, scenario, strategy):
         num_cores, rt_by_core, states, wcet, limit = scenario
         kernel = security_response_time(
             security_wcet=wcet,
@@ -237,7 +236,7 @@ class TestMigratingDifferential:
             higher_security=states,
             num_cores=num_cores,
             strategy=strategy,
-            rta_context=RtaContext(num_cores, kernel=kernel_mode),
+            rta_context=RtaContext(num_cores),
         )
         frozen = reference_security_response_time(
             security_wcet=wcet,

@@ -97,6 +97,23 @@ class TestParser:
         assert "batch" in captured.err  # available backends are listed
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            ["--max-contexts", "-1"],
+            ["--timeout", "0"],
+            ["--timeout", "-3"],
+        ],
+    )
+    def test_serve_rejects_bad_knobs_with_one_line_error(self, capsys, knob):
+        exit_code = main(["serve", "--stdio", "--quiet", *knob])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert knob[1] in captured.err
+        assert captured.out == ""
+
 
 class TestMain:
     def test_fig5_small_run(self, capsys):
