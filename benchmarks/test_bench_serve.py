@@ -2,10 +2,10 @@
 
 The ISSUE-6 latency gate.  A long-lived :class:`~repro.serve.service.
 AdmissionService` answers the same admission/design queries the offline
-sweep evaluates, but keeps its per-query :class:`~repro.rta.context.
-RtaContext` warm between questions.  The gate:
+sweep evaluates, but keeps the answers of earlier questions in an LRU
+keyed by the canonical query.  The gate:
 
-* a **warm** repeat query (context cache hit) must answer with a p50
+* a **warm** repeat query (answer LRU hit) must answer with a p50
   latency measurably below the **cold** p50 (first-ever answer, cache
   empty) -- the whole point of keeping a daemon resident;
 * every answer, cold or warm, must be byte-identical to the frozen seed
@@ -32,7 +32,7 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: Distinct admission questions (seed, group_index, normalized_range):
 #: eight different task-set designs so the warm pass exercises the
-#: context LRU across keys, not one lucky entry.
+#: answer LRU across keys, not one lucky entry.
 QUERIES = [
     (2020, 0, (0.05, 0.2)),
     (2021, 1, (0.25, 0.4)),
@@ -129,7 +129,7 @@ def test_bench_serve_warm_vs_cold(benchmark):
 
     assert warm_p50 < cold_p50, (
         f"warm p50 {warm_p50 * 1e3:.1f} ms is not below cold p50 "
-        f"{cold_p50 * 1e3:.1f} ms -- the warm context cache is not helping"
+        f"{cold_p50 * 1e3:.1f} ms -- the answer LRU is not helping"
     )
 
 

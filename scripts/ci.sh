@@ -23,9 +23,11 @@
 #            platform plugin layer AND the campaign fast path are
 #            exercised end to end through the CLI.
 #            (b) a live `hydra-c serve` daemon on a Unix socket, driven
-#            through `hydra-c query`: ping, a design query, an infeasible
-#            admission (an answer, not an error), a query that exceeds a
-#            tiny timeout budget, then SIGTERM and a clean (exit 0) drain.
+#            through `hydra-c query`: ping, a design query asked twice
+#            (byte-identical replies, and `stats` then counts an answer-LRU
+#            hit), an infeasible admission (an answer, not an error), a
+#            query with a key the daemon has not seen that exceeds a tiny
+#            timeout budget, then SIGTERM and a clean (exit 0) drain.
 #            (c) a 4-core sweep under --kernel compiled and --kernel
 #            python must print byte-identical reports.  Only meaningful
 #            where the compiled backend builds (the compiled-extra CI
@@ -34,14 +36,14 @@
 #   bench -- the speedup gates: the batched pipeline must stay >= 2x
 #            faster than the frozen seed path (repro/batch/reference.py),
 #            the RTA kernel >= 2x on the allocation-heavy Fig. 7a columns,
-#            the vectorized column layer >= 2x over the PR 4 kernel path
-#            on the period-selection-heavy Fig. 6 / Fig. 7b columns, the
+#            the python tier >= 22x / >= 15x over the frozen seed path on
+#            the period-selection-heavy Fig. 6 / Fig. 7b columns, the
 #            event-compressed simulation backend >= 5x faster than
 #            the tick engine on the rover horizon, the campaign fast path
 #            (design dedup + trial-batched lockstep engine) >= 3x over the
 #            PR 8 campaign path (dedup alone >= 1.3x), and the serve
-#            layer's warm repeat-query p50 below its cold p50.  None of
-#            these rewrite benchmarks/figures_output.txt or
+#            layer's repeat-query p50 (answer LRU) below its cold p50.
+#            None of these rewrite benchmarks/figures_output.txt or
 #            campaign_golden.txt
 #            -- that is asserted after the stage, because a dirty golden
 #            pin means results changed.  The recorded measurement is
@@ -49,12 +51,11 @@
 #            Wall-clock based, so on shared CI runners they
 #            run as a separate, non-blocking workflow step; locally they
 #            are a hard gate.
-#   bench-compiled -- the kernel-tier gates: the compiled tier (Eq. 1
-#            fixed points + one-call period selection) >= 2x over the
-#            vectorized path without dedup, and structural dedup alone >= 1.2x
-#            (pure python).  The compiled half skips cleanly when no C
-#            compiler / cffi is available -- the dedup-only gate runs
-#            everywhere.  Wall-clock based, same
+#   bench-compiled -- the kernel-tier gate: the compiled tier (Eq. 1
+#            fixed points + one-call period selection) >= 36x over the
+#            frozen seed path on the Fig. 6 column.  It skips cleanly when
+#            no C compiler / cffi is available (its pure-python
+#            counterpart runs in the bench stage).  Wall-clock based, same
 #            non-blocking-on-shared-runners policy as bench.
 #
 # The remaining benchmarks (full figure regenerations) are not run here --
@@ -125,9 +126,23 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     ping_reply=$(query '{"op": "ping"}')
     grep -q '"pong":true' <<<"$ping_reply"
 
-    design_reply=$(query '{"op": "design", "num_cores": 2, "seed": 2020,
-                           "group_index": 0, "normalized_range": [0.05, 0.2]}')
+    design_query='{"op": "design", "num_cores": 2, "seed": 2020,
+                   "group_index": 0, "normalized_range": [0.05, 0.2]}'
+    design_reply=$(query "$design_query")
     grep -q '"ok":true' <<<"$design_reply"
+
+    # Re-asking a key is answered from the answer LRU: byte-identical
+    # reply, and the daemon counts the hit.
+    repeat_reply=$(query "$design_query")
+    if [[ "$repeat_reply" != "$design_reply" ]]; then
+        echo "serve smoke FAILED: a re-asked design query changed its answer" >&2
+        exit 1
+    fi
+    hits=$(query '{"op": "stats"}' | grep -o '"context_hits":[0-9]*' | cut -d: -f2 || true)
+    if [[ -z "$hits" || "$hits" -lt 1 ]]; then
+        echo "serve smoke FAILED: stats reports no answer-LRU hit" >&2
+        exit 1
+    fi
 
     # An infeasible admission is an answer (ok:true, feasible:false), not
     # an error -- the query CLI must exit 0 here.
@@ -139,8 +154,9 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     grep -q '"feasible":false' <<<"$infeasible_reply"
 
     # A query over its evaluation budget answers a timeout error (exit 1)
-    # and the daemon keeps serving afterwards.
-    if timeout_reply=$(query '{"op": "design", "num_cores": 2, "seed": 2020,
+    # and the daemon keeps serving afterwards.  Its key is new to the
+    # daemon: a stored answer could beat even a tiny budget.
+    if timeout_reply=$(query '{"op": "design", "num_cores": 2, "seed": 2021,
             "group_index": 0, "normalized_range": [0.05, 0.2],
             "timeout": 0.000001}'); then
         echo "serve smoke FAILED: over-budget query did not report an error" >&2
@@ -188,9 +204,9 @@ if [[ "$stage" == "bench" || "$stage" == "all" ]]; then
 fi
 
 if [[ "$stage" == "bench-compiled" || "$stage" == "all" ]]; then
-    echo "== bench-compiled gates: compiled kernel + structural dedup speedups =="
-    # The compiled gate self-skips (pytest.mark.skipif) when the cffi/gcc
-    # backend cannot build; the dedup-only gate runs unconditionally.
+    echo "== bench-compiled gate: compiled kernel vs the frozen seed path =="
+    # The gate self-skips (pytest.mark.skipif) when the cffi/gcc backend
+    # cannot build.
     python -m pytest -x -q benchmarks/test_bench_compiled_kernel.py
     echo "== golden pins: unchanged after the kernel gates =="
     if ! git diff --exit-code -- benchmarks/figures_output.txt \

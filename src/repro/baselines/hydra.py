@@ -37,8 +37,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.framework import SchedulingPolicy, SystemDesign
 from repro.errors import ConfigurationError, UnschedulableError
 from repro.model.platform import Platform
@@ -449,17 +447,6 @@ class Hydra:
         responses = self._core_response_times(core_tasks, periods, assigner)
         return periods, responses
 
-    #: Candidates probed per search level by the batched Algorithm 2 below.
-    PERIOD_PROBE_BATCH = 8
-
-    #: Candidate ranges below this stay on the scalar binary search: with
-    #: Table-3 tick scales (maximum periods <= 3000 ticks) the per-window
-    #: demand memo makes scalar probes near-free and the NumPy lockstep's
-    #: per-iteration overhead loses (measured; see DESIGN.md "what stays
-    #: scalar and why").  The batched level pays off only on much finer
-    #: tick resolutions, where levels saved outweigh lane overhead.
-    PERIOD_BATCH_MIN_RANGE = 1 << 14
-
     def _core_aware_minimum_period(
         self,
         position: int,
@@ -468,16 +455,8 @@ class Hydra:
         assigner: CorePeriodAssigner,
     ) -> int:
         """Smallest period for ``core_tasks[position]`` keeping the core's
-        lower-priority security tasks schedulable (per-core Algorithm 2).
-
-        With a batch-capable assigner the search probes
-        :data:`PERIOD_PROBE_BATCH` evenly spaced candidates per level in
-        one vectorized pass (:meth:`CorePeriodAssigner.feasible_batch`)
-        and narrows to the gap around the leftmost feasible one --
-        feasibility is monotone in the period, so the minimum found is the
-        binary search's, in a third of the levels.  The scalar binary
-        search remains as the PR 4-profile baseline path.
-        """
+        lower-priority security tasks schedulable (per-core Algorithm 2,
+        binary search over ``[R_s, T^max_s]``)."""
         task = core_tasks[position]
         own_response = assigner.response_time(
             task.wcet,
@@ -486,11 +465,10 @@ class Hydra:
         )
         if own_response is None:  # pragma: no cover - allocation guarantees feasibility
             return task.max_period
-        if assigner.batched and position + 1 == len(core_tasks):
+        if position + 1 == len(core_tasks):
             # No lower-priority tasks to protect: every candidate down to
-            # the task's own response time is feasible.  (Only on the
-            # accelerated path -- the scalar binary search below converges
-            # to the same value and is what the PR 4 baseline profiles.)
+            # the task's own response time is feasible, which is where the
+            # binary search below would converge.
             return own_response
 
         def lower_priority_ok(candidate: int) -> bool:
@@ -510,14 +488,6 @@ class Hydra:
                     return False
             return True
 
-        if (
-            assigner.batched
-            and task.max_period - own_response + 1 >= self.PERIOD_BATCH_MIN_RANGE
-        ):
-            return self._batched_minimum_period(
-                position, core_tasks, periods, assigner, own_response
-            )
-
         low, high, best = own_response, task.max_period, task.max_period
         while low <= high:
             mid = (low + high) // 2
@@ -526,61 +496,6 @@ class Hydra:
                 high = mid - 1
             else:
                 low = mid + 1
-        return best
-
-    def _batched_minimum_period(
-        self,
-        position: int,
-        core_tasks: Sequence[SecurityTask],
-        periods: Mapping[str, int],
-        assigner: CorePeriodAssigner,
-        own_response: int,
-    ) -> int:
-        """Batched Algorithm 2 (see :meth:`_core_aware_minimum_period`)."""
-        task = core_tasks[position]
-
-        def batch_ok(candidates: np.ndarray) -> np.ndarray:
-            mask = np.ones(len(candidates), dtype=bool)
-            for lower_position in range(position + 1, len(core_tasks)):
-                lower = core_tasks[lower_position]
-                fixed = [
-                    (hp.wcet, periods[hp.name])
-                    for hp in core_tasks[:lower_position]
-                    if hp.name != task.name
-                ]
-                mask &= assigner.feasible_batch(
-                    lower.wcet,
-                    lower.max_period,
-                    fixed,
-                    task.wcet,
-                    candidates,
-                )
-                if not mask.any():
-                    break
-            return mask
-
-        low, high, best = own_response, task.max_period, task.max_period
-        while low <= high:
-            candidates = np.unique(
-                np.linspace(
-                    low,
-                    high,
-                    num=min(self.PERIOD_PROBE_BATCH, high - low + 1),
-                    dtype=np.int64,
-                )
-            )
-            mask = batch_ok(candidates)
-            assigner.count_batched_level()
-            feasible_positions = np.flatnonzero(mask)
-            if len(feasible_positions) == 0:
-                # Even the largest candidate (== high) failed.
-                low = int(candidates[-1]) + 1
-                continue
-            first = int(feasible_positions[0])
-            best = int(candidates[first])
-            high = best - 1
-            if first > 0:
-                low = int(candidates[first - 1]) + 1
         return best
 
     def _core_response_times(

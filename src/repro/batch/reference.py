@@ -6,6 +6,10 @@ repository shipped with before the batched service existed:
 * the response-time analysis inner loop *without* the per-window
   interference memo (every fixed-point iteration recomputes the clamped
   Eq. 2-5 terms, one small-array NumPy pass per carry-in set per window);
+* the cold Algorithm 1-2 loop on top of it: binary search, every Eq. 8
+  carry-in set solved from ``C_s``, no warm seeds, pins, certification or
+  Line-8 reuse -- its own loop, sharing no code with the live
+  :class:`~repro.core.period_selection.PeriodSelector`;
 * the per-task-set orchestration that runs the four schemes independently,
   re-deriving the Eq. 1 RT analysis and the greedy security allocation for
   each scheme that needs them;
@@ -43,7 +47,7 @@ from repro.core.analysis import (
     SecurityTaskState,
 )
 from repro.core.framework import SchedulingPolicy, SystemDesign
-from repro.core.period_selection import PeriodSelector
+from repro.core.period_selection import PeriodSelectionResult
 from repro.errors import AllocationError, UnschedulableError
 from repro.generation.taskset_generator import (
     TasksetGenerationConfig,
@@ -261,53 +265,98 @@ def reference_security_response_time(
     return worst
 
 
-class _SeedPeriodSelector(PeriodSelector):
-    """Algorithm 1/2 driven by the frozen seed analysis.
-
-    ``warm_start=False`` keeps the selector on the cold per-solve profile
-    (no fixed-point seeding); the ``seeds``/``sink`` parameters the live
-    selector threads through are accepted for signature compatibility and
-    deliberately ignored -- the seed path is a live-kernel acceleration and
-    must not leak into the frozen baseline.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("warm_start", False)
-        super().__init__(*args, **kwargs)
-        self._rt_cache = _SeedRtWorkloadCache(self._rt_by_core)
-        self._kernel = None  # never the compiled selector
-
-    def _response_time(
-        self,
-        index: int,
-        periods: Mapping[str, int],
-        response_times: Mapping[str, int],
-        seeds=None,
-        sink=None,
-    ) -> Optional[int]:
-        task = self._security[index]
-        self._analysis_calls += 1
-        return reference_security_response_time(
-            security_wcet=task.wcet,
-            limit=task.max_period,
-            rt_tasks_by_core=self._rt_by_core,
-            higher_security=self._states_above(index, periods, response_times),
-            num_cores=self._platform.num_cores,
-            strategy=self._strategy,
-            rt_cache=self._rt_cache,
-        )
-
-
 def reference_select_periods(
     taskset: TaskSet,
     rt_allocation: Mapping[str, int],
     platform: Platform,
     strategy: CarryInStrategy = CarryInStrategy.AUTO,
-):
-    """HYDRA-C period adaptation through the frozen seed analysis."""
-    return _SeedPeriodSelector(
-        taskset, rt_allocation, platform, strategy=strategy
-    ).select()
+) -> PeriodSelectionResult:
+    """HYDRA-C period adaptation (Algorithms 1-2) through the frozen seed
+    analysis: the cold binary-search loop, one full solve per analysis."""
+    rt_by_core = rt_tasks_by_core(taskset, rt_allocation, platform)
+    rt_cache = _SeedRtWorkloadCache(rt_by_core)
+    security = taskset.security_by_priority()
+    analysis_calls = 0
+
+    def response_time(
+        index: int,
+        periods: Mapping[str, int],
+        response_times: Mapping[str, int],
+    ) -> Optional[int]:
+        nonlocal analysis_calls
+        analysis_calls += 1
+        task = security[index]
+        return reference_security_response_time(
+            security_wcet=task.wcet,
+            limit=task.max_period,
+            rt_tasks_by_core=rt_by_core,
+            higher_security=[
+                SecurityTaskState(
+                    name=hp.name,
+                    wcet=hp.wcet,
+                    period=periods[hp.name],
+                    response_time=response_times[hp.name],
+                )
+                for hp in security[:index]
+            ],
+            num_cores=platform.num_cores,
+            strategy=strategy,
+            rt_cache=rt_cache,
+        )
+
+    periods: Dict[str, int] = {task.name: task.max_period for task in security}
+    response_times: Dict[str, int] = {}
+    # Lines 1-4: every task must be schedulable at its maximum period.
+    for index, task in enumerate(security):
+        response = response_time(index, periods, response_times)
+        if response is None:
+            return PeriodSelectionResult(
+                schedulable=False,
+                response_times={**response_times, task.name: None},
+                unschedulable_task=task.name,
+                analysis_calls=analysis_calls,
+            )
+        response_times[task.name] = response
+
+    # Lines 5-9: Algorithm 2 per task, then the Line-8 refresh.
+    for index, task in enumerate(security):
+
+        def lower_priority_ok(candidate: int) -> bool:
+            trial = dict(periods)
+            trial[task.name] = candidate
+            scratch = dict(response_times)
+            for j in range(index + 1, len(security)):
+                response = response_time(j, trial, scratch)
+                if response is None:
+                    return False
+                scratch[security[j].name] = response
+            return True
+
+        low, high = response_times[task.name], task.max_period
+        best = task.max_period
+        while low <= high:
+            mid = (low + high) // 2
+            if lower_priority_ok(mid):
+                best = mid
+                high = mid - 1
+            else:
+                low = mid + 1
+        periods[task.name] = best
+        for j in range(index + 1, len(security)):
+            response = response_time(j, periods, response_times)
+            if response is None:  # pragma: no cover - guarded by Algorithm 2
+                raise UnschedulableError(
+                    f"internal inconsistency: {security[j].name!r} became "
+                    "unschedulable after a feasible period was selected"
+                )
+            response_times[security[j].name] = response
+
+    return PeriodSelectionResult(
+        schedulable=True,
+        periods=periods,
+        response_times=dict(response_times),
+        analysis_calls=analysis_calls,
+    )
 
 
 def reference_design_hydra_c(

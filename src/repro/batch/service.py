@@ -25,7 +25,8 @@ Beneath the phases sits the RTA kernel: the service creates one
 :class:`repro.rta.RtaContext` per task set and threads it through
 generation-time partitioning, the Eq. 1 check, the security allocation and
 every plugin, so all of them share the same workload memos and incremental
-core states.
+core states.  Every exact kernel layer (warm seeds, certification, pins,
+the column screens) always runs; the only tier switch is ``kernel``.
 """
 
 from __future__ import annotations
@@ -49,12 +50,7 @@ from repro.model.taskset import TaskSet
 from repro.partitioning.allocation import Allocation
 from repro.partitioning.heuristics import partition_rt_tasks
 from repro.platform import DEFAULT_PLATFORM, PlatformModel
-from repro.rta import (
-    RtaContext,
-    StructuralCache,
-    normalise_kernel,
-    partitioned_rt_check,
-)
+from repro.rta import RtaContext, normalise_kernel, partitioned_rt_check
 from repro.schedulability.partitioned import rt_tasks_by_core
 from repro.schemes import (
     REGISTRY,
@@ -105,23 +101,10 @@ class BatchDesignService:
     search_mode:
         HYDRA-C's Algorithm 2 period-search mode, applied to every plugin
         that honours it (see :class:`repro.schemes.DesignOptions`).
-    accelerated:
-        Enables the result-preserving kernel accelerations added on top of
-        the PR 4 kernel: fixed-point warm starts in period selection and
-        batched candidate probing in the per-core period assignment.  Both
-        are provably unable to change any result; ``False`` reproduces the
-        PR 4 compute profile and exists for the
-        ``benchmarks/test_bench_vectorized_screen.py`` gate and ablations.
     kernel:
         Fixed-point kernel tier for every context the service creates:
         ``"python"`` (default), ``"compiled"`` or ``"auto"`` -- see
         :class:`repro.rta.RtaContext`.  Byte-equal results across tiers.
-    dedup:
-        Cross-task-set structural dedup.  ``None`` (default) rides
-        ``accelerated``; when enabled the service shares one
-        :class:`~repro.rta.dedup.StructuralCache` across all contexts of
-        each :meth:`evaluate_specs` chunk, so repeated partition/task
-        shapes across that chunk's task sets replay their fixed points.
     platform_model:
         The :class:`~repro.platform.PlatformModel` selection.  At design
         time only the resource protocol matters: every context the service
@@ -137,16 +120,12 @@ class BatchDesignService:
         max_generation_attempts: int = MAX_GENERATION_ATTEMPTS,
         registry: SchemeRegistry = REGISTRY,
         search_mode: Union[SearchMode, str] = SearchMode.BINARY,
-        accelerated: bool = True,
         kernel: str = "python",
-        dedup: Optional[bool] = None,
         platform_model: PlatformModel = DEFAULT_PLATFORM,
     ) -> None:
         if num_cores < 1:
             raise ConfigurationError("num_cores must be >= 1")
-        self._accelerated = accelerated
         self._kernel = normalise_kernel(kernel)
-        self._dedup = accelerated if dedup is None else bool(dedup)
         self._platform = Platform(num_cores=num_cores)
         self._platform_model = platform_model
         self._specs = registry.resolve(scheme_names)
@@ -173,16 +152,11 @@ class BatchDesignService:
     def platform(self) -> Platform:
         return self._platform
 
-    def _new_context(
-        self, structural_cache: Optional[StructuralCache] = None
-    ) -> RtaContext:
-        """A per-task-set kernel context honouring the acceleration knobs."""
+    def _new_context(self) -> RtaContext:
+        """A fresh per-task-set kernel context on the service's tier."""
         return RtaContext(
             self._platform.num_cores,
-            warm_start=self._accelerated,
             kernel=self._kernel,
-            dedup=self._dedup,
-            structural_cache=structural_cache if self._dedup else None,
             platform_model=self._platform_model,
         )
 
@@ -356,8 +330,8 @@ class BatchDesignService:
         pinned by ``tests/rta/test_vectorized_screen.py`` -- but the
         generation-time partitioning runs in lockstep across the column:
         per regeneration round, all pending slots' candidate task sets are
-        materialised into one :class:`~repro.rta.vectorized.TaskSetArena`
-        and packed through the vectorized column screens, with only the
+        packed together through the vectorized column screens of
+        :func:`~repro.rta.vectorized.partition_column`, with only the
         undecided probe residue walking the exact kernel.  Each slot keeps
         its own RNG stream and its own :class:`~repro.rta.RtaContext`, so
         slot outcomes are independent of how the column is chunked.
@@ -367,37 +341,7 @@ class BatchDesignService:
         """
         from repro.rta.vectorized import partition_column
 
-        if not self._accelerated:
-            # The PR 4-profile baseline path: per-spec evaluation, but with
-            # the same stats contract as the column path.
-            results = []
-            for spec in specs:
-                context = self._new_context()
-                generated = self.generate(spec, rta_context=context)
-                if generated is None:
-                    results.append(None)
-                else:
-                    taskset, allocation = generated
-                    results.append(
-                        self.evaluate_taskset(
-                            taskset,
-                            allocation,
-                            group_index=spec.group_index,
-                            rta_context=context,
-                        )
-                    )
-                if stats_sink is not None:
-                    for key, value in context.stats.as_dict().items():
-                        stats_sink[key] = stats_sink.get(key, 0) + value
-            return results
-
-        # One structural cache spans the whole chunk: this is where the
-        # cross-task-set dedup hits live (repeated partition layouts and
-        # higher-priority shapes between the chunk's generated columns).
-        # The cache dies with the chunk, so chunking cannot leak state
-        # between chunks -- results stay independent of chunk size.
-        chunk_cache = StructuralCache() if self._dedup else None
-        contexts = [self._new_context(chunk_cache) for _ in specs]
+        contexts = [self._new_context() for _ in specs]
         rngs = [np.random.default_rng(spec.seed) for spec in specs]
         generators = [
             TasksetGenerator(self._generation_config, seed=spec.seed)

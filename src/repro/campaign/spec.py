@@ -91,7 +91,8 @@ class CampaignSpec:
     horizon:
         Observation window per trial in ticks.
     seed:
-        Base seed; each trial derives its own stream (see module docstring).
+        Base seed, non-negative; each trial derives its own stream (see
+        module docstring).
     latest_injection_fraction:
         Attacks land uniformly in ``[0, fraction * horizon)``.
     jitter:
@@ -148,6 +149,8 @@ class CampaignSpec:
             raise ConfigurationError("num_trials must be >= 1")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if not 0.0 < self.latest_injection_fraction <= 1.0:
             raise ConfigurationError(
                 "latest_injection_fraction must be in (0, 1]"

@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="warm RTA-context LRU size per service (0 = always cold)",
+        help="answer LRU size per service: re-asked queries reuse their "
+        "answer (0 = every query runs cold)",
     )
     serve.add_argument(
         "--kernel",

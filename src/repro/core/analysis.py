@@ -21,7 +21,6 @@ from repro.model.tasks import RealTimeTask
 from repro.model.taskset import TaskSet
 from repro.rta.migrating import (
     DEFAULT_EXACT_ENUMERATION_LIMIT,
-    SCALAR_TERMS_THRESHOLD,
     CarryInStrategy,
     RtWorkloadCache,
     SecurityTaskState,
@@ -39,7 +38,6 @@ __all__ = [
     "analyze_security_tasks",
     "hydra_c_taskset_schedulable",
     "DEFAULT_EXACT_ENUMERATION_LIMIT",
-    "SCALAR_TERMS_THRESHOLD",
 ]
 
 

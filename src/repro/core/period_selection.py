@@ -24,31 +24,29 @@ interference (periods only ever shrink as Algorithm 1 fixes them, response
 times only ever grow).  The ledger seeds each Eq. 7 iteration from the
 best applicable earlier fixed point instead of from ``C_s``, cutting the
 iteration count by an order of magnitude on the synthetic sweeps while
-producing bit-identical responses *and* an unchanged ``analysis_calls``
-count (seeding shortens iterations, never skips a solve); the merge rules
--- which earlier states may seed which later ones -- are documented on
-:class:`_SeedLedger` and pinned by ``tests/rta/test_vectorized_screen.py``.
+producing bit-identical responses; the merge rules -- which earlier states
+may seed which later ones -- are documented on :class:`_SeedLedger`.
 
-The *dedup* profile (a structural cache on the context, PR 7) layers
-solve-skipping on top: whole-task probe pinning (:meth:`PeriodSelector.
-_probe_pins`), certification floors, and verbatim reuse of the chosen
-probe's chain for Algorithm 1's Line-8 refresh.  Those do reduce
-``analysis_calls`` -- results stay byte-identical, as the same test pins.
+Exact solve-skipping rides on the same ordering: whole-task probe pinning
+(:meth:`PeriodSelector._probe_pins`), certification floors, and verbatim
+reuse of the chosen probe's chain for Algorithm 1's Line-8 refresh.  Those
+reduce ``analysis_calls`` below the cold loop of the frozen
+:func:`repro.batch.reference.reference_select_periods`; every result field
+stays byte-identical (``tests/rta/test_vectorized_screen.py`` pins both).
 
 On the compiled kernel tier :meth:`PeriodSelector.select` runs the whole
 of Algorithms 1-2 in one C call (``hydra_select_periods`` in
 :mod:`repro.rta.compiled`), keeping the seed ledger and the Line-8 chain
-reuse; the probe pins, certification and verdict store stay python-tier
-layers.  Task sets whose operands fail the kernel's guards run the python
-selector below, which remains the reference
-(``tests/rta/test_selector_differential.py`` pins the equality).
+reuse; the probe pins and certification stay python-tier layers.  Task
+sets whose operands fail the kernel's guards run the python selector
+below (``tests/rta/test_selector_differential.py`` pins the equality).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, UnschedulableError
 from repro.model.platform import Platform
@@ -196,7 +194,6 @@ class PeriodSelector:
         strategy: CarryInStrategy = CarryInStrategy.AUTO,
         search_mode: SearchMode = SearchMode.BINARY,
         rta_context=None,
-        warm_start: Optional[bool] = None,
     ) -> None:
         self._taskset = taskset
         self._platform = platform
@@ -210,17 +207,7 @@ class PeriodSelector:
             # No-op unless the context carries a lock-using platform model
             # and the task set declares resource claims.
             rta_context.prime_blocking(taskset)
-        if warm_start is None:
-            warm_start = getattr(rta_context, "warm_start", True)
-        self._warm_start = warm_start
-        # Cross-probe verdict pinning (seed == upper-bound sandwiches) is
-        # part of the PR 7 structural-dedup subsystem, so it rides the
-        # context's dedup switch -- ``dedup=False`` reconstructs the PR 5
-        # warm-start-only profile exactly, as the benchmark gates require.
-        self._dedup = (
-            warm_start
-            and getattr(rta_context, "structural_cache", None) is not None
-        )
+        self._stats = rta_context.stats if rta_context is not None else None
         self._security: List[SecurityTask] = taskset.security_by_priority()
         self._rt_by_core: Dict[int, List[RealTimeTask]] = {
             core.index: [] for core in platform.cores
@@ -244,9 +231,9 @@ class PeriodSelector:
             self._rt_cache = RtWorkloadCache(self._rt_by_core)
         self._analysis_calls = 0
         self._ledger = _SeedLedger()
-        #: Durable whole-response floors per task index (dedup only):
-        #: the latest Algorithm 1 refresh response, a sound lower bound on
-        #: every later solve of that task (see :meth:`_probe_pins`).
+        #: Durable whole-response floors per task index: the latest
+        #: Algorithm 1 refresh response, a sound lower bound on every later
+        #: solve of that task (see :meth:`_probe_pins`).
         self._task_floors: Dict[int, int] = {}
 
     # -- compiled tier ----------------------------------------------------------
@@ -289,9 +276,8 @@ class PeriodSelector:
             self._search_mode is SearchMode.LINEAR,
         )
         analysis_calls, solves, seeded = counters
-        stats = self._rta_context.stats
-        stats.compiled_solves += solves
-        stats.seeded_solves += seeded
+        self._stats.compiled_solves += solves
+        self._stats.seeded_solves += seeded
         names = [task.name for task in self._security]
         if status < 0:  # pragma: no cover - guarded by Algorithm 2
             raise UnschedulableError(
@@ -361,9 +347,7 @@ class PeriodSelector:
         :class:`_SeedLedger`); ``uppers`` carries the matching upper bounds
         from already-probed *smaller* candidates (see :meth:`_probe_uppers`)
         and ``floor`` a whole-response lower bound from larger ones (see
-        :meth:`_probe_pins`).  All default to ``None`` so overrides that
-        predate the ledger -- notably the frozen seed selector in
-        :mod:`repro.batch.reference` -- stay cold and byte-identical.
+        :meth:`_probe_pins`).
         """
         task = self._security[index]
         self._analysis_calls += 1
@@ -388,12 +372,12 @@ class PeriodSelector:
         index: int,
         periods: Mapping[str, int],
         response_times: Mapping[str, int],
-        probe_seeds: Optional[Mapping[int, Mapping]] = None,
-        probe_sink: Optional[Dict[int, Dict]] = None,
-        probe_uppers: Optional[Mapping[int, Mapping]] = None,
-        probe_pins: Optional[Mapping[int, int]] = None,
-        probe_floors: Optional[Mapping[int, int]] = None,
-        probe_responses: Optional[Dict[int, int]] = None,
+        probe_seeds: Mapping[int, Mapping],
+        probe_sink: Dict[int, Dict],
+        probe_uppers: Optional[Mapping[int, Mapping]],
+        probe_pins: Optional[Mapping[int, int]],
+        probe_floors: Optional[Mapping[int, int]],
+        probe_responses: Dict[int, int],
     ) -> bool:
         """Check ``R_j <= T^max_j`` for every task below *index*.
 
@@ -402,8 +386,8 @@ class PeriodSelector:
         recomputed on the fly (they depend on the candidate period), using a
         scratch copy so the caller's bookkeeping is untouched.
 
-        ``probe_seeds``/``probe_sink`` optionally map each lower task index
-        to warm-start seed maps (see :meth:`_response_time`); Algorithm 2
+        ``probe_seeds``/``probe_sink`` map each lower task index to
+        warm-start seed maps (see :meth:`_response_time`); Algorithm 2
         uses them to share fixed points across the probes of one search.
         ``probe_uppers`` maps the same indices to upper-bound maps from
         smaller probed candidates, enabling sandwich pinning in the kernel.
@@ -417,42 +401,28 @@ class PeriodSelector:
         future pinning.
         """
         scratch: Dict[str, int] = dict(response_times)
-        stats = (
-            self._rta_context.stats if self._rta_context is not None else None
-        )
         for j in range(index + 1, len(self._security)):
             pinned = probe_pins.get(j) if probe_pins else None
             if pinned is not None:
-                if stats is not None:
-                    stats.dedup_pinned_solves += 1
-                if probe_responses is not None:
-                    probe_responses[j] = pinned
+                if self._stats is not None:
+                    self._stats.dedup_pinned_solves += 1
+                probe_responses[j] = pinned
                 scratch[self._security[j].name] = pinned
                 continue
-            sink: Optional[Dict] = {} if probe_sink is not None else None
-            # Dedup-only kwargs are passed only when present so subclasses
-            # overriding ``_response_time`` with the pre-dedup signature
-            # (the frozen oracle in :mod:`repro.batch.reference`) stay
-            # untouched -- they never enable dedup.
-            kwargs: Dict[str, Any] = {}
-            if probe_uppers is not None:
-                kwargs["uppers"] = probe_uppers.get(j)
-            if probe_floors is not None:
-                kwargs["floor"] = probe_floors.get(j)
+            sink: Dict = {}
             response = self._response_time(
                 j,
                 periods,
                 scratch,
-                seeds=probe_seeds.get(j) if probe_seeds else None,
+                seeds=probe_seeds.get(j),
                 sink=sink,
-                **kwargs,
+                uppers=probe_uppers.get(j) if probe_uppers else None,
+                floor=probe_floors.get(j) if probe_floors else None,
             )
-            if probe_sink is not None:
-                probe_sink[j] = sink
+            probe_sink[j] = sink
             if response is None:
                 return False
-            if probe_responses is not None:
-                probe_responses[j] = response
+            probe_responses[j] = response
             scratch[self._security[j].name] = response
         return True
 
@@ -463,7 +433,7 @@ class PeriodSelector:
         index: int,
         candidate: int,
         probes: Dict[int, Dict[int, Dict]],
-    ) -> Optional[Dict[int, Dict]]:
+    ) -> Dict[int, Dict]:
         """Merged warm-start seeds for one Algorithm 2 probe.
 
         Valid seed sources for probing *candidate*: the durable ledger
@@ -472,8 +442,6 @@ class PeriodSelector:
         weaker interference, so its per-set fixed points lower-bound this
         probe's (see :class:`_SeedLedger` for the ordering argument).
         """
-        if not self._warm_start:
-            return None
         merged: Dict[int, Dict] = {}
         for j in range(index + 1, len(self._security)):
             durable = self._ledger.seeds_for(j)
@@ -490,11 +458,10 @@ class PeriodSelector:
 
     def _probe_uppers(
         self,
-        index: int,
         candidate: int,
         probes: Dict[int, Dict[int, Dict]],
     ) -> Optional[Dict[int, Dict]]:
-        """Per-set upper bounds for one Algorithm 2 probe (dedup only).
+        """Per-set upper bounds for one Algorithm 2 probe.
 
         The mirror image of :meth:`_probe_seeds`: fixed points from
         already-probed *smaller* candidates of this search -- a smaller
@@ -504,8 +471,6 @@ class PeriodSelector:
         fixed point without iterating (``set_uppers`` in
         :func:`~repro.rta.migrating.security_response_time`).
         """
-        if not self._dedup:
-            return None
         merged: Dict[int, Dict] = {}
         for probed, chain in probes.items():
             if probed >= candidate:
@@ -524,7 +489,7 @@ class PeriodSelector:
         chain_responses: Dict[int, Dict[int, int]],
     ) -> Tuple[Optional[Dict[int, int]], Optional[Dict[int, int]]]:
         """Whole-task response pins and floors from earlier probes
-        (dedup only; returns ``(pins, floors)``).
+        (returns ``(pins, floors)``).
 
         The per-set sandwich argument of :meth:`_probe_seeds` /
         :meth:`_probe_uppers` lifts to whole responses: down the chain of
@@ -543,8 +508,6 @@ class PeriodSelector:
         task: a pinned value was a feasible response at stronger
         interference.
         """
-        if not self._dedup:
-            return None, None
         # Durable floors first: each Algorithm 1 Line-8 refresh response
         # was computed at the strongest state so far, so it lower-bounds
         # every later solve of the same task (later searches only shrink
@@ -580,9 +543,9 @@ class PeriodSelector:
 
         ``T^max_s`` is always feasible (guaranteed by Algorithm 1 line 1), so
         the search never fails.  Returns ``(chosen, chain)`` where *chain*
-        (dedup profile only, else ``None``) is the completed per-task
-        response map of the feasible probe at *chosen* -- the probe's trial
-        state is identical to the state Algorithm 1's Line 8 refresh
+        is the completed per-task response map of the feasible probe at
+        *chosen* (``None`` when *chosen* was never probed) -- the probe's
+        trial state is identical to the state Algorithm 1's Line 8 refresh
         re-analyses, so the caller can reuse those responses outright.
         """
         task = self._security[index]
@@ -592,20 +555,14 @@ class PeriodSelector:
         #: candidate -> per-lower-task per-set fixed points of that probe.
         probes: Dict[int, Dict[int, Dict]] = {}
         #: candidate -> completed whole-task responses of that probe's
-        #: chain (the :meth:`_probe_pins` sandwich sources; dedup only).
+        #: chain (the :meth:`_probe_pins` sandwich sources).
         chain_responses: Dict[int, Dict[int, int]] = {}
 
         def feasible(candidate: int) -> bool:
             trial = dict(periods)
             trial[task.name] = candidate
-            if not self._warm_start:
-                return self._lower_priority_schedulable(
-                    index, trial, response_times
-                )
             sink: Dict[int, Dict] = {}
-            responses: Optional[Dict[int, int]] = (
-                {} if self._dedup else None
-            )
+            responses: Dict[int, int] = {}
             pins, floors = self._probe_pins(candidate, chain_responses)
             verdict = self._lower_priority_schedulable(
                 index,
@@ -613,14 +570,13 @@ class PeriodSelector:
                 response_times,
                 probe_seeds=self._probe_seeds(index, candidate, probes),
                 probe_sink=sink,
-                probe_uppers=self._probe_uppers(index, candidate, probes),
+                probe_uppers=self._probe_uppers(candidate, probes),
                 probe_pins=pins,
                 probe_floors=floors,
                 probe_responses=responses,
             )
             probes[candidate] = sink
-            if responses is not None:
-                chain_responses[candidate] = responses
+            chain_responses[candidate] = responses
             return verdict
 
         if self._search_mode is SearchMode.LINEAR:
@@ -629,7 +585,7 @@ class PeriodSelector:
                 if feasible(candidate):
                     chosen = candidate
                     break
-            self._merge_feasible_probes(index, chosen, probes)
+            self._merge_feasible_probes(chosen, probes)
             return chosen, chain_responses.get(chosen)
 
         while low <= high:
@@ -639,12 +595,11 @@ class PeriodSelector:
                 high = mid - 1
             else:
                 low = mid + 1
-        self._merge_feasible_probes(index, best, probes)
+        self._merge_feasible_probes(best, probes)
         return best, chain_responses.get(best)
 
     def _merge_feasible_probes(
         self,
-        index: int,
         chosen: int,
         probes: Dict[int, Dict[int, Dict]],
     ) -> None:
@@ -653,8 +608,6 @@ class PeriodSelector:
         Only those probes' states are dominated by every later Algorithm 1
         state (the task's period is about to be fixed at *chosen*).
         """
-        if not self._warm_start:
-            return
         for candidate, chain in probes.items():
             if candidate < chosen:
                 continue
@@ -672,7 +625,6 @@ class PeriodSelector:
         self._analysis_calls = 0
         self._ledger = _SeedLedger()
         self._task_floors = {}
-        warm = self._warm_start
         periods: Dict[str, int] = {
             task.name: task.max_period for task in self._security
         }
@@ -683,7 +635,7 @@ class PeriodSelector:
         # weakest-interference state of the whole run, so its per-set fixed
         # points seed every later solve.
         for index, task in enumerate(self._security):
-            sink: Optional[Dict] = {} if warm else None
+            sink: Dict = {}
             response = self._response_time(
                 index, periods, response_times, sink=sink
             )
@@ -695,41 +647,36 @@ class PeriodSelector:
                     unschedulable_task=task.name,
                     analysis_calls=self._analysis_calls,
                 )
-            if warm:
-                self._ledger.merge(index, sink)
-            if self._dedup:
-                self._task_floors[index] = response
+            self._ledger.merge(index, sink)
+            self._task_floors[index] = response
             response_times[task.name] = response
 
         # Lines 5-9: fix periods from highest to lowest priority.
-        stats = (
-            self._rta_context.stats if self._rta_context is not None else None
-        )
         for index, task in enumerate(self._security):
             chosen, chain = self._minimum_feasible_period(
                 index, periods, response_times, own_response=response_times[task.name]
             )
             periods[task.name] = chosen
             # Line 8: refresh the response times of all lower-priority tasks
-            # under the newly fixed interference.  On the dedup profile the
-            # feasible probe at *chosen* already analysed exactly this state
-            # (same periods, same scratch progression down the chain), so
-            # its completed responses are reused verbatim instead of
-            # re-solved; their per-set fixed points entered the ledger via
+            # under the newly fixed interference.  The feasible probe at
+            # *chosen* already analysed exactly this state (same periods,
+            # same scratch progression down the chain), so its completed
+            # responses are reused verbatim instead of re-solved; their
+            # per-set fixed points entered the ledger via
             # :meth:`_merge_feasible_probes`.
             for j in range(index + 1, len(self._security)):
                 lower = self._security[j]
                 response = chain.get(j) if chain is not None else None
                 if response is not None:
-                    if stats is not None:
-                        stats.dedup_refresh_reuses += 1
+                    if self._stats is not None:
+                        self._stats.dedup_refresh_reuses += 1
                 else:
-                    sink = {} if warm else None
+                    sink = {}
                     response = self._response_time(
                         j,
                         periods,
                         response_times,
-                        seeds=self._ledger.seeds_for(j) if warm else None,
+                        seeds=self._ledger.seeds_for(j),
                         sink=sink,
                     )
                     if response is None:  # pragma: no cover - guarded by Algorithm 2
@@ -737,10 +684,8 @@ class PeriodSelector:
                             f"internal inconsistency: {lower.name!r} became "
                             "unschedulable after a feasible period was selected"
                         )
-                    if warm:
-                        self._ledger.merge(j, sink)
-                if self._dedup:
-                    self._task_floors[j] = response
+                    self._ledger.merge(j, sink)
+                self._task_floors[j] = response
                 response_times[lower.name] = response
                 reported[lower.name] = response
 

@@ -57,7 +57,7 @@ class ExperimentConfig:
     utilization_groups:
         Normalized-utilization ranges to sweep.
     seed:
-        Base random seed (each group derives its own stream).
+        Base random seed, non-negative (each group derives its own stream).
     n_jobs:
         Worker processes for the sweep (1 = run in-process).
     chunk_size:
@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise ConfigurationError("num_cores must be >= 1")
         if self.tasksets_per_group < 1:
             raise ConfigurationError("tasksets_per_group must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.n_jobs < 1:
             raise ConfigurationError("n_jobs must be >= 1")
         if self.chunk_size < 1:

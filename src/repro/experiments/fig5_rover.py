@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.errors import ConfigurationError
 from repro.rover.case_study import ROVER_HORIZON_TICKS, RoverCaseStudy, RoverComparisonResult
 
 __all__ = ["Fig5Result", "run_fig5", "format_fig5"]
@@ -53,7 +54,18 @@ def run_fig5(
     horizon: int = ROVER_HORIZON_TICKS,
     seed: Optional[int] = 2020,
 ) -> Fig5Result:
-    """Run the Fig. 5 comparison with the paper's trial count by default."""
+    """Run the Fig. 5 comparison with the paper's trial count by default.
+
+    Invalid knobs raise :class:`~repro.errors.ConfigurationError` (the
+    CLI's one-line error), like the campaign path's
+    :class:`~repro.campaign.CampaignSpec`.
+    """
+    if num_trials < 1:
+        raise ConfigurationError("num_trials must be >= 1")
+    if horizon < 1:
+        raise ConfigurationError("horizon must be >= 1")
+    if seed is not None and seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     study = RoverCaseStudy(horizon=horizon, num_trials=num_trials, seed=seed)
     comparison = study.run_comparison()
     return Fig5Result(comparison=comparison, num_trials=num_trials, horizon=horizon)

@@ -16,13 +16,13 @@ One Eq. 1-5 engine shared by every layer of the design space:
   GLOBAL-TMax, consuming the kernel's carry-in selection;
 * :mod:`repro.rta.migrating` -- the HYDRA-C migrating-security-task engine
   (Eq. 6-8; re-exported by :mod:`repro.core.analysis` for the historical
-  API), with sound fixed-point warm starts for monotone re-solves;
-* :mod:`repro.rta.vectorized` -- the column layer: a struct-of-arrays
-  :class:`~repro.rta.vectorized.TaskSetArena` per chunk of task sets and
-  the flip-free vectorized screens of
-  :class:`~repro.rta.vectorized.ColumnScreen`, deciding whole columns of
-  admission questions in single NumPy passes with the exact kernel
-  reserved for the undecided residue.
+  API), with sound fixed-point warm starts for monotone re-solves and the
+  exact solve-skipping layers (incumbent certification, sandwich pins);
+* :mod:`repro.rta.vectorized` -- the column layer:
+  :func:`~repro.rta.vectorized.partition_column` packs a whole column of
+  task sets in lockstep, deciding placement probes with flip-free
+  vectorized screens and reserving the exact kernel for the undecided
+  residue.
 
 The frozen oracles -- :mod:`repro.schedulability` and
 :mod:`repro.batch.reference` -- are deliberately *not* built on this
@@ -40,11 +40,9 @@ from repro.rta.compiled import (
 )
 from repro.rta.context import KernelStats, RtaContext, rt_task_view
 from repro.rta.core_state import Admission, CoreState, TaskView
-from repro.rta.dedup import StructuralCache
 from repro.rta.global_fp import GlobalRtaEngine
 from repro.rta.migrating import (
     DEFAULT_EXACT_ENUMERATION_LIMIT,
-    SCALAR_TERMS_THRESHOLD,
     CarryInStrategy,
     RtWorkloadCache,
     SecurityTaskState,
@@ -56,7 +54,7 @@ from repro.rta.packing import (
     security_task_view,
 )
 from repro.rta.partitioned import partitioned_rt_check
-from repro.rta.vectorized import ColumnScreen, TaskSetArena, partition_column
+from repro.rta.vectorized import partition_column
 from repro.schedulability.carry_in import (
     count_carry_in_sets,
     enumerate_carry_in_sets,
@@ -66,7 +64,6 @@ from repro.schedulability.carry_in import (
 __all__ = [
     "Admission",
     "CarryInStrategy",
-    "ColumnScreen",
     "CorePeriodAssigner",
     "CoreState",
     "DEFAULT_EXACT_ENUMERATION_LIMIT",
@@ -75,11 +72,8 @@ __all__ = [
     "KernelStats",
     "RtWorkloadCache",
     "RtaContext",
-    "SCALAR_TERMS_THRESHOLD",
     "SecurityPacker",
     "SecurityTaskState",
-    "StructuralCache",
-    "TaskSetArena",
     "TaskView",
     "count_carry_in_sets",
     "enumerate_carry_in_sets",

@@ -36,9 +36,8 @@ from repro.model.platform import Platform
 from repro.model.tasks import RealTimeTask
 from repro.rta.compiled import normalise_kernel, resolve_kernel
 from repro.rta.core_state import CoreState, TaskView
-from repro.rta.dedup import StructuralCache
 from repro.rta.global_fp import GlobalRtaEngine
-from repro.rta.migrating import RtWorkloadCache, structural_layout_key
+from repro.rta.migrating import RtWorkloadCache
 
 __all__ = ["KernelStats", "RtaContext", "rt_task_view"]
 
@@ -47,14 +46,15 @@ __all__ = ["KernelStats", "RtaContext", "rt_task_view"]
 class KernelStats:
     """Counters of kernel activity, reset per context (= per task set).
 
-    The first block counts the per-probe kernel shortcuts (PR 4); the
+    The first block counts the per-probe kernel shortcuts; the
     ``column_*`` block counts the vectorized column-screen filters of
     :mod:`repro.rta.vectorized` (per-filter hits plus the undecided
     residue that fell through to the exact kernel); the remaining counters
-    cover the packer's integer demand pre-screen, the warm-seeded
-    period-selection solves and the batched Algorithm 2 candidate probes.
+    cover the warm-seeded period-selection solves, compiled-kernel
+    dispatches and the exact solve-skipping layers (``dedup_*``).
     ``hydra-c sweep --stats`` (and the fig6/7a/7b variants) print the
-    aggregate over every evaluated task set.
+    aggregate over every evaluated task set.  ``merge`` reads fields with
+    ``.get(name, 0)``, so sinks lacking a field still aggregate cleanly.
     """
 
     exact_solves: int = 0
@@ -63,23 +63,9 @@ class KernelStats:
     column_ll_accepts: int = 0
     column_bini_accepts: int = 0
     column_util_rejects: int = 0
-    column_demand_rejects: int = 0
     column_undecided: int = 0
-    probe_demand_rejects: int = 0
     seeded_solves: int = 0
-    batched_probe_levels: int = 0
-    # PR 7: compiled-kernel dispatches and structural-dedup hit rates.
-    # The verdict pair counts whole Eq. 6-8 calls replayed from the
-    # structural cache; the memo pair counts RT partitions that reused a
-    # structurally equal partition's interned RtWorkloadCache (shared
-    # window/interference memos) instead of building their own.
-    # ``merge`` iterates this dataclass's fields with ``.get(name, 0)``, so
-    # sinks recorded before these fields existed still aggregate cleanly.
     compiled_solves: int = 0
-    dedup_verdict_hits: int = 0
-    dedup_verdict_misses: int = 0
-    dedup_memo_hits: int = 0
-    dedup_memo_misses: int = 0
     #: Per-carry-in-set fixed points pinned by a seed/upper-bound sandwich
     #: (cross-probe verdict reuse in Algorithm 2; see ``set_uppers`` in
     #: :func:`repro.rta.migrating.security_response_time`).
@@ -90,7 +76,7 @@ class KernelStats:
     dedup_pinned_solves: int = 0
     #: Carry-in sets whose solve was skipped by incumbent certification
     #: (one shared-window Omega evaluation proved the set cannot raise the
-    #: Eq. 8 maximum; see the exact dedup-profile branch of
+    #: Eq. 8 maximum; see the exact branch of
     #: :func:`repro.rta.migrating.security_response_time`).
     dedup_certified_sets: int = 0
     #: Algorithm 1 Line-8 refresh solves replaced by the completed chain of
@@ -124,17 +110,10 @@ class KernelStats:
             f"quick-accepts {self.ll_accepts} LL / {self.bound_accepts} Bini, "
             f"column screens {self.column_ll_accepts} LL / "
             f"{self.column_bini_accepts} Bini accepts, "
-            f"{self.column_util_rejects} util / "
-            f"{self.column_demand_rejects} demand rejects, "
+            f"{self.column_util_rejects} util rejects, "
             f"{self.column_undecided} undecided, "
-            f"{self.probe_demand_rejects} probe demand rejects, "
-            f"{self.batched_probe_levels} batched probe levels, "
             f"{self.compiled_solves} compiled solves, "
-            f"dedup {self.dedup_verdict_hits}/"
-            f"{self.dedup_verdict_hits + self.dedup_verdict_misses} verdicts "
-            f"{self.dedup_memo_hits}/"
-            f"{self.dedup_memo_hits + self.dedup_memo_misses} partitions, "
-            f"{self.dedup_pinned_sets} pinned / "
+            f"dedup {self.dedup_pinned_sets} pinned / "
             f"{self.dedup_certified_sets} certified sets, "
             f"{self.dedup_pinned_solves} pinned / "
             f"{self.dedup_refresh_reuses} reused solves"
@@ -183,27 +162,17 @@ class RtaContext:
         once and falling back when unavailable) or ``"auto"`` (compiled
         when available, silently python otherwise).  Results are byte-equal
         across tiers; see the differential suites in ``tests/rta/``.
-    dedup:
-        Enables cross-call structural dedup of migrating-task solves via a
-        :class:`~repro.rta.dedup.StructuralCache`.  ``None`` (default)
-        rides ``warm_start``, so the PR 4-profile baseline
-        (``warm_start=False``) stays dedup-free.  Like seeding, dedup can
-        never change a result -- replayed verdicts are byte-equal.
-    structural_cache:
-        Optional externally owned :class:`~repro.rta.dedup.StructuralCache`
-        to share across contexts (the batch service injects one per
-        evaluated chunk; the serve daemon a bounded long-lived one).
-        Providing one implies ``dedup``.
+    platform_model:
+        The :class:`~repro.platform.models.PlatformModel` whose resource
+        protocol supplies per-task blocking terms (see
+        :meth:`prime_blocking`).
     """
 
     def __init__(
         self,
         num_cores,
         quick_accept: bool = True,
-        warm_start: bool = True,
         kernel: str = "python",
-        dedup: Optional[bool] = None,
-        structural_cache: Optional[StructuralCache] = None,
         platform_model=None,
     ) -> None:
         if isinstance(num_cores, Platform):
@@ -218,23 +187,12 @@ class RtaContext:
         #: blocking-free -- the frozen PR 4-7 behaviour.
         self.platform_model = platform_model
         self._blocking: Dict[str, int] = {}
-        #: Enables the monotone fixed-point warm starts of the period
-        #: selector (see ``repro.core.period_selection``).  Like
-        #: ``quick_accept``, seeding can never change a result -- disable
-        #: only to reproduce the pre-seeding (PR 4) compute profile, as the
-        #: vectorized-screen benchmark gate does.
-        self.warm_start = warm_start
         self.kernel_name = normalise_kernel(kernel)
         #: The loaded compiled backend, or ``None`` on the pure-python tier
         #: (requested, unavailable, or fallback).  ``CoreState`` and
         #: ``CorePeriodAssigner`` dispatch Eq. 1 on this per solve;
         #: ``PeriodSelector.select`` runs Algorithms 1-2 on it in one call.
         self.compiled_kernel = resolve_kernel(self.kernel_name)
-        if structural_cache is not None:
-            self.structural_cache: Optional[StructuralCache] = structural_cache
-        else:
-            enable_dedup = warm_start if dedup is None else bool(dedup)
-            self.structural_cache = StructuralCache() if enable_dedup else None
         self.stats = KernelStats()
         self._rt_caches: Dict[object, RtWorkloadCache] = {}
         self._global_engine: Optional[GlobalRtaEngine] = None
@@ -306,33 +264,11 @@ class RtaContext:
         every consumer analysing the same partition of this task set --
         HYDRA-C period selection, whole-task-set helpers, the batch
         service's phases -- shares one cache.
-
-        With a structural cache in play the instance is additionally
-        interned by the partition's *canonical* layout
-        (:func:`~repro.rta.migrating.structural_layout_key`): structurally
-        equal partitions -- across the task sets of a batch chunk, or
-        relabelled/core-permuted within one -- share a single cache and
-        with it every per-window workload and interference memo.  Sound
-        because the Eq. 2-3 interference those memos feed clamps per-core
-        sums and then adds them, which is invariant under core order; the
-        interned instance also serves as the identity-hashed layout proxy
-        in the dedup verdict keys (see
-        :func:`~repro.rta.migrating.security_response_time`).
         """
         key = _partition_key(rt_tasks_by_core)
         cache = self._rt_caches.get(key)
         if cache is None:
-            if self.structural_cache is not None:
-                layout = structural_layout_key(rt_tasks_by_core)
-                cache = self.structural_cache.rt_cache(layout)
-                if cache is None:
-                    self.stats.dedup_memo_misses += 1
-                    cache = RtWorkloadCache(rt_tasks_by_core)
-                    self.structural_cache.store_rt_cache(layout, cache)
-                else:
-                    self.stats.dedup_memo_hits += 1
-            else:
-                cache = RtWorkloadCache(rt_tasks_by_core)
+            cache = RtWorkloadCache(rt_tasks_by_core)
             self._rt_caches[key] = cache
         return cache
 

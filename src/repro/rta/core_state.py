@@ -64,8 +64,7 @@ from repro.schedulability.uniprocessor import (
 __all__ = ["TaskView", "Admission", "CoreState"]
 
 #: Above this many higher-priority tasks the per-window demand is evaluated
-#: with NumPy instead of a Python loop (mirrors the
-#: ``SCALAR_TERMS_THRESHOLD`` split of the migrating-task engine).
+#: with NumPy instead of a Python loop.
 VECTOR_DEMAND_THRESHOLD = 32
 
 #: Liu & Layland bounds are pure functions of the task count; memoised
@@ -145,7 +144,6 @@ class CoreState:
         "_implicit_deadlines",
         "_full_demand",
         "_vec_cache",
-        "_wcet_sum",
     )
 
     def __init__(
@@ -171,7 +169,6 @@ class CoreState:
         #: Serves probes appended at the bottom of the priority order.
         self._full_demand: Dict[int, int] = {}
         self._vec_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._wcet_sum: Optional[int] = None
 
     # -- introspection ---------------------------------------------------------
 
@@ -188,16 +185,6 @@ class CoreState:
         utilization tie-breaks are bit-identical.
         """
         return self._utilization
-
-    @property
-    def wcet_sum(self) -> int:
-        """Total WCET of every task on the core (demand pre-screens)."""
-        if self._wcet_sum is None:
-            total = 0
-            for view in self._entries:
-                total += view.wcet
-            self._wcet_sum = total
-        return self._wcet_sum
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -462,23 +449,7 @@ class CoreState:
         This is the HYDRA feasibility question (response within ``limit``,
         i.e. the task's maximum period) without constructing the placed
         state; the per-window full-demand memo is shared across probes.
-
-        A necessary-demand pre-screen rejects hopeless probes without a
-        solve: every higher-priority task contributes at least its WCET to
-        any busy window, so ``C + sum(C_i) > limit`` already implies the
-        fixed point exceeds ``limit`` -- the exact solver would return
-        ``None`` too (integer arithmetic, hence exactly flip-free).  Gated
-        on the context's ``warm_start`` acceleration knob (it is a PR 5
-        addition, so ``warm_start=False`` must reproduce the PR 4 compute
-        profile the vectorized-screen bench gates against).
         """
-        if (
-            getattr(self._context, "warm_start", True)
-            and self._context.quick_accept
-            and view.wcet + self.wcet_sum > limit
-        ):
-            self._context.stats.probe_demand_rejects += 1
-            return None
         return self._solve(view, self._entries, demand=self._full_demand_at, limit=limit)
 
     def demand(self, window: int) -> int:

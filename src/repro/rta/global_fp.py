@@ -13,8 +13,9 @@ selection), restructured for the kernel:
   (profiling showed inline tuples also beat per-term memo lookups on such
   short operand lists);
 * above the threshold the per-window terms are evaluated in one NumPy
-  pass (:func:`repro.rta.terms.vector_terms`), mirroring the
-  scalar/vector split the migrating-task engine uses;
+  pass (:func:`repro.rta.terms.vector_terms`): GLOBAL-TMax analyses every
+  RT *and* security task globally, so its higher-priority sets grow far
+  beyond the migrating-task engine's;
 * the worst-case carry-in set is the kernel's greedy Lemma 2 selection --
   the same totals as
   :func:`repro.schedulability.carry_in.greedy_worst_case_interference`

@@ -40,8 +40,7 @@ import numpy as np
 
 from repro.model.tasks import RealTimeTask
 from repro.rta.compiled import INT31_LIMIT
-from repro.rta.dedup import MISS
-from repro.rta.terms import greedy_positive_sum, scalar_terms, vector_terms
+from repro.rta.terms import greedy_positive_sum, scalar_terms
 from repro.schedulability.carry_in import (
     count_carry_in_sets,
     enumerate_carry_in_sets,
@@ -53,9 +52,7 @@ __all__ = [
     "RtWorkloadCache",
     "SecurityTaskState",
     "security_response_time",
-    "structural_layout_key",
     "DEFAULT_EXACT_ENUMERATION_LIMIT",
-    "SCALAR_TERMS_THRESHOLD",
 ]
 
 #: Seed-map key under which the greedy-strategy fixed point is recorded
@@ -66,11 +63,6 @@ GREEDY_SEED = "greedy"
 #: enumeration (Eq. 8) to the greedy per-iteration bound.  The greedy bound
 #: is never optimistic, so this is purely a speed/accuracy knob.
 DEFAULT_EXACT_ENUMERATION_LIMIT = 32
-
-#: Up to this many higher-priority security tasks the per-window
-#: interference terms are computed with plain integer arithmetic instead of
-#: NumPy: ufunc call overhead dominates on such short operand vectors.
-SCALAR_TERMS_THRESHOLD = 32
 
 
 class CarryInStrategy(str, enum.Enum):
@@ -116,27 +108,6 @@ class SecurityTaskState:
             )
 
 
-def structural_layout_key(
-    rt_tasks_by_core: Mapping[int, Sequence[RealTimeTask]],
-) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Canonical workload identity of an RT partition.
-
-    ``(wcet, period)`` pairs sorted within each core, per-core groups
-    themselves sorted.  Eq. 2-3 interference is invariant under both orders
-    (per-core workloads are summed after clamping, core identity never
-    matters), so two partitions with equal keys produce identical
-    interference for every window -- the structural-dedup layer
-    (:mod:`repro.rta.dedup`) shares one :class:`RtWorkloadCache` between
-    them.
-    """
-    return tuple(
-        sorted(
-            tuple(sorted((task.wcet, task.period) for task in tasks))
-            for tasks in rt_tasks_by_core.values()
-        )
-    )
-
-
 class RtWorkloadCache:
     """Memoised, vectorised per-core RT workload sums.
 
@@ -147,13 +118,6 @@ class RtWorkloadCache:
     re-analyses every lower-priority task for each candidate period), which
     makes this cache worthwhile; the evaluation itself is a single NumPy
     pass over all RT tasks with a ``bincount`` reduction per core.
-
-    Instances are identity-hashed on purpose: the structural-dedup layer
-    interns one instance per :func:`structural_layout_key`, so "same cache
-    object" means "same partition structure" wherever a
-    :class:`~repro.rta.dedup.StructuralCache` is in play, and the dedup
-    verdict keys use the instance itself instead of re-hashing the nested
-    layout tuple on every solve.
     """
 
     def __init__(
@@ -249,10 +213,9 @@ class _OmegaMemo:
     (Eq. 2-5) -- is computed once per distinct window and the per-set
     totals reduce to a dictionary lookup plus a handful of scalar adds.
 
-    Below :data:`SCALAR_TERMS_THRESHOLD` higher-priority tasks the terms are
-    evaluated with plain integer arithmetic: the per-call overhead of NumPy
-    ufuncs exceeds the loop cost on such short operand vectors.  Larger
-    state counts use the vectorised pass.
+    The terms are evaluated with plain integer arithmetic: Table 3 caps a
+    task's higher-priority security set at 19 tasks, where the per-call
+    overhead of NumPy ufuncs exceeds the loop cost.
     """
 
     def __init__(
@@ -265,52 +228,30 @@ class _OmegaMemo:
         self._rt_cache = rt_cache
         self._security_wcet = security_wcet
         self._max_carry_in = max_carry_in
-        if len(states) <= SCALAR_TERMS_THRESHOLD:
-            # (wcet, period, xbar shift of Eq. 4: C - 1 + T - R)
-            self._scalar_tasks: Optional[List[Tuple[int, int, int]]] = [
-                (s.wcet, s.period, s.wcet - 1 + s.period - s.response_time)
-                for s in states
-            ]
-            self._wcets = self._periods = self._shifts = None
-        else:
-            self._scalar_tasks = None
-            self._wcets = np.asarray([s.wcet for s in states], dtype=np.int64)
-            self._periods = np.asarray([s.period for s in states], dtype=np.int64)
-            responses = np.asarray(
-                [s.response_time for s in states], dtype=np.int64
-            )
-            self._shifts = self._wcets - 1 + self._periods - responses
+        # (wcet, period, xbar shift of Eq. 4: C - 1 + T - R)
+        self._tasks: List[Tuple[int, int, int]] = [
+            (s.wcet, s.period, s.wcet - 1 + s.period - s.response_time)
+            for s in states
+        ]
         #: window -> (RT interference + sum of clamped non-carry-in terms)
         self._base: Dict[int, int] = {}
-        #: window -> per-task carry-in minus non-carry-in delta (python ints)
+        #: window -> per-task carry-in minus non-carry-in delta
         self._deltas: Dict[int, List[int]] = {}
         #: window -> greedy total (base + top max_carry_in positive deltas)
         self._greedy: Dict[int, int] = {}
-
-    def _terms_scalar(self, window: int, cap: int) -> Tuple[int, List[int]]:
-        return scalar_terms(window, cap, self._scalar_tasks)
-
-    def _terms_vector(self, window: int, cap: int) -> Tuple[int, List[int]]:
-        nc, ci = vector_terms(
-            window, cap, self._wcets, self._periods, self._shifts
-        )
-        return int(nc.sum()), (ci - nc).tolist()
 
     def _materialise(self, window: int) -> Tuple[int, List[int]]:
         base = self._base.get(window)
         if base is not None:
             return base, self._deltas[window]
         rt = self._rt_cache.interference(window, self._security_wcet)
-        if self._scalar_tasks is not None and not self._scalar_tasks:
-            deltas: List[int] = []
-            base = rt
-        else:
+        if self._tasks:
             cap = max(window - self._security_wcet + 1, 0)
-            if self._scalar_tasks is not None:
-                nc_sum, deltas = self._terms_scalar(window, cap)
-            else:
-                nc_sum, deltas = self._terms_vector(window, cap)
+            nc_sum, deltas = scalar_terms(window, cap, self._tasks)
             base = rt + nc_sum
+        else:
+            deltas = []
+            base = rt
         self._base[window] = base
         self._deltas[window] = deltas
         return base, deltas
@@ -404,7 +345,7 @@ def security_response_time(
         :func:`repro.platform.blocking.blocking_terms`) is folded in as
         ``C_s + B`` at entry -- the Eq. 6-8 fixed point with an additive
         self-demand constant is identical to one with an inflated WCET, and
-        every downstream consumer (dedup verdict keys, warm-start seeds)
+        every downstream consumer (warm-start seeds, pins, certification)
         then sees the inflated value, keeping reuse machinery
         automatically blocking-aware.
     limit:
@@ -444,22 +385,23 @@ def security_response_time(
         higher-priority periods and/or larger higher-priority response
         times).  A set whose seed equals its upper bound is **pinned** --
         the least fixed point is sandwiched to that exact integer and the
-        iteration is skipped outright (the structural-dedup layer's
-        cross-probe verdict reuse; ``dedup_pinned_sets`` counts them).
+        iteration is skipped outright (cross-probe reuse in Algorithm 2;
+        ``dedup_pinned_sets`` counts them).
         Pinning only fires when both bounds name the value the iteration
         would converge to, so it can never change a result.
     seed_sink:
         Optional dictionary collecting the per-set fixed points of this
         call (same keys as ``set_seeds``), so the caller can seed future,
-        more-interfered solves of the same set.  Only fully solved sets are
-        recorded; a set that exceeds ``limit`` records nothing.
+        more-interfered solves of the same set.  Only sets whose fixed
+        point is known exactly (solved or pinned) are recorded; certified
+        sets and a set that exceeds ``limit`` record nothing.
     response_floor:
         Optional sound lower bound on the *whole* response (the Eq. 8
         maximum over carry-in sets): a completed response of the same task
         solved under pointwise weaker interference, as Algorithm 2's
-        larger probed candidates produce.  Only consulted on the exact
-        dedup-profile path, where it primes the certification incumbent --
-        like seeding, it can never change a result.
+        larger probed candidates produce.  Only consulted by the exact
+        strategy, where it primes the certification incumbent -- like
+        seeding, it can never change a result.
 
     Returns
     -------
@@ -483,8 +425,9 @@ def security_response_time(
         else:
             rt_cache = RtWorkloadCache(rt_tasks_by_core)
 
-    if set_seeds and rta_context is not None:
-        rta_context.stats.seeded_solves += 1
+    stats = rta_context.stats if rta_context is not None else None
+    if set_seeds and stats is not None:
+        stats.seeded_solves += 1
 
     max_carry_in = num_cores - 1
 
@@ -496,52 +439,7 @@ def security_response_time(
             else CarryInStrategy.GREEDY
         )
 
-    # -- structural dedup --------------------------------------------------
-    # Context-sourced and flip-free: dedup replays the byte-identical
-    # verdict (per-set fixed points are seed-independent, so the cached
-    # sink applies to any caller).
-    #
-    # The verdict key leads with the *identity* of ``rt_cache`` rather than
-    # its nested layout tuple: within a :class:`StructuralCache`'s scope the
-    # context's ``rt_workload_cache`` interns one cache instance per
-    # structural layout, so identity equality is structural equality -- at
-    # an O(1) hash instead of re-hashing ~N (wcet, period) pairs on every
-    # solve (which used to cost more than the replayed hits saved).
-    stats = rta_context.stats if rta_context is not None else None
-    structural = (
-        rta_context.structural_cache if rta_context is not None else None
-    )
-
-    verdict_key: Optional[Tuple] = None
-    if structural is not None:
-        verdict_key = (
-            rt_cache,
-            security_wcet,
-            limit,
-            num_cores,
-            strategy.value,
-            tuple(
-                (s.wcet, s.period, s.response_time) for s in higher_security
-            ),
-        )
-        cached = structural.verdict(verdict_key)
-        if cached is not MISS:
-            stats.dedup_verdict_hits += 1
-            response, sink_items = cached
-            if seed_sink is not None:
-                seed_sink.update(sink_items)
-            return response
-        stats.dedup_verdict_misses += 1
-
     memo = _OmegaMemo(rt_cache, higher_security, security_wcet, max_carry_in)
-
-    # When the verdict store is active, per-set fixed points are recorded
-    # locally even if the caller brought no sink, so the stored verdict can
-    # replay the full seed_sink contract (including the partial sink of an
-    # over-limit result) to any future caller.
-    record_sink: Optional[Dict] = (
-        {} if structural is not None else seed_sink
-    )
 
     if strategy is CarryInStrategy.GREEDY:
         seed = set_seeds.get(GREEDY_SEED) if set_seeds else None
@@ -557,153 +455,106 @@ def security_response_time(
             result = _solve_fixed_point(
                 security_wcet, limit, num_cores, memo.greedy_total, seed=seed
             )
-        if result is not None and record_sink is not None:
-            record_sink[GREEDY_SEED] = result
-    elif structural is None:
-        # Exact, PR 5 profile: Eq. 8 -- solve every enumerated carry-in
-        # set and maximise.  If any set exceeds the limit, so does the
-        # maximum.  The memo is shared across sets: their fixed-point
-        # trajectories overlap heavily, so each distinct window is
-        # materialised only once.
-        worst: int = 0
-        result = None
-        for set_index, carry_in_indices in enumerate(
-            enumerate_carry_in_sets(len(higher_security), max_carry_in)
+        if result is not None and seed_sink is not None:
+            seed_sink[GREEDY_SEED] = result
+        return result
+
+    # Exact (Eq. 8) with incumbent certification.  Eq. 8 only needs the
+    # *maximum* of the per-set least fixed points, so once an incumbent
+    # ``worst`` is on the table most sets need no iteration at all: the
+    # solve map ``h(x) = Omega_set(x)//M + C_s`` is monotone, so
+    # ``h(worst) <= worst`` proves a descending iteration from ``worst``
+    # reaches a fixed point at or below it -- that set's least fixed point
+    # cannot raise the maximum and its solve is skipped after a single
+    # Omega evaluation (all checks share the one materialised window at
+    # ``worst``).  Sets failing the check (the true maximum, plus
+    # occasional near-ties) are solved in full from their own sound seeds,
+    # so the result equals the exhaustive enumeration of the frozen
+    # :func:`repro.batch.reference.reference_security_response_time`.  If
+    # any solved set exceeds the limit, so does the maximum.
+    #
+    # The incumbent starts as the largest *sound lower bound on the
+    # maximum* on the table -- the caller's whole-response floor
+    # (``response_floor``) and every per-set seed (each seed is <= its
+    # set's least fixed point, which is <= the maximum) -- so a call whose
+    # response did not move past its bounds certifies every set against
+    # that bound and performs no iteration at all.  The final ``worst`` is
+    # sound both ways: it only ever holds sound lower bounds on the
+    # maximum, and every set was certified, solved or pinned at or below
+    # it, so it *is* the maximum.  Sandwich-pinned sets (seed == upper
+    # bound) fold their exact value in.  Certified sets are *not* recorded
+    # in the sink (their exact fixed point is never computed); solved and
+    # pinned sets are, keeping the seed_sink contract sound.
+    worst = 0
+    have_incumbent = False
+    if response_floor is not None:
+        worst = response_floor
+        have_incumbent = True
+    pending = []
+    for set_index, carry_in_indices in enumerate(
+        enumerate_carry_in_sets(len(higher_security), max_carry_in)
+    ):
+        seed = set_seeds.get(set_index) if set_seeds else None
+        if (
+            seed is not None
+            and set_uppers is not None
+            and set_uppers.get(set_index) == seed
         ):
-            seed = set_seeds.get(set_index) if set_seeds else None
-            if (
-                seed is not None
-                and set_uppers is not None
-                and set_uppers.get(set_index) == seed
-            ):
-                # Sandwiched: seed (weaker-interference fixed point) and
-                # upper (stronger-interference fixed point) agree, so this
-                # set's least fixed point is exactly that value.
-                response: Optional[int] = seed
-                if stats is not None:
-                    stats.dedup_pinned_sets += 1
-            else:
-                response = _solve_fixed_point(
-                    security_wcet,
-                    limit,
-                    num_cores,
-                    lambda window, chosen=carry_in_indices: memo.total_for_set(
-                        window, chosen
-                    ),
-                    seed=seed,
-                )
-            if response is None:
-                break
-            if record_sink is not None:
-                record_sink[set_index] = response
-            worst = max(worst, response)
-        else:
-            result = worst
-    else:
-        # Exact, dedup profile (PR 7): incumbent certification.  Eq. 8
-        # only needs the *maximum* of the per-set least fixed points, so
-        # once an incumbent ``worst`` is on the table most sets need no
-        # iteration at all: the solve map ``h(x) = Omega_set(x)//M + C_s``
-        # is monotone, so ``h(worst) <= worst`` proves a descending
-        # iteration from ``worst`` reaches a fixed point at or below it --
-        # that set's least fixed point cannot raise the maximum and its
-        # solve is skipped after a single Omega evaluation (all checks
-        # share the one materialised window at ``worst``).  Sets failing
-        # the check (the true maximum, plus occasional near-ties) are
-        # solved in full from their own sound seeds, so the result is
-        # byte-identical to the exhaustive enumeration above.
-        #
-        # The incumbent starts as the largest *sound lower bound on the
-        # maximum* on the table -- the caller's whole-response floor
-        # (``response_floor``) and every per-set seed (each seed is <= its
-        # set's least fixed point, which is <= the maximum) -- so a call
-        # whose response did not move past its bounds certifies every set
-        # against that bound and performs no iteration at all.  The final
-        # ``worst`` is sound both ways: it only ever holds sound lower
-        # bounds on the maximum, and every set was certified, solved or
-        # pinned at or below it, so it *is* the maximum.  Sandwich-pinned
-        # sets (seed == upper bound) fold their exact value in.  Certified
-        # sets are *not* recorded in the sink (their exact fixed point is
-        # never computed); solved and pinned sets are, keeping the
-        # seed_sink contract sound.
-        worst = 0
-        result = None
-        have_incumbent = False
-        if response_floor is not None:
-            worst = response_floor
-            have_incumbent = True
-        pending = []
-        for set_index, carry_in_indices in enumerate(
-            enumerate_carry_in_sets(len(higher_security), max_carry_in)
-        ):
-            seed = set_seeds.get(set_index) if set_seeds else None
-            if (
-                seed is not None
-                and set_uppers is not None
-                and set_uppers.get(set_index) == seed
-            ):
+            if stats is not None:
                 stats.dedup_pinned_sets += 1
-                record_sink[set_index] = seed
+            if seed_sink is not None:
+                seed_sink[set_index] = seed
+            if seed > worst:
+                worst = seed
+            have_incumbent = True
+        else:
+            if seed is not None:
                 if seed > worst:
                     worst = seed
                 have_incumbent = True
-            else:
-                if seed is not None:
-                    if seed > worst:
-                        worst = seed
-                    have_incumbent = True
-                pending.append((set_index, carry_in_indices, seed))
-        # Try best-seeded sets first: the max attainer usually carries the
-        # largest seed, and solving it first raises the incumbent so the
-        # remaining sets certify instead of solving.  (Stable sort: equal
-        # seeds keep enumeration order.)
-        pending.sort(
-            key=lambda entry: -1 if entry[2] is None else entry[2],
-            reverse=True,
-        )
-        over_limit = False
-        # The certification window is the incumbent itself, so every check
-        # shares one materialised (base, deltas) pair; ``h(worst) <= worst``
-        # rearranges to ``Omega < M * (worst - C_s + 1)``, turning each
-        # check into delta adds and a compare.
-        cert_window = -1
-        cert_base = cert_budget = 0
-        cert_deltas: Sequence[int] = ()
-        for set_index, carry_in_indices, seed in pending:
-            if have_incumbent:
-                if cert_window != worst:
-                    cert_base, cert_deltas = memo._materialise(worst)
-                    cert_budget = (worst - security_wcet + 1) * num_cores
-                    cert_window = worst
-                total = cert_base
-                for carry_index in carry_in_indices:
-                    total += cert_deltas[carry_index]
-                if total < cert_budget:
+            pending.append((set_index, carry_in_indices, seed))
+    # Try best-seeded sets first: the max attainer usually carries the
+    # largest seed, and solving it first raises the incumbent so the
+    # remaining sets certify instead of solving.  (Stable sort: equal
+    # seeds keep enumeration order.)
+    pending.sort(
+        key=lambda entry: -1 if entry[2] is None else entry[2],
+        reverse=True,
+    )
+    # The certification window is the incumbent itself, so every check
+    # shares one materialised (base, deltas) pair; ``h(worst) <= worst``
+    # rearranges to ``Omega < M * (worst - C_s + 1)``, turning each check
+    # into delta adds and a compare.
+    cert_window = -1
+    cert_base = cert_budget = 0
+    cert_deltas: Sequence[int] = ()
+    for set_index, carry_in_indices, seed in pending:
+        if have_incumbent:
+            if cert_window != worst:
+                cert_base, cert_deltas = memo._materialise(worst)
+                cert_budget = (worst - security_wcet + 1) * num_cores
+                cert_window = worst
+            total = cert_base
+            for carry_index in carry_in_indices:
+                total += cert_deltas[carry_index]
+            if total < cert_budget:
+                if stats is not None:
                     stats.dedup_certified_sets += 1
-                    continue
-            response = _solve_fixed_point(
-                security_wcet,
-                limit,
-                num_cores,
-                lambda window, chosen=carry_in_indices: memo.total_for_set(
-                    window, chosen
-                ),
-                seed=seed,
-            )
-            if response is None:
-                over_limit = True
-                break
-            record_sink[set_index] = response
-            if response > worst:
-                worst = response
-            have_incumbent = True
-        if not over_limit:
-            result = worst
-
-    if structural is not None:
-        structural.store_verdict(
-            verdict_key, (result, tuple(record_sink.items()))
+                continue
+        response = _solve_fixed_point(
+            security_wcet,
+            limit,
+            num_cores,
+            lambda window, chosen=carry_in_indices: memo.total_for_set(
+                window, chosen
+            ),
+            seed=seed,
         )
+        if response is None:
+            return None
         if seed_sink is not None:
-            seed_sink.update(record_sink)
-    return result
+            seed_sink[set_index] = response
+        if response > worst:
+            worst = response
+        have_incumbent = True
+    return worst

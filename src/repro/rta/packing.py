@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.model.tasks import RealTimeTask, SecurityTask
 from repro.rta.compiled import UNSUPPORTED
 from repro.rta.context import RtaContext, rt_task_view
@@ -63,20 +61,6 @@ class CorePeriodAssigner:
             rt_task_view(task) for task in rt_tasks
         )
 
-    @property
-    def batched(self) -> bool:
-        """Whether callers should use the batched candidate probes.
-
-        Rides the context's ``warm_start`` acceleration knob so the
-        PR 4-profile baseline (``warm_start=False``) keeps the one-probe-
-        per-level scalar search.
-        """
-        return getattr(self._context, "warm_start", True)
-
-    def count_batched_level(self) -> None:
-        """Record one batched Algorithm 2 search level in the stats."""
-        self._context.stats.batched_probe_levels += 1
-
     def response_time(
         self,
         wcet: int,
@@ -111,54 +95,6 @@ class CorePeriodAssigner:
             if total > limit:
                 return None
             response = total
-
-    def feasible_batch(
-        self,
-        wcet: int,
-        limit: int,
-        fixed_higher: Sequence[Tuple[int, int]],
-        varying_wcet: int,
-        varying_periods: np.ndarray,
-    ) -> np.ndarray:
-        """Schedulability of one task under a whole candidate batch.
-
-        Evaluates, in one vectorized lockstep fixed point, whether the
-        task's WCRT stays within ``limit`` when one higher-priority
-        security task's period takes each value of ``varying_periods``
-        (the Algorithm 2 candidate batch) while ``fixed_higher`` keeps its
-        ``(wcet, period)`` pairs.  Per candidate the integer recurrence is
-        exactly :meth:`response_time`'s, so the boolean verdicts are
-        bit-equal to probing each candidate alone; converged and failed
-        lanes are frozen while the rest keep iterating.  The RT part of
-        every window is served from the core state's memoized per-window
-        demand (:meth:`CoreState.demand`), shared with the scalar probes.
-        """
-        candidates = np.asarray(varying_periods, dtype=np.int64)
-        feasible = np.zeros(len(candidates), dtype=bool)
-        if wcet > limit:
-            return feasible
-        rt_demand = self._state.demand
-        windows = np.full(len(candidates), wcet, dtype=np.int64)
-        active = np.ones(len(candidates), dtype=bool)
-        while active.any():
-            active_windows = windows[active]
-            totals = np.fromiter(
-                (rt_demand(int(window)) for window in active_windows),
-                dtype=np.int64,
-                count=len(active_windows),
-            )
-            totals += wcet
-            for hp_wcet, hp_period in fixed_higher:
-                totals += -(-active_windows // hp_period) * hp_wcet
-            totals += -(-active_windows // candidates[active]) * varying_wcet
-            converged = totals == active_windows
-            failed = totals > limit
-            indices = np.flatnonzero(active)
-            feasible[indices[converged]] = True
-            windows[indices] = totals
-            still = ~(converged | failed)
-            active[indices] = still
-        return feasible
 
 
 class SecurityPacker:

@@ -14,7 +14,7 @@ non-carry-in/carry-in terms per higher-priority task:
 The task parameters are fixed for one fixed-point solve, so both engines
 precompute per-task ``(C, T, shift)`` descriptors and the kernels here
 reduce to inline integer arithmetic (scalar loop) or one NumPy pass
-(vector form, for large higher-priority sets).  Keeping the arithmetic in
+(vector form, used by the global engine for large higher-priority sets).  Keeping the arithmetic in
 one module means a future fix to the clamping or the shift handling
 cannot silently miss an engine; the third copy in
 :mod:`repro.batch.reference` is deliberately frozen and must *not* be

@@ -1,43 +1,38 @@
 """Vectorized column screening over whole batches of task sets.
 
 The synthetic sweeps evaluate thousands of task sets per utilization
-column.  Up to PR 4 every admission question walked the exact incremental
-kernel one probe at a time in scalar Python; this module amortizes the
-*decidable* part of that work across the column:
+column.  :func:`partition_column` amortizes the *decidable* part of the
+generation-time RT partitioning across the column: it packs a whole
+column of task sets in lockstep, and each placement step gathers the
+active probes into one ``(task set, core)`` matrix and applies three
+*provably flip-free* probe filters as single array passes:
 
-* a :class:`TaskSetArena` is a struct-of-arrays snapshot of one chunk of
-  task sets -- WCETs, periods, deadlines, utilizations and (once known)
-  core assignments in contiguous NumPy arrays with CSR offsets -- built
-  once per chunk and shared by every vectorized pass;
-* a :class:`ColumnScreen` applies the four *provably flip-free* filters
-  across the entire column in single array passes: the Liu & Layland
-  whole-core accept and the Bini per-task upper-bound accept (both proven
-  unable to flip a verdict in ``tests/rta/test_quick_accept.py``, here
-  lifted from per-probe scalar calls to column-wide array ops), the
-  per-core utilization->1 reject, and the necessary-demand reject
-  (``C + sum of higher-priority WCETs > D`` -- every higher-priority task
-  contributes at least its WCET to any busy window, integer-exact);
-* :func:`partition_column` packs a whole column of task sets in lockstep:
-  each placement step gathers the active probes into one ``(task set,
-  core)`` matrix, decides what it can with the vectorized filters, and
-  sends only the undecided residue through the exact incremental
-  :class:`~repro.rta.core_state.CoreState` path.  Because every filter is
-  flip-free, the resulting partitions -- and the regeneration retries they
-  trigger -- are byte-identical to the scalar
-  :func:`~repro.partitioning.heuristics.partition_rt_tasks` loop.
+* the Liu & Layland whole-core accept and the Bini per-task upper-bound
+  accept (both proven unable to flip a verdict in
+  ``tests/rta/test_quick_accept.py``, here lifted from per-probe scalar
+  calls to column-wide array ops);
+* the per-core utilization->1 reject.
+
+Before the first step, a task set whose total RT utilization exceeds the
+core count is rejected outright (no partition can keep every core at or
+below utilization one).  Only the undecided probe residue walks the exact
+incremental :class:`~repro.rta.core_state.CoreState` path.  Because every
+filter is flip-free, the resulting partitions -- and the regeneration
+retries they trigger -- are byte-identical to the scalar
+:func:`~repro.partitioning.heuristics.partition_rt_tasks` loop.
 
 Accept filters are applied with a small conservative float margin
 (``SCREEN_EPS``/``BINI_EPS``): a marginal accept falls through to the
 exact kernel instead, so float rounding can only cost a screen hit, never
-a wrong verdict.  Reject filters are either integer-exact (demand) or
-carry the margin on the reject side (utilization).  Screen activity is
-counted per task set in :class:`~repro.rta.context.KernelStats`
-(``column_*`` counters) and surfaced by the CLI ``--stats`` flag.
+a wrong verdict.  The reject filters carry the margin on the reject side.
+Screen activity is counted per task set in
+:class:`~repro.rta.context.KernelStats` (``column_*`` counters) and
+surfaced by the CLI ``--stats`` flag.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,13 +44,7 @@ from repro.partitioning.heuristics import FitStrategy, _choose_core
 from repro.rta.context import RtaContext, rt_task_view
 from repro.rta.core_state import CoreState
 
-__all__ = [
-    "SCREEN_EPS",
-    "BINI_EPS",
-    "TaskSetArena",
-    "ColumnScreen",
-    "partition_column",
-]
+__all__ = ["SCREEN_EPS", "BINI_EPS", "partition_column"]
 
 #: Conservative margin on float accept/reject comparisons: marginal
 #: accepts fall through to the exact kernel, marginal rejects stay
@@ -67,270 +56,6 @@ SCREEN_EPS = 1e-9
 #: float64 at tick magnitudes up to ~1e6, where the absolute rounding
 #: error stays below ~1e-8; accepts require ``bound <= deadline - BINI_EPS``.
 BINI_EPS = 1e-6
-
-
-class TaskSetArena:
-    """Struct-of-arrays snapshot of a column (chunk) of task sets.
-
-    RT tasks are stored in kernel priority order (``(priority, name)``),
-    security tasks in priority order; ``rt_offsets``/``sec_offsets`` are
-    CSR row pointers (``rt_offsets[i]:rt_offsets[i+1]`` slices task set
-    ``i``).  ``rt_cores`` is filled by :meth:`with_core_assignments` once a
-    partition is known; until then it is ``-1``.
-    """
-
-    def __init__(self, tasksets: Sequence[TaskSet], num_cores: int) -> None:
-        self.tasksets: Tuple[TaskSet, ...] = tuple(tasksets)
-        self.num_cores = int(num_cores)
-        rt_wcets: List[int] = []
-        rt_periods: List[int] = []
-        rt_deadlines: List[int] = []
-        rt_offsets: List[int] = [0]
-        rt_names: List[List[str]] = []
-        sec_wcets: List[int] = []
-        sec_max_periods: List[int] = []
-        sec_offsets: List[int] = [0]
-        for taskset in self.tasksets:
-            ordered = sorted(
-                taskset.rt_tasks, key=lambda task: (task.priority, task.name)
-            )
-            rt_names.append([task.name for task in ordered])
-            for task in ordered:
-                rt_wcets.append(task.wcet)
-                rt_periods.append(task.period)
-                rt_deadlines.append(task.deadline)
-            rt_offsets.append(len(rt_wcets))
-            for task in taskset.security_by_priority():
-                sec_wcets.append(task.wcet)
-                sec_max_periods.append(task.max_period)
-            sec_offsets.append(len(sec_wcets))
-        self.rt_wcets = np.asarray(rt_wcets, dtype=np.int64)
-        self.rt_periods = np.asarray(rt_periods, dtype=np.int64)
-        self.rt_deadlines = np.asarray(rt_deadlines, dtype=np.int64)
-        self.rt_offsets = np.asarray(rt_offsets, dtype=np.int64)
-        #: RT task names per set, aligned with the CSR order (needed to
-        #: rebuild ``Allocation`` mappings from array verdicts).
-        self.rt_names = rt_names
-        self.rt_utils = self.rt_wcets / self.rt_periods
-        self.rt_implicit = self.rt_deadlines == self.rt_periods
-        self.rt_cores = np.full(len(self.rt_wcets), -1, dtype=np.int64)
-        self.sec_wcets = np.asarray(sec_wcets, dtype=np.int64)
-        self.sec_max_periods = np.asarray(sec_max_periods, dtype=np.int64)
-        self.sec_offsets = np.asarray(sec_offsets, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.tasksets)
-
-    @property
-    def set_ids_rt(self) -> np.ndarray:
-        """Task-set index of every RT task row (CSR expansion)."""
-        return np.repeat(
-            np.arange(len(self), dtype=np.int64), np.diff(self.rt_offsets)
-        )
-
-    def with_core_assignments(
-        self, allocations: Sequence[Optional[Allocation]]
-    ) -> "TaskSetArena":
-        """Fill ``rt_cores`` from per-set allocations (``None`` rows stay -1)."""
-        for index, allocation in enumerate(allocations):
-            if allocation is None:
-                continue
-            start = int(self.rt_offsets[index])
-            for position, name in enumerate(self.rt_names[index]):
-                self.rt_cores[start + position] = allocation.mapping[name]
-        return self
-
-    def total_rt_utilization(self) -> np.ndarray:
-        """Float total RT utilization per task set (one reduceat pass)."""
-        if len(self.rt_utils) == 0:
-            return np.zeros(len(self), dtype=np.float64)
-        sums = np.add.reduceat(self.rt_utils, self.rt_offsets[:-1])
-        sums[np.diff(self.rt_offsets) == 0] = 0.0
-        return sums
-
-
-#: Verdicts of :meth:`ColumnScreen.screen_partitioned_check`.
-ACCEPT = 1
-UNDECIDED = 0
-REJECT = -1
-
-
-def _ll_bounds(counts: np.ndarray) -> np.ndarray:
-    """Vectorized Liu & Layland bounds ``n (2^(1/n) - 1)`` (n >= 1)."""
-    n = counts.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = n * (np.exp2(1.0 / n) - 1.0)
-    bounds[counts <= 0] = 1.0  # an empty core accepts anything up to U=1
-    return bounds
-
-
-class ColumnScreen:
-    """The four flip-free filters of one arena, as column-wide array ops.
-
-    ``contexts`` (one :class:`~repro.rta.context.RtaContext` per task set,
-    optional) receives per-filter hit counts in its ``column_*`` stats.
-    """
-
-    def __init__(
-        self,
-        arena: TaskSetArena,
-        contexts: Optional[Sequence[RtaContext]] = None,
-    ) -> None:
-        self._arena = arena
-        self._contexts = contexts
-
-    def _count(self, counter: str, mask: np.ndarray) -> None:
-        if self._contexts is None:
-            return
-        for index in np.flatnonzero(mask):
-            stats = self._contexts[index].stats
-            setattr(stats, counter, getattr(stats, counter) + 1)
-
-    # -- whole-partition screening --------------------------------------------
-
-    def screen_partitioned_check(self) -> np.ndarray:
-        """Screen "is the RT partition Eq. 1 schedulable?" per task set.
-
-        Requires ``rt_cores`` to be filled.  Returns an int8 verdict array:
-        :data:`ACCEPT` (provably schedulable), :data:`REJECT` (provably
-        not), :data:`UNDECIDED` (the exact kernel must decide).  Flip-free:
-        an accept implies the exact per-core analysis passes for every
-        task, a reject implies some task provably misses its deadline.
-
-        This is the whole-partition, verdict-only form of the filter bank
-        -- for column consumers that need booleans (feasibility
-        pre-screens, dataset triage) and for the differential suite that
-        pins every filter against the exact kernel.  The sweep pipeline
-        itself applies the *probe-level* forms during
-        :func:`partition_column` (placement probes) instead: its
-        ``eq1_rt_check`` phase must materialise exact response times for
-        design reports, which no accept screen can provide.
-        """
-        arena = self._arena
-        verdicts = np.zeros(len(arena), dtype=np.int8)
-        if len(arena.rt_wcets) == 0:
-            verdicts[:] = ACCEPT
-            self._count("column_ll_accepts", verdicts == ACCEPT)
-            return verdicts
-        set_ids = arena.set_ids_rt
-        cores = arena.rt_cores
-        if np.any(cores < 0):
-            raise ValueError("screen_partitioned_check needs core assignments")
-        #: flat (set, core) bucket id per RT task row.
-        buckets = set_ids * arena.num_cores + cores
-        num_buckets = len(arena) * arena.num_cores
-
-        # --- per-core utilization -> 1 reject (conservative margin) ----------
-        core_utils = np.bincount(
-            buckets, weights=arena.rt_utils, minlength=num_buckets
-        )
-        util_reject_core = core_utils > 1.0 + SCREEN_EPS
-        util_reject = util_reject_core.reshape(len(arena), arena.num_cores).any(
-            axis=1
-        )
-
-        # --- necessary-demand reject (integer-exact) -------------------------
-        # Tasks are CSR-ordered by priority; a segmented per-bucket cumsum
-        # of WCETs gives each task its higher-priority same-core demand
-        # floor.  order by bucket (stable) so each bucket is contiguous.
-        order = np.argsort(buckets, kind="stable")
-        bucket_sorted = buckets[order]
-        wcet_sorted = arena.rt_wcets[order]
-        cum = np.cumsum(wcet_sorted)
-        bucket_starts = np.flatnonzero(
-            np.r_[True, bucket_sorted[1:] != bucket_sorted[:-1]]
-        )
-        base = np.repeat(
-            np.r_[0, cum[bucket_starts[1:] - 1]],
-            np.diff(np.r_[bucket_starts, len(bucket_sorted)]),
-        )
-        hp_wcet_sorted = cum - base - wcet_sorted
-        demand_fail_sorted = (
-            arena.rt_wcets[order] + hp_wcet_sorted > arena.rt_deadlines[order]
-        )
-        demand_reject = np.zeros(len(arena), dtype=bool)
-        np.logical_or.at(demand_reject, set_ids[order], demand_fail_sorted)
-
-        # --- Liu & Layland whole-core accept ---------------------------------
-        # Within a bucket the priority order must be RM-consistent
-        # (non-decreasing periods) and every deadline implicit.
-        period_sorted = arena.rt_periods[order]
-        same_bucket = np.r_[False, bucket_sorted[1:] == bucket_sorted[:-1]]
-        rm_break = same_bucket & (np.r_[0, np.diff(period_sorted)] < 0)
-        bucket_rm_ok = np.ones(num_buckets, dtype=bool)
-        np.logical_and.at(bucket_rm_ok, bucket_sorted, ~rm_break)
-        bucket_implicit = np.ones(num_buckets, dtype=bool)
-        np.logical_and.at(bucket_implicit, buckets, arena.rt_implicit)
-        counts = np.bincount(buckets, minlength=num_buckets)
-        ll_ok_core = (
-            bucket_rm_ok
-            & bucket_implicit
-            & (core_utils <= _ll_bounds(counts) - SCREEN_EPS)
-        )
-
-        # --- Bini per-task accept --------------------------------------------
-        util_sorted = arena.rt_utils[order]
-        weighted = wcet_sorted * (1.0 - util_sorted)
-        cum_u = np.cumsum(util_sorted)
-        cum_w = np.cumsum(weighted)
-        base_u = np.repeat(
-            np.r_[0.0, cum_u[bucket_starts[1:] - 1]],
-            np.diff(np.r_[bucket_starts, len(bucket_sorted)]),
-        )
-        base_w = np.repeat(
-            np.r_[0.0, cum_w[bucket_starts[1:] - 1]],
-            np.diff(np.r_[bucket_starts, len(bucket_sorted)]),
-        )
-        hp_u = cum_u - base_u - util_sorted
-        hp_w = cum_w - base_w - weighted
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bini_bound = (wcet_sorted + hp_w) / (1.0 - hp_u)
-        bini_ok_sorted = (hp_u < 1.0 - SCREEN_EPS) & (
-            bini_bound <= arena.rt_deadlines[order] - BINI_EPS
-        )
-
-        # A task is covered if its whole core is LL-accepted or it passes
-        # its own Bini bound; the set is accepted when every task is.
-        covered_sorted = ll_ok_core[bucket_sorted] | bini_ok_sorted
-        set_covered = np.ones(len(arena), dtype=bool)
-        np.logical_and.at(set_covered, set_ids[order], covered_sorted)
-
-        ll_only = np.ones(len(arena), dtype=bool)
-        np.logical_and.at(
-            ll_only,
-            np.arange(num_buckets) // arena.num_cores,
-            ll_ok_core | (counts == 0),
-        )
-
-        verdicts[util_reject | demand_reject] = REJECT
-        accept = set_covered & (verdicts != REJECT)
-        verdicts[accept] = ACCEPT
-        self._count("column_util_rejects", util_reject)
-        self._count("column_demand_rejects", demand_reject & ~util_reject)
-        self._count("column_ll_accepts", accept & ll_only)
-        self._count("column_bini_accepts", accept & ~ll_only)
-        self._count("column_undecided", verdicts == UNDECIDED)
-        return verdicts
-
-    # -- generation-time partitioning screens ---------------------------------
-
-    def doomed_partitions(self) -> np.ndarray:
-        """Task sets whose RT tasks cannot be partitioned at all.
-
-        ``sum of utilizations > M`` forces some core above utilization one
-        in *every* complete placement, so best-fit packing (whose exact
-        admission rejects any core it would overload) necessarily runs out
-        of feasible cores for some task.  Conservative float margin as
-        everywhere; the undecided rest goes through the packing loop.
-        """
-        doomed = self.total_rt_utilization_reject()
-        self._count("column_util_rejects", doomed)
-        return doomed
-
-    def total_rt_utilization_reject(self) -> np.ndarray:
-        return self._arena.total_rt_utilization() > (
-            self._arena.num_cores + SCREEN_EPS
-        )
 
 
 class _ColumnCores:
@@ -347,7 +72,6 @@ class _ColumnCores:
         shape = (num_sets, num_cores)
         self.util = np.zeros(shape, dtype=np.float64)
         self.count = np.zeros(shape, dtype=np.int64)
-        self.wcet_sum = np.zeros(shape, dtype=np.int64)
         self.implicit = np.ones(shape, dtype=bool)
         #: running ``sum C_i (1 - U_i)`` per core (Bini bound numerator)
         self.weighted_sum = np.zeros(shape, dtype=np.float64)
@@ -363,7 +87,6 @@ class _ColumnCores:
         self.states[set_index][core] = None
         self.util[set_index, core] += view.utilization
         self.count[set_index, core] += 1
-        self.wcet_sum[set_index, core] += view.wcet
         self.weighted_sum[set_index, core] += view.wcet * (
             1.0 - view.utilization
         )
@@ -389,7 +112,7 @@ def partition_column(
     order.
     """
     # Resource-protocol blocking terms are outside the vectorized filters'
-    # model (the LL/Bini/demand screens are blocking-blind).  Only the
+    # model (the LL/Bini/utilization screens are blocking-blind).  Only the
     # task sets whose *RT tasks* actually carry a non-zero term need the
     # scalar kernel path (whose exact solves fold the terms in); the rest
     # of the column -- protocol `none`, claim-free sets, or sets whose
@@ -431,10 +154,18 @@ def partition_column(
 
     num_sets = len(tasksets)
     num_cores = platform.num_cores
-    arena = TaskSetArena(tasksets, num_cores)
-    screen = ColumnScreen(arena, contexts)
     results: List[Optional[Allocation]] = [None] * num_sets
-    failed = screen.doomed_partitions()
+    # Doomed sets: total RT utilization above M forces some core above
+    # utilization one in *every* complete placement, so best-fit packing
+    # (whose exact admission rejects any core it would overload) runs out
+    # of feasible cores for some task.  Conservative float margin as
+    # everywhere; the rest goes through the packing loop.
+    failed = []
+    for taskset, context in zip(tasksets, contexts):
+        doomed = taskset.rt_utilization > num_cores + SCREEN_EPS
+        if doomed:
+            context.stats.column_util_rejects += 1
+        failed.append(doomed)
 
     # Per-set placement orders (decreasing utilization, the scalar loop's).
     orders: List[List] = []
@@ -507,11 +238,6 @@ def partition_column(
             & (new_util <= bounds - SCREEN_EPS)
         )
         util_reject = new_util > 1.0 + SCREEN_EPS
-        # bottom insertions: only the candidate itself needs checking.
-        demand_reject = at_bottom & (
-            cand_wcet[:, None] + cores.wcet_sum[rows]
-            > cand_deadline[:, None]
-        )
         with np.errstate(divide="ignore", invalid="ignore"):
             bini_bound = (
                 cand_wcet[:, None] + cores.weighted_sum[rows]
@@ -529,9 +255,6 @@ def partition_column(
             for core in range(num_cores):
                 if util_reject[row, core]:
                     stats.column_util_rejects += 1
-                    continue
-                if demand_reject[row, core]:
-                    stats.column_demand_rejects += 1
                     continue
                 if ll_accept[row, core]:
                     stats.column_ll_accepts += 1

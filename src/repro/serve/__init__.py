@@ -1,10 +1,11 @@
-"""Online admission service: interactive queries against warm analysis caches.
+"""Online admission service: interactive queries against a resident engine.
 
 The batch layers answer *offline* questions ("evaluate 4000 task sets");
 this package answers *online* ones: a long-lived ``hydra-c serve`` daemon
-holds the analysis engines warm and answers single admission/design
-queries at interactive latency, without paying interpreter start-up,
-scheme-registry resolution or cold kernel caches per query.
+keeps the scheme engines resident and answers single admission/design
+queries at interactive latency, without paying interpreter start-up or
+scheme-registry resolution per query, and answers a re-asked query from
+its answer LRU.
 
 Layering:
 
@@ -14,9 +15,9 @@ Layering:
 * :mod:`repro.serve.service` -- :class:`AdmissionService`, the transport-
   independent engine: per-configuration
   :class:`~repro.batch.service.BatchDesignService` instances and an LRU of
-  per-query :class:`~repro.rta.RtaContext` objects are kept across
-  queries, so a repeated query reuses its warm Eq. 2-3 workload memos
-  while staying byte-identical to the cold answer (and to the frozen
+  answer payloads keyed by the canonical query are kept across queries,
+  so a repeated query skips the analysis entirely while staying
+  byte-identical to the cold answer (and to the frozen
   ``reference_evaluate_one`` oracle -- pinned by ``tests/serve/``);
 * :mod:`repro.serve.daemon` -- the asyncio front end: a Unix-socket (or
   stdin/stdout) JSON-lines server dispatching queries onto the shared

@@ -8,12 +8,12 @@ stdin/stdout (``--stdio``), and the warm
 * **dispatch** -- cheap ops (``ping``, ``stats``, ``shutdown``) are
   answered on the event loop; evaluation ops (``design``, ``admit``) are
   dispatched off it.  With ``jobs <= 1`` they run on a single-thread
-  executor wrapping the in-process service, so every query shares one set
-  of warm caches and the event loop stays responsive while the kernel
+  executor wrapping the in-process service, so every query shares one
+  answer LRU and the event loop stays responsive while the kernel
   grinds.  With ``jobs > 1`` raw request lines are submitted to the shared
   :class:`~repro.exec.PersistentPool`; each (forked) worker process builds
   its own :class:`AdmissionService` on first use and keeps it -- and its
-  warm contexts -- for the daemon's lifetime.  A worker crash surfaces as
+  answer LRU -- for the daemon's lifetime.  A worker crash surfaces as
   ``BrokenProcessPool``; the pool is :meth:`~repro.exec.PersistentPool.reset`
   and the query retried once before an error response is returned;
 
@@ -119,8 +119,7 @@ class ServeDaemon:
         Default per-query evaluation timeout in seconds (``None`` = no
         limit); a query's own ``timeout`` field overrides it.
     max_contexts:
-        Warm-context LRU size of each service (see
-        :class:`AdmissionService`).
+        Answer LRU size of each service (see :class:`AdmissionService`).
     kernel:
         Fixed-point kernel tier of each service (``"python"``,
         ``"compiled"`` or ``"auto"``; byte-equal results across tiers).

@@ -1,16 +1,17 @@
 """The transport-independent admission engine behind ``hydra-c serve``.
 
 :class:`AdmissionService` answers one parsed query at a time and keeps two
-levels of state warm across queries:
+levels of state across queries:
 
 * one :class:`~repro.batch.service.BatchDesignService` per distinct
   ``(num_cores, schemes, search_mode)`` configuration -- scheme plugins
   are resolved and constructed once, not per query;
-* an LRU of :class:`~repro.rta.RtaContext` objects keyed by the query's
-  identity.  A context memoises the Eq. 2-3 RT workload terms per
-  partition layout, so *re-asking* a query (the common interactive
-  pattern: probe, tweak, probe again) re-runs the analysis against warm
-  memos.  The caches are exact -- a warm answer is byte-identical to the
+* an LRU of answer payloads keyed by the query's canonical identity.
+  Answers are pure functions of that key, so *re-asking* a query (the
+  common interactive pattern: probe, tweak, probe again) returns the
+  stored payload without re-running generation, partitioning or any
+  analysis.  Each computed answer runs on a fresh
+  :class:`~repro.rta.RtaContext`; a stored answer is byte-identical to the
   cold one, and to the frozen ``reference_evaluate_one`` oracle
   (``tests/serve/test_admission_service.py`` pins both).
 
@@ -27,16 +28,17 @@ The two query kinds mirror the two ways the paper is used online:
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.batch.service import BatchDesignService, TasksetSpec
 from repro.errors import AllocationError, ConfigurationError, ReproError
 from repro.model.tasks import RealTimeTask, SecurityTask
 from repro.model.taskset import TaskSet
 from repro.partitioning.heuristics import partition_rt_tasks
-from repro.rta import KernelStats, RtaContext, StructuralCache, normalise_kernel
+from repro.rta import KernelStats, RtaContext, normalise_kernel
 from repro.serve.protocol import (
     QueryError,
     error_response,
@@ -47,29 +49,22 @@ from repro.serve.protocol import (
     require_task_list,
 )
 
-__all__ = ["AdmissionService", "DEFAULT_MAX_CONTEXTS", "DEFAULT_DEDUP_ENTRIES"]
+__all__ = ["AdmissionService", "DEFAULT_MAX_CONTEXTS"]
 
-#: Default size of the per-query warm-context LRU.
+#: Default size of the per-query answer LRU.
 DEFAULT_MAX_CONTEXTS = 64
-
-#: Bound on the daemon's long-lived structural-dedup cache: unlike the
-#: batch sweeps' per-chunk caches this one would otherwise grow for the
-#: process lifetime.  Cleared wholesale at the cap (dedup is a pure
-#: accelerator, so eviction only costs future hits).
-DEFAULT_DEDUP_ENTRIES = 4096
 
 
 class AdmissionService:
-    """Answer admission/design queries with warm per-configuration caches.
+    """Answer admission/design queries, reusing the answers of repeats.
 
     Parameters
     ----------
     max_contexts:
-        How many per-query :class:`~repro.rta.RtaContext` objects to keep
-        warm (least recently used evicted first).  ``0`` disables context
-        reuse entirely -- every query runs cold, which is the
-        byte-identical baseline the serve benchmark compares against
-        (cold queries also skip the shared dedup cache below).
+        How many answer payloads to keep (least recently used evicted
+        first).  ``0`` disables answer reuse entirely -- every query runs
+        cold, which is the byte-identical baseline the serve benchmark
+        compares against.
     kernel:
         Fixed-point kernel tier for every context this service creates
         (``"python"``, ``"compiled"`` or ``"auto"``; byte-equal results
@@ -88,20 +83,14 @@ class AdmissionService:
         self._max_contexts = max_contexts
         self._kernel = normalise_kernel(kernel)
         self._services: Dict[tuple, BatchDesignService] = {}
-        self._contexts: "OrderedDict[str, RtaContext]" = OrderedDict()
-        #: One bounded structural-dedup store shared by every warm context,
-        #: so distinct-but-structurally-equal queries replay each other's
-        #: fixed points across the whole daemon lifetime.
-        self._dedup_cache = StructuralCache(max_entries=DEFAULT_DEDUP_ENTRIES)
-        #: Counters of contexts evicted from the LRU.  Without this sink an
-        #: evicted context took its kernel counters (including the PR 7
-        #: compiled/dedup ones) with it, so a long-running daemon's
-        #: ``stats`` op under-reported -- totals even *shrank* across
-        #: queries.  ``stats`` answers retired + live.
-        self._retired_stats = KernelStats()
+        self._answers: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        #: Running kernel counters: every computed answer's fresh context
+        #: merges in here, so the totals never shrink as answers are
+        #: evicted.
+        self._kernel_stats = KernelStats()
         #: Queries answered (any op), successful or not.
         self.queries = 0
-        #: Design/admit queries that found their context warm in the LRU.
+        #: Design/admit queries answered from the answer LRU.
         self.context_hits = 0
 
     # -- cache plumbing --------------------------------------------------------
@@ -124,22 +113,31 @@ class AdmissionService:
             self._services[key] = service
         return service
 
-    def _context_for(
-        self, query_key: str, service: BatchDesignService
-    ) -> RtaContext:
-        if self._max_contexts == 0:
-            return service._new_context()
-        context = self._contexts.get(query_key)
-        if context is not None:
-            self._contexts.move_to_end(query_key)
+    def _answer(
+        self,
+        query_key: str,
+        service: BatchDesignService,
+        compute: Callable[[RtaContext], Dict[str, object]],
+    ) -> Dict[str, object]:
+        """The stored answer for *query_key*, else ``compute`` on a fresh
+        context (whose counters join the running totals) and store it."""
+        answer = self._answers.get(query_key)
+        if answer is not None:
+            self._answers.move_to_end(query_key)
             self.context_hits += 1
-            return context
-        context = service._new_context(self._dedup_cache)
-        self._contexts[query_key] = context
-        while len(self._contexts) > self._max_contexts:
-            _, evicted = self._contexts.popitem(last=False)
-            self._retired_stats.merge(evicted.stats.as_dict())
-        return context
+        else:
+            context = service._new_context()
+            try:
+                answer = compute(context)
+            finally:
+                self._kernel_stats.merge(context.stats.as_dict())
+            if self._max_contexts:
+                self._answers[query_key] = answer
+                while len(self._answers) > self._max_contexts:
+                    self._answers.popitem(last=False)
+        # Each caller gets its own copy, so no caller can alter a stored
+        # answer under the next one.
+        return copy.deepcopy(answer)
 
     def _common_fields(
         self, request: Dict[str, object]
@@ -177,24 +175,27 @@ class AdmissionService:
             ],
             separators=(",", ":"),
         )
-        context = self._context_for(query_key, service)
         spec = TasksetSpec(
             job_index=0,
             group_index=group_index,
             normalized_range=normalized_range,
             seed=seed,
         )
-        generated = service.generate(spec, rta_context=context)
-        if generated is None:
-            return {"evaluation": None}
-        taskset, allocation = generated
-        evaluation = service.evaluate_taskset(
-            taskset,
-            allocation,
-            group_index=group_index,
-            rta_context=context,
-        )
-        return {"evaluation": evaluation.to_json()}
+
+        def compute(context: RtaContext) -> Dict[str, object]:
+            generated = service.generate(spec, rta_context=context)
+            if generated is None:
+                return {"evaluation": None}
+            taskset, allocation = generated
+            evaluation = service.evaluate_taskset(
+                taskset,
+                allocation,
+                group_index=group_index,
+                rta_context=context,
+            )
+            return {"evaluation": evaluation.to_json()}
+
+        return self._answer(query_key, service, compute)
 
     def _decode_taskset(self, request: Dict[str, object]) -> TaskSet:
         rt_entries = require_task_list(
@@ -253,35 +254,34 @@ class AdmissionService:
             ],
             separators=(",", ":"),
         )
-        context = self._context_for(query_key, service)
-        try:
-            allocation = partition_rt_tasks(
-                taskset, service.platform, rta_context=context
+
+        def compute(context: RtaContext) -> Dict[str, object]:
+            try:
+                allocation = partition_rt_tasks(
+                    taskset, service.platform, rta_context=context
+                )
+            except AllocationError as exc:
+                # The workload's legacy RT system does not fit: an expected
+                # outcome of admission control, reported as a result.
+                return {"feasible": False, "reason": str(exc), "evaluation": None}
+            evaluation = service.evaluate_taskset(
+                taskset, allocation, rta_context=context
             )
-        except AllocationError as exc:
-            # The workload's legacy RT system does not fit: an expected
-            # outcome of admission control, reported as a result.
-            return {"feasible": False, "reason": str(exc), "evaluation": None}
-        evaluation = service.evaluate_taskset(
-            taskset, allocation, rta_context=context
-        )
-        return {
-            "feasible": True,
-            "reason": None,
-            "evaluation": evaluation.to_json(),
-        }
+            return {
+                "feasible": True,
+                "reason": None,
+                "evaluation": evaluation.to_json(),
+            }
+
+        return self._answer(query_key, service, compute)
 
     def _handle_stats(self) -> Dict[str, object]:
-        kernel = KernelStats()
-        kernel.merge(self._retired_stats.as_dict())
-        for context in self._contexts.values():
-            kernel.merge(context.stats.as_dict())
         return {
             "queries": self.queries,
             "context_hits": self.context_hits,
-            "contexts": len(self._contexts),
+            "contexts": len(self._answers),
             "services": len(self._services),
-            "kernel": kernel.as_dict(),
+            "kernel": self._kernel_stats.as_dict(),
         }
 
     # -- entry points ----------------------------------------------------------

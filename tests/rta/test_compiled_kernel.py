@@ -1,4 +1,4 @@
-"""Kernel-selection plumbing, fallback behaviour and structural dedup.
+"""Kernel-selection plumbing, fallback behaviour and exact solve-skipping.
 
 Three concerns live here:
 
@@ -10,9 +10,9 @@ Three concerns live here:
 * forced fallback -- with the backend import-blocked (or disabled via
   ``REPRO_DISABLE_COMPILED``) the compiled tier must produce byte-equal
   results through the pure-python kernels;
-* :class:`~repro.rta.dedup.StructuralCache` -- the MISS sentinel (cached
-  ``None`` verdicts are valid), the wholesale clear at ``max_entries``
-  and the cross-task-set verdict replay it enables.
+* the python tier's exact solve-skipping layers (carry-in certification,
+  probe pinning, Line-8 refresh reuse) fire on a sweep slice and leave
+  results equal to the frozen reference.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ from repro.errors import ConfigurationError
 from repro.model import Platform, RealTimeTask
 from repro.rta import (
     RtaContext,
-    StructuralCache,
     kernel_status,
     normalise_kernel,
     security_response_time,
 )
 from repro.rta import compiled as compiled_pkg
-from repro.rta.dedup import MISS
 
 
 @pytest.fixture
@@ -202,8 +200,6 @@ class TestCompiledTier:
         assert compiled_result.response_times == python_result.response_times
         assert compiled.compiled_solves > 0 and compiled.seeded_solves > 0
         assert python.compiled_solves == 0
-        # The one-call selector bypasses the python tier's dedup layers.
-        assert compiled.dedup_verdict_hits == compiled.dedup_verdict_misses == 0
 
     @requires_compiled
     def test_summary_line_mentions_compiled_and_dedup(self):
@@ -214,61 +210,19 @@ class TestCompiledTier:
 
 
 # ---------------------------------------------------------------------------
-# Structural dedup
+# Exact solve-skipping (python tier)
 # ---------------------------------------------------------------------------
 
 
-class TestStructuralCache:
-    def test_miss_sentinel_distinguishes_cached_none(self):
-        cache = StructuralCache()
-        assert cache.verdict("k") is MISS
-        cache.store_verdict("k", None)
-        assert cache.verdict("k") is None
-        assert cache.verdict("other") is MISS
-
-    def test_max_entries_clears_wholesale(self):
-        cache = StructuralCache(max_entries=2)
-        cache.store_verdict("a", 1)
-        cache.store_verdict("b", 2)
-        assert len(cache) == 2
-        cache.store_verdict("c", 3)
-        assert cache.verdict("a") is MISS
-        assert cache.verdict("c") == 3
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            StructuralCache(max_entries=0)
-
-    def test_verdict_replay_across_contexts(self):
-        """Structurally equal task sets replay each other's verdicts."""
-        shared = StructuralCache()
-        rt_by_core = {0: [RealTimeTask(name="a", wcet=2, period=10)]}
-        # Same (wcet, period) layout, different names: same structural key.
-        renamed = {0: [RealTimeTask(name="b", wcet=2, period=10)]}
-        first = RtaContext(2, structural_cache=shared)
-        second = RtaContext(2, structural_cache=shared)
-        kwargs = dict(
-            security_wcet=3,
-            limit=200,
-            higher_security=[],
-            num_cores=2,
-            strategy=CarryInStrategy.EXACT,
-        )
-        result_a = security_response_time(
-            rt_tasks_by_core=rt_by_core, rta_context=first, **kwargs
-        )
-        result_b = security_response_time(
-            rt_tasks_by_core=renamed, rta_context=second, **kwargs
-        )
-        assert result_a == result_b
-        assert second.stats.dedup_verdict_hits >= 1
-
+class TestSolveSkipping:
     def test_selector_dedup_layers_fire_and_results_equal(self):
-        """The within-task-set dedup layers (carry-in certification, probe
-        pinning, Line-8 refresh reuse) actually trigger on a small sweep
-        slice and leave results byte-equal to the ``dedup=False`` profile.
+        """The within-task-set solve-skipping layers (carry-in
+        certification, probe pinning, Line-8 refresh reuse) actually
+        trigger on a small sweep slice and leave results byte-equal to the
+        frozen reference.
         """
         from repro.batch.orchestrator import build_specs
+        from repro.batch.reference import reference_evaluate_one
         from repro.batch.service import BatchDesignService
         from repro.experiments.config import ExperimentConfig
 
@@ -279,38 +233,19 @@ class TestStructuralCache:
             schemes=("HYDRA-C",),
         )
         specs = build_specs(config)[:6]
-        dedup = BatchDesignService(
-            2, scheme_names=("HYDRA-C",), dedup=True
-        )
-        plain = BatchDesignService(
-            2, scheme_names=("HYDRA-C",), dedup=False
-        )
+        service = BatchDesignService(2, scheme_names=("HYDRA-C",))
         sink: dict = {}
-        assert dedup.evaluate_specs(
-            specs, stats_sink=sink
-        ) == plain.evaluate_specs(specs)
+        frozen = [
+            reference_evaluate_one(
+                2,
+                spec.group_index,
+                spec.normalized_range,
+                spec.seed,
+                scheme_names=("HYDRA-C",),
+            )
+            for spec in specs
+        ]
+        assert service.evaluate_specs(specs, stats_sink=sink) == frozen
         assert sink["dedup_certified_sets"] > 0
         assert sink["dedup_pinned_solves"] > 0
         assert sink["dedup_refresh_reuses"] > 0
-        plain_sink: dict = {}
-        plain.evaluate_specs(specs, stats_sink=plain_sink)
-        for counter in (
-            "dedup_certified_sets",
-            "dedup_pinned_sets",
-            "dedup_pinned_solves",
-            "dedup_refresh_reuses",
-            "dedup_verdict_hits",
-        ):
-            assert plain_sink.get(counter, 0) == 0, counter
-
-    def test_dedup_disabled_without_warm_start(self):
-        assert RtaContext(2, warm_start=False).structural_cache is None
-        assert RtaContext(2, warm_start=True).structural_cache is not None
-        assert (
-            RtaContext(2, warm_start=False, dedup=True).structural_cache
-            is not None
-        )
-        assert (
-            RtaContext(2, warm_start=True, dedup=False).structural_cache
-            is None
-        )

@@ -191,14 +191,3 @@ class TestFallback:
         finally:
             monkeypatch.delenv("REPRO_DISABLE_COMPILED")
             compiled_pkg._reset_for_tests()
-
-    def test_frozen_selector_never_takes_the_compiled_path(self):
-        from repro.batch.reference import _SeedPeriodSelector
-
-        selector = _SeedPeriodSelector(
-            _fallback_taskset(),
-            {"rt0": 0, "rt1": 1},
-            Platform(num_cores=2),
-            rta_context=RtaContext(2, kernel="auto"),
-        )
-        assert selector._kernel is None

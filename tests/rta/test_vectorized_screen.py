@@ -2,15 +2,13 @@
 
 Three families of guarantees, all pinned against frozen oracles:
 
-* the :class:`~repro.rta.vectorized.ColumnScreen` filters are flip-free --
-  on random columns (including zero-slack tasks, overloaded cores and
-  degenerate single-task-set columns) every ACCEPT/REJECT verdict agrees
-  with the exact frozen per-core analysis, and the lockstep
-  :func:`~repro.rta.vectorized.partition_column` reproduces the scalar
-  packing loop byte for byte;
-* the warm-seeded period selection and the batched Algorithm 2 candidate
-  probes return results byte-equal to the cold kernel and to
-  ``repro.batch.reference``, including ``analysis_calls``;
+* the column screens are flip-free -- on random columns (including
+  zero-slack tasks, overloaded cores and degenerate single-task-set
+  columns) the lockstep :func:`~repro.rta.vectorized.partition_column`
+  reproduces the scalar packing loop byte for byte;
+* the warm-seeded, solve-skipping period selection returns results
+  byte-equal to the cold loop of ``repro.batch.reference`` with no more
+  ``analysis_calls``;
 * the persistent-pool execution cannot change results: ``n_jobs``,
   ``chunk_size`` and resume are invariant through the reused pool, and a
   crashed worker is survived by one pool rebuild.
@@ -18,7 +16,6 @@ Three families of guarantees, all pinned against frozen oracles:
 
 import os
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,17 +31,9 @@ from repro.errors import AllocationError
 from repro.exec import PersistentPool, slice_evenly
 from repro.experiments.config import ExperimentConfig
 from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
-from repro.partitioning.allocation import Allocation
 from repro.partitioning.heuristics import partition_rt_tasks
-from repro.rta import CorePeriodAssigner, RtaContext
-from repro.rta.vectorized import (
-    ACCEPT,
-    REJECT,
-    ColumnScreen,
-    TaskSetArena,
-    partition_column,
-)
-from repro.schedulability.partitioned import partitioned_rt_schedulable
+from repro.rta import RtaContext
+from repro.rta.vectorized import partition_column
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -52,15 +41,10 @@ from repro.schedulability.partitioned import partitioned_rt_schedulable
 
 
 @st.composite
-def rt_tasksets(draw, max_cores=4, allow_empty=False):
-    """A platform plus an RT(+security) task set with a random allocation.
-
-    Includes zero-slack tasks (``wcet == deadline``) and overloaded cores
-    (the allocation is arbitrary, so per-core utilization above one is
-    routinely drawn).
-    """
-    num_cores = draw(st.integers(min_value=1, max_value=max_cores))
-    num_rt = draw(st.integers(min_value=0 if allow_empty else 1, max_value=8))
+def rt_tasksets(draw):
+    """An RT(+security) task set, including zero-slack tasks
+    (``wcet == deadline``) and sets too heavy to partition."""
+    num_rt = draw(st.integers(min_value=1, max_value=8))
     rt_tasks = []
     for index in range(num_rt):
         period = draw(st.integers(min_value=6, max_value=80))
@@ -80,63 +64,29 @@ def rt_tasksets(draw, max_cores=4, allow_empty=False):
         )
         for index in range(num_security)
     ]
-    taskset = TaskSet.create(rt_tasks, security)
-    allocation = {
-        task.name: draw(st.integers(min_value=0, max_value=num_cores - 1))
-        for task in taskset.rt_tasks
-    }
-    return Platform(num_cores=num_cores), taskset, allocation
+    return TaskSet.create(rt_tasks, security)
 
 
 @st.composite
 def taskset_columns(draw):
     """A column of 1..5 task sets on one platform (incl. degenerate size 1)."""
     num_cores = draw(st.integers(min_value=1, max_value=4))
-    column = []
-    for position in range(draw(st.integers(min_value=1, max_value=5))):
-        platform, taskset, allocation = draw(
-            rt_tasksets(max_cores=num_cores)
-        )
-        # re-home onto the shared platform size
-        allocation = {
-            name: core % num_cores for name, core in allocation.items()
-        }
-        column.append((taskset, allocation))
-    return Platform(num_cores=num_cores), column
+    size = draw(st.integers(min_value=1, max_value=5))
+    return Platform(num_cores=num_cores), [
+        draw(rt_tasksets()) for _ in range(size)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Column screen verdicts
+# Column screens inside the lockstep partitioner
 # ---------------------------------------------------------------------------
 
 
 class TestColumnScreenDifferential:
     @given(taskset_columns())
-    @settings(max_examples=120, deadline=None)
-    def test_screen_verdicts_agree_with_exact_kernel(self, data):
-        platform, column = data
-        tasksets = [taskset for taskset, _ in column]
-        allocations = [
-            Allocation(dict(allocation)) for _, allocation in column
-        ]
-        arena = TaskSetArena(tasksets, platform.num_cores)
-        arena.with_core_assignments(allocations)
-        contexts = [RtaContext(platform) for _ in tasksets]
-        verdicts = ColumnScreen(arena, contexts).screen_partitioned_check()
-        for (taskset, allocation), verdict in zip(column, verdicts):
-            exact = partitioned_rt_schedulable(
-                taskset, allocation, platform
-            ).schedulable
-            if verdict == ACCEPT:
-                assert exact, "column screen accepted an unschedulable set"
-            elif verdict == REJECT:
-                assert not exact, "column screen rejected a schedulable set"
-
-    @given(taskset_columns())
     @settings(max_examples=100, deadline=None)
     def test_partition_column_equals_scalar_packing(self, data):
-        platform, column = data
-        tasksets = [taskset for taskset, _ in column]
+        platform, tasksets = data
         contexts = [RtaContext(platform) for _ in tasksets]
         lockstep = partition_column(tasksets, platform, contexts)
         for taskset, result in zip(tasksets, lockstep):
@@ -153,33 +103,24 @@ class TestColumnScreenDifferential:
                 assert result.mapping == scalar.mapping
 
     def test_screen_rejects_overloaded_single_set_column(self):
-        """Degenerate one-set column with a provably overloaded core."""
+        """Degenerate one-set column whose total RT utilization exceeds the
+        core count: rejected before any probe, counted once."""
         platform = Platform(num_cores=2)
         taskset = TaskSet.create(
             [
-                RealTimeTask(name="a", wcet=9, period=10),
-                RealTimeTask(name="b", wcet=9, period=10),
+                RealTimeTask(name=f"rt{index}", wcet=9, period=10)
+                for index in range(3)
             ],
             [],
         )
-        arena = TaskSetArena([taskset], 2)
-        arena.with_core_assignments([Allocation({"a": 0, "b": 0})])
-        verdicts = ColumnScreen(arena).screen_partitioned_check()
-        assert verdicts[0] == REJECT
-
-    def test_screen_accepts_trivial_column(self):
-        platform = Platform(num_cores=2)
-        taskset = TaskSet.create(
-            [RealTimeTask(name="a", wcet=1, period=100)], []
-        )
-        arena = TaskSetArena([taskset], 2)
-        arena.with_core_assignments([Allocation({"a": 0})])
-        verdicts = ColumnScreen(arena).screen_partitioned_check()
-        assert verdicts[0] == ACCEPT
+        context = RtaContext(platform)
+        assert partition_column([taskset], platform, [context]) == [None]
+        assert context.stats.column_util_rejects == 1
+        assert context.stats.exact_solves == 0
 
 
 # ---------------------------------------------------------------------------
-# Warm-seeded period selection and batched candidate probes
+# Warm-seeded period selection
 # ---------------------------------------------------------------------------
 
 
@@ -215,103 +156,19 @@ class TestWarmStartDifferential:
         taskset, allocation = generated
         platform = Platform(num_cores=2)
         warm = select_periods(
-            taskset,
-            allocation.mapping,
-            platform,
-            rta_context=RtaContext(2, warm_start=True, dedup=False),
-        )
-        cold = select_periods(
-            taskset,
-            allocation.mapping,
-            platform,
-            rta_context=RtaContext(2, warm_start=False),
+            taskset, allocation.mapping, platform, rta_context=RtaContext(2)
         )
         frozen = reference_select_periods(
             taskset, allocation.mapping, platform
         )
-        # Warm seeding alone shortens iterations but never skips a solve,
-        # so with dedup off the comparison includes analysis_calls.
-        assert warm == cold == frozen
-        # The dedup profile may *skip* solves outright (probe pinning,
-        # Line-8 refresh reuse), so its analysis_calls only shrink; every
-        # result field stays byte-equal.
-        dedup = select_periods(
-            taskset,
-            allocation.mapping,
-            platform,
-            rta_context=RtaContext(2, warm_start=True),
-        )
-        assert dedup.schedulable == frozen.schedulable
-        assert dedup.periods == frozen.periods
-        assert dedup.response_times == frozen.response_times
-        assert dedup.unschedulable_task == frozen.unschedulable_task
-        assert dedup.analysis_calls <= cold.analysis_calls
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_feasible_batch_equals_scalar_probes(self, data):
-        rng_seed = data.draw(st.integers(min_value=0, max_value=2**31))
-        rng = np.random.default_rng(rng_seed)
-        rt_tasks = [
-            RealTimeTask(
-                name=f"rt{index}",
-                wcet=int(rng.integers(1, 6)),
-                period=int(rng.integers(8, 60)),
-                priority=index,
-            )
-            for index in range(int(rng.integers(0, 5)))
-        ]
-        assigner = CorePeriodAssigner(RtaContext(2), rt_tasks)
-        fixed = [
-            (int(rng.integers(1, 6)), int(rng.integers(20, 200)))
-            for _ in range(int(rng.integers(0, 3)))
-        ]
-        wcet = int(rng.integers(1, 8))
-        limit = int(rng.integers(wcet, 300))
-        varying_wcet = int(rng.integers(1, 6))
-        candidates = rng.integers(5, 300, size=int(rng.integers(1, 9)))
-        batch = assigner.feasible_batch(
-            wcet, limit, fixed, varying_wcet, candidates
-        )
-        for candidate, verdict in zip(candidates, batch):
-            scalar = assigner.response_time(
-                wcet, limit, fixed + [(varying_wcet, int(candidate))]
-            )
-            assert verdict == (scalar is not None)
-
-    @given(schedulable_partitions())
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_forced_batched_hydra_search_equals_scalar(self, generated):
-        if generated is None:
-            return
-        from repro.baselines.hydra import Hydra
-
-        taskset, allocation = generated
-        platform = Platform(num_cores=2)
-        scalar_design = Hydra(platform).design(
-            taskset,
-            allocation.mapping,
-            rta_context=RtaContext(2, warm_start=False),
-        )
-        original = Hydra.PERIOD_BATCH_MIN_RANGE
-        try:
-            Hydra.PERIOD_BATCH_MIN_RANGE = 1  # force the batched levels
-            batched_design = Hydra(platform).design(
-                taskset,
-                allocation.mapping,
-                rta_context=RtaContext(2, warm_start=True),
-            )
-        finally:
-            Hydra.PERIOD_BATCH_MIN_RANGE = original
-        assert (
-            batched_design.security_periods()
-            == scalar_design.security_periods()
-        )
-        assert batched_design.schedulable == scalar_design.schedulable
+        # Seeding shortens iterations; pinning and Line-8 reuse may *skip*
+        # solves outright, so analysis_calls only shrink against the cold
+        # frozen loop.  Every result field stays byte-equal.
+        assert warm.schedulable == frozen.schedulable
+        assert warm.periods == frozen.periods
+        assert warm.response_times == frozen.response_times
+        assert warm.unschedulable_task == frozen.unschedulable_task
+        assert warm.analysis_calls <= frozen.analysis_calls
 
 
 # ---------------------------------------------------------------------------

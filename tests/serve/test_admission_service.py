@@ -1,8 +1,8 @@
-"""Unit tests for the warm admission service.
+"""Unit tests for the admission service and its answer LRU.
 
-The load-bearing guarantee: a warm (cache-reusing) answer is byte-identical
-to the cold answer AND to the frozen ``reference_evaluate_one`` oracle --
-the serve layer accelerates repeat queries, it never changes them.
+The load-bearing guarantee: a reused answer is byte-identical to the cold
+answer AND to the frozen ``reference_evaluate_one`` oracle -- the serve
+layer accelerates repeat queries, it never changes them.
 """
 
 import json
@@ -84,6 +84,34 @@ class TestDesignParity:
             assert warm["result"] == cold["result"]
         assert cold_service.context_hits == 0
         assert warm_service.context_hits == 2
+
+    def test_reasked_key_reuses_its_answer_without_analysis(self):
+        """A re-asked key is answered from the LRU: no generation,
+        partitioning or analysis runs, so the kernel counters stand still.
+        With answer reuse disabled the repeat recomputes them."""
+        warm = AdmissionService()
+        cold = AdmissionService(max_contexts=0)
+
+        def kernel(service):
+            return service.handle({"op": "stats"})["result"]["kernel"]
+
+        warm.handle(dict(DESIGN_QUERY))
+        once = kernel(warm)
+        assert once["exact_solves"] > 0
+        warm.handle(dict(DESIGN_QUERY))
+        assert kernel(warm) == once
+        cold.handle(dict(DESIGN_QUERY))
+        cold.handle(dict(DESIGN_QUERY))
+        assert kernel(cold) == {name: 2 * value for name, value in once.items()}
+
+    def test_reused_answer_is_a_private_copy(self):
+        service = AdmissionService()
+        first = service.handle(dict(DESIGN_QUERY))
+        expected = json.dumps(first["result"], sort_keys=True)
+        first["result"]["evaluation"]["schedulable"].clear()
+        second = service.handle(dict(DESIGN_QUERY))
+        assert service.context_hits == 1
+        assert json.dumps(second["result"], sort_keys=True) == expected
 
     def test_distinct_queries_get_distinct_contexts(self):
         service = AdmissionService()

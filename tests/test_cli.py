@@ -115,6 +115,28 @@ class TestParser:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "--seed", "-1"]
+            for command in ("sweep", "fig6", "fig7a", "fig7b", "campaign", "fig5")
+        ]
+        + [
+            ["fig5", "--trials", "0"],
+            ["fig5", "--trials", "-3"],
+            ["fig5", "--horizon", "0"],
+        ],
+    )
+    def test_bad_seed_and_fig5_bounds_are_one_line_errors(self, capsys, argv):
+        exit_code = main(argv)
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestMain:
     def test_fig5_small_run(self, capsys):
         exit_code = main(["fig5", "--trials", "2", "--horizon", "20000", "--seed", "3"])
