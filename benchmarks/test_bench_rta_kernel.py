@@ -7,7 +7,9 @@ measured work is RT bin packing, the Eq. 1 partition check, greedy
 security allocation, per-core period assignment and the global
 carry-in-limited analysis): the kernel-backed batch pipeline must evaluate
 the same task-set stream at least 2x faster than the frozen seed path
-(:mod:`repro.batch.reference`), while producing identical results.
+(:mod:`repro.batch.reference`), while producing identical results.  The
+gate runs the python kernel tier and compares the fastest of three
+interleaved rounds of each pass.
 
 A second test pins where the speedup comes from: the kernel's accept-only
 admission shortcuts fire (and are observable through the context stats),
@@ -29,6 +31,11 @@ from repro.rta import RtaContext
 #: admission analysis rather than HYDRA-C's period search.
 ALLOCATION_SCHEMES = ("HYDRA", "HYDRA-TMax", "GLOBAL-TMax")
 
+#: Interleaved rounds of the kernel pass and the frozen pass; the fastest
+#: of each is compared, so a slow stretch of a shared host that hits one
+#: side's single pass cannot decide the gate.
+_TIMING_ROUNDS = 3
+
 
 def test_bench_rta_kernel_speedup(benchmark, tasksets_per_group):
     config = ExperimentConfig(
@@ -41,32 +48,42 @@ def test_bench_rta_kernel_speedup(benchmark, tasksets_per_group):
     service = BatchDesignService(
         config.num_cores, scheme_names=ALLOCATION_SCHEMES
     )
-    timings = {}
+    timings = {"kernel": float("inf"), "seed": float("inf")}
 
-    def run_kernel():
+    def timed(name, run):
         start = time.perf_counter()
-        outcomes = [service.evaluate_spec(spec) for spec in specs]
-        timings["kernel"] = time.perf_counter() - start
+        outcomes = run()
+        timings[name] = min(timings[name], time.perf_counter() - start)
         return outcomes
 
-    kernel = benchmark.pedantic(run_kernel, rounds=1, iterations=1)
+    def run_rounds():
+        passes = []
+        for _ in range(_TIMING_ROUNDS):
+            kernel = timed(
+                "kernel", lambda: [service.evaluate_spec(spec) for spec in specs]
+            )
+            seed_path = timed(
+                "seed",
+                lambda: [
+                    reference_evaluate_one(
+                        config.num_cores,
+                        spec.group_index,
+                        spec.normalized_range,
+                        spec.seed,
+                        scheme_names=ALLOCATION_SCHEMES,
+                    )
+                    for spec in specs
+                ],
+            )
+            passes.append((kernel, seed_path))
+        return passes
 
-    start = time.perf_counter()
-    seed_path = [
-        reference_evaluate_one(
-            config.num_cores,
-            spec.group_index,
-            spec.normalized_range,
-            spec.seed,
-            scheme_names=ALLOCATION_SCHEMES,
-        )
-        for spec in specs
-    ]
-    timings["seed"] = time.perf_counter() - start
+    passes = benchmark.pedantic(run_rounds, rounds=1, iterations=1)
 
     # Cross-validation on the benchmark workload itself: the kernel is an
     # exact behavioural refactor of the frozen seed path.
-    assert kernel == seed_path
+    for kernel, seed_path in passes:
+        assert kernel == seed_path
 
     speedup = timings["seed"] / timings["kernel"]
     benchmark.extra_info["seed_seconds"] = round(timings["seed"], 3)

@@ -29,7 +29,12 @@
 #            query with a key the daemon has not seen that exceeds a tiny
 #            timeout budget, then SIGTERM and a clean (exit 0) drain.
 #            (c) a 4-core sweep under --kernel compiled and --kernel
-#            python must print byte-identical reports.  Only meaningful
+#            python must print byte-identical reports; then a 2-core
+#            sweep over HYDRA-C, HYDRA, HYDRA-TMax, GLOBAL-TMax and
+#            HYDRA-RF (every scheme with a one-call compiled path) must
+#            print byte-identical reports AND write byte-identical
+#            checkpoints (the checkpoint carries every scheme's periods;
+#            the reports never print HYDRA-RF's).  Only meaningful
 #            where the compiled backend builds (the compiled-extra CI
 #            job); elsewhere the compiled run is the warned python
 #            fallback and the diff is trivially equal.
@@ -183,6 +188,25 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
         diff <(printf '%s\n' "$python_report") <(printf '%s\n' "$compiled_report") >&2 || true
         exit 1
     fi
+
+    echo "== kernel smoke: 2-core baseline sweep, compiled and python reports and checkpoints byte-identical =="
+    kernel_dir=$(mktemp -d)
+    trap 'rm -rf "$kernel_dir"' EXIT
+    baseline_args=(--cores 2 --tasksets-per-group 2 --quiet
+                   --schemes HYDRA-C,HYDRA,HYDRA-TMax,GLOBAL-TMax,HYDRA-RF)
+    for tier in compiled python; do
+        python -m repro sweep "${baseline_args[@]}" --kernel "$tier" \
+            --checkpoint "$kernel_dir/$tier.jsonl" > "$kernel_dir/$tier.txt"
+    done
+    for suffix in txt jsonl; do
+        if ! cmp "$kernel_dir/compiled.$suffix" "$kernel_dir/python.$suffix"; then
+            echo "kernel smoke FAILED: compiled and python baseline sweeps disagree ($suffix)" >&2
+            diff "$kernel_dir/python.$suffix" "$kernel_dir/compiled.$suffix" >&2 || true
+            exit 1
+        fi
+    done
+    trap - EXIT
+    rm -rf "$kernel_dir"
     echo "kernel smoke OK"
 fi
 

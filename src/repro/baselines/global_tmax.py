@@ -9,11 +9,11 @@ because partitioning removes the carry-in pessimism the global analysis must
 assume for RT tasks.
 
 The analysis runs on the RTA kernel's global engine
-(:class:`repro.rta.GlobalRtaEngine`): memoised Eq. 2/Eq. 4 workload terms
-shared through the task set's :class:`~repro.rta.RtaContext` and the
-kernel's greedy Lemma 2 carry-in selection -- frozen-equal to
-:func:`repro.schedulability.global_rta.global_taskset_schedulable`, which
-stays as the oracle (pinned in ``tests/rta/``).
+(:class:`repro.rta.GlobalRtaEngine`): inline Eq. 2/Eq. 4 workload terms
+and the kernel's greedy Lemma 2 carry-in selection -- on the compiled
+kernel tier the whole analysis is one C call per task set -- frozen-equal
+to :func:`repro.schedulability.global_rta.global_taskset_schedulable`,
+which stays as the oracle (pinned in ``tests/rta/`` on both tiers).
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from repro.model.taskset import TaskSet
 from repro.partitioning.allocation import Allocation
 from repro.partitioning.heuristics import FitStrategy, partition_rt_tasks
 from repro.rta import CorePeriodAssigner, RtaContext, SecurityPacker
+from repro.rta.compiled import UNSUPPORTED
 from repro.schedulability.partitioned import (
     PartitionedAnalysisResult,
     partitioned_rt_schedulable,
@@ -387,26 +388,43 @@ class Hydra:
         security_mapping: Mapping[str, int],
         rta_context: Optional[RtaContext] = None,
     ) -> Tuple[Dict[str, int], Dict[str, Optional[int]]]:
-        """Assign periods per the configured policy and report final WCRTs."""
+        """Assign periods per the configured policy and report final WCRTs.
+
+        On the compiled kernel tier CORE_AWARE and TMAX run every core in
+        one call (:meth:`_assign_periods_compiled`); GREEDY_MIN, and
+        operands outside the kernel's guards, run the per-core assigners.
+        """
         context = (
             rta_context
             if rta_context is not None
             else RtaContext(self._platform.num_cores)
         )
+        by_priority = taskset.security_by_priority()
+        cores = [
+            (
+                rt_by_core.get(core_index, ()),
+                [
+                    task
+                    for task in by_priority
+                    if security_mapping.get(task.name) == core_index
+                ],
+            )
+            for core_index in range(self._platform.num_cores)
+        ]
+        if (
+            context.compiled_kernel is not None
+            and self._period_policy is not PeriodPolicy.GREEDY_MIN
+        ):
+            assigned = self._assign_periods_compiled(context, cores)
+            if assigned is not None:
+                return assigned
+
         periods: Dict[str, int] = {}
         responses: Dict[str, Optional[int]] = {}
-
-        for core_index in range(self._platform.num_cores):
-            core_tasks = [
-                task
-                for task in taskset.security_by_priority()
-                if security_mapping.get(task.name) == core_index
-            ]
+        for rt_tasks, core_tasks in cores:
             if not core_tasks:
                 continue
-            assigner = CorePeriodAssigner(
-                context, rt_by_core.get(core_index, ())
-            )
+            assigner = CorePeriodAssigner(context, rt_tasks)
             core_periods, core_responses = self._assign_periods_on_core(
                 core_tasks, assigner
             )
@@ -414,6 +432,31 @@ class Hydra:
             responses.update(core_responses)
 
         return periods, responses
+
+    def _assign_periods_compiled(
+        self,
+        context: RtaContext,
+        cores: Sequence[Tuple[Sequence[RealTimeTask], Sequence[SecurityTask]]],
+    ) -> Optional[Tuple[Dict[str, int], Dict[str, Optional[int]]]]:
+        """CORE_AWARE/TMAX for every core in one compiled call: the same
+        Eq. 1 solves, in the same order, as :meth:`_assign_periods_on_core`.
+        ``None`` when an operand falls outside the kernel's guards."""
+        solved = context.compiled_kernel.partitioned_periods(
+            [
+                (
+                    [(task.wcet, task.period) for task in rt_tasks],
+                    [(task.wcet, task.max_period) for task in core_tasks],
+                )
+                for rt_tasks, core_tasks in cores
+            ],
+            core_aware=self._period_policy is PeriodPolicy.CORE_AWARE,
+        )
+        if solved is UNSUPPORTED:
+            return None
+        periods, responses, solves = solved
+        context.stats.compiled_solves += solves
+        names = [task.name for _rt, core_tasks in cores for task in core_tasks]
+        return dict(zip(names, periods)), dict(zip(names, responses))
 
     def _assign_periods_on_core(
         self,

@@ -20,21 +20,33 @@ The backend is strictly optional and strictly behind the
 * ``kernel="auto"`` uses the backend when available, silently.
 
 Dispatch is guarded: operands must fit the C kernels' integer-width
-preconditions (:data:`INT31_LIMIT`, ``wcet <= period`` for RT tasks and
-:data:`MAX_COMPILED_SETS`), otherwise the work stays in Python.  Eq. 1
-dispatches per solve; HYDRA-C period selection (Algorithms 1-2 with every
-Eq. 6-8 solve inside) dispatches once per task set from
-:meth:`~repro.core.period_selection.PeriodSelector.select`.  Every result
-is byte-equal to the pure path -- the differential suites in
-``tests/rta/`` run both ways, and the frozen oracles
-(:mod:`repro.schedulability`, :mod:`repro.batch.reference`) keep gating.
+preconditions (:data:`INT31_LIMIT`, ``wcet <= period`` -- see
+:func:`operands_fit` -- and :data:`MAX_COMPILED_SETS`), otherwise the work
+stays in Python.  Three phases dispatch once per task set:
+
+* HYDRA-C period selection (Algorithms 1-2 with every Eq. 6-8 solve
+  inside), from :meth:`~repro.core.period_selection.PeriodSelector.select`;
+* HYDRA's per-core period assignment (CORE_AWARE and TMAX, shared by
+  HYDRA, HYDRA-TMax and HYDRA-RF), from
+  :meth:`~repro.baselines.hydra.Hydra._assign_periods`;
+* GLOBAL-TMax's priority-ordered global RTA, from
+  :meth:`~repro.rta.global_fp.GlobalRtaEngine.taskset_schedulable`.
+
+Eq. 1 still dispatches per solve from
+:meth:`~repro.rta.core_state.CoreState._solve` (partitioning admits and
+the HYDRA allocation's probes).  Every one-call solve counts in
+``KernelStats.compiled_solves`` (the global ones in ``exact_solves`` too,
+as on the python tier).  Every result is byte-equal to the pure path --
+the differential suites in ``tests/rta/`` run both ways, and the frozen
+oracles (:mod:`repro.schedulability`, :mod:`repro.batch.reference`) keep
+gating.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -43,6 +55,7 @@ __all__ = [
     "INT31_LIMIT",
     "UNSUPPORTED",
     "CompiledKernel",
+    "operands_fit",
     "normalise_kernel",
     "load_kernel",
     "kernel_available",
@@ -178,6 +191,109 @@ class CompiledKernel:
             ffi.unpack(responses, n_sec),
             tuple(ffi.unpack(counters, 3)),
         )
+
+    def partitioned_periods(
+        self,
+        cores: Sequence[Tuple[Sequence[Tuple[int, int]], Sequence[Tuple[int, int]]]],
+        core_aware: bool,
+    ):
+        """HYDRA's per-core period assignment for every core of a task set.
+
+        ``cores`` holds one ``(rt, security)`` pair per core, each a
+        priority-ordered sequence of ``(wcet, period)`` operands (security
+        tasks at ``T^max``).  ``core_aware`` minimises periods
+        (CORE_AWARE), otherwise they stay at ``T^max`` (TMAX).  Returns
+        ``(periods, responses, solves)`` over the security tasks in core
+        order (``None`` = response above ``T^max``), or UNSUPPORTED when an
+        operand fails :func:`operands_fit`.
+        """
+        rt_offsets, rt_wcets, rt_periods = [0], [], []
+        sec_offsets, sec_wcets, max_periods = [0], [], []
+        for rt, security in cores:
+            for wcet, period in rt:
+                rt_wcets.append(wcet)
+                rt_periods.append(period)
+            for wcet, period in security:
+                sec_wcets.append(wcet)
+                max_periods.append(period)
+            rt_offsets.append(len(rt_wcets))
+            sec_offsets.append(len(sec_wcets))
+        if not (
+            operands_fit(rt_wcets, rt_periods)
+            and operands_fit(sec_wcets, max_periods)
+        ):
+            return UNSUPPORTED
+        ffi = self._ffi
+        n_sec = len(sec_wcets)
+        periods = ffi.new("int64_t[]", max(n_sec, 1))
+        responses = ffi.new("int64_t[]", max(n_sec, 1))
+        solves = self._lib.hydra_partitioned_periods(
+            len(cores),
+            ffi.new("int64_t[]", rt_offsets),
+            ffi.new("int64_t[]", rt_wcets),
+            ffi.new("int64_t[]", rt_periods),
+            ffi.new("int64_t[]", sec_offsets),
+            ffi.new("int64_t[]", sec_wcets),
+            ffi.new("int64_t[]", max_periods),
+            1 if core_aware else 0,
+            periods,
+            responses,
+        )
+        if solves < 0:
+            raise MemoryError("compiled HYDRA period assignment: out of memory")
+        return (
+            ffi.unpack(periods, n_sec),
+            [None if r < 0 else r for r in ffi.unpack(responses, n_sec)],
+            solves,
+        )
+
+    def global_rta(
+        self,
+        num_cores: int,
+        wcets: Sequence[int],
+        periods: Sequence[int],
+        limits: Sequence[int],
+    ):
+        """Global fixed-priority RTA (greedy carry-in) of a whole task set.
+
+        Operands are per task in priority order; ``limits`` are the
+        deadline limits.  Returns ``(status, responses, solves)`` where
+        *status* is the index of the first unschedulable task (``len(wcets)``
+        when all are schedulable; ``responses`` valid before it), or
+        UNSUPPORTED when an operand fails :func:`operands_fit` or a limit
+        reaches :data:`INT31_LIMIT`.
+        """
+        if not operands_fit(wcets, periods) or any(
+            limit >= INT31_LIMIT for limit in limits
+        ):
+            return UNSUPPORTED
+        ffi = self._ffi
+        n = len(wcets)
+        responses = ffi.new("int64_t[]", max(n, 1))
+        counters = ffi.new("int64_t[1]")
+        status = self._lib.hydra_global_rta(
+            num_cores,
+            n,
+            ffi.new("int64_t[]", list(wcets)),
+            ffi.new("int64_t[]", list(periods)),
+            ffi.new("int64_t[]", list(limits)),
+            responses,
+            counters,
+        )
+        if status < 0:
+            raise MemoryError("compiled global RTA: out of memory")
+        return status, ffi.unpack(responses, status), counters[0]
+
+
+def operands_fit(wcets: Sequence[int], periods: Sequence[int]) -> bool:
+    """The one-call entry points' guard: ``wcet <= period < INT31_LIMIT``
+    for every task (the check
+    :meth:`~repro.rta.migrating.RtWorkloadCache.compiled_fit` makes for the
+    period selector's RT operands)."""
+    for wcet, period in zip(wcets, periods):
+        if wcet > period or period >= INT31_LIMIT:
+            return False
+    return True
 
 
 # -- availability ------------------------------------------------------------

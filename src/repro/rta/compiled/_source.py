@@ -1,15 +1,22 @@
 """C source of the compiled fixed-point kernels (cffi API mode).
 
-Two exported functions cover every integer fixed point the kernel tier
+Four exported functions cover every integer fixed point the kernel tier
 dispatches (see :mod:`repro.rta.compiled`):
 
-* ``hydra_eq1_solve`` -- the Eq. 1 demand iteration shared by
+* ``hydra_eq1_solve`` -- the Eq. 1 demand iteration behind
   :meth:`~repro.rta.core_state.CoreState._solve` (prefix and
-  appended-at-the-bottom demand) and
-  :meth:`~repro.rta.packing.CorePeriodAssigner.response_time` (the
-  Algorithm 2 per-level probe; its fixed RT tasks and varying
-  higher-priority security pairs concatenate into one task array because
-  both contribute identical ``ceil(x/T) * C`` terms);
+  appended-at-the-bottom demand), dispatched per solve;
+* ``hydra_partitioned_periods`` -- HYDRA's per-core period assignment for
+  every core of a task set: per core one Eq. 1 operand buffer holds the
+  RT tasks followed by the security tasks at their current trial periods
+  (both contribute identical ``ceil(x/T) * C`` terms), and CORE_AWARE
+  runs :meth:`~repro.baselines.hydra.Hydra._core_aware_minimum_period`'s
+  binary search over it solve for solve, each solve by
+  ``hydra_eq1_solve``;
+* ``hydra_global_rta`` -- GLOBAL-TMax's whole priority-ordered global RTA
+  (:meth:`~repro.rta.global_fp.GlobalRtaEngine.taskset_schedulable`):
+  the static Eq. 7 iteration ``hydra_fixed_point`` with no RT term, the
+  greedy top-``(M-1)`` carry-in bound and each solved task's Eq. 4 shift;
 * ``hydra_select_periods`` -- HYDRA-C period adaptation for a whole task
   set: Algorithm 1 (the all-``T^max`` pass, then the per-task period
   fixing and Line-8 refresh) around Algorithm 2's binary or linear
@@ -50,6 +57,17 @@ int64_t hydra_select_periods(int64_t num_cores,
                              const int64_t *set_counts, int linear,
                              int64_t *periods, int64_t *responses,
                              int64_t *counters);
+int64_t hydra_partitioned_periods(int64_t num_cores,
+                                  const int64_t *rt_offsets,
+                                  const int64_t *rt_wcets,
+                                  const int64_t *rt_periods,
+                                  const int64_t *sec_offsets,
+                                  const int64_t *sec_wcets,
+                                  const int64_t *max_periods, int core_aware,
+                                  int64_t *periods, int64_t *responses);
+int64_t hydra_global_rta(int64_t num_cores, int64_t n, const int64_t *wcets,
+                         const int64_t *periods, const int64_t *limits,
+                         int64_t *responses, int64_t *counters);
 """
 
 C_SOURCE = r"""
@@ -467,6 +485,162 @@ done:
     counters[1] = s.solves;
     counters[2] = s.seeded;
     free(block);
+    return result;
+}
+
+/* ---- HYDRA: per-core period adaptation for a whole task set ----------- */
+
+/* Eq. 1 response of a task below the first n_hp operands of a core's
+ * buffer (-1 above limit); every fixed point run is counted in *solves. */
+static int64_t hydra_core_response(const int64_t *periods,
+                                   const int64_t *wcets, int64_t n_hp,
+                                   int64_t wcet, int64_t limit,
+                                   int64_t *solves)
+{
+    if (wcet > limit)
+        return -1;
+    (*solves)++;
+    return hydra_eq1_solve(wcet, limit, n_hp, periods, wcets);
+}
+
+/* Core c holds RT tasks rt_offsets[c]..rt_offsets[c+1]-1 and security
+ * tasks sec_offsets[c]..sec_offsets[c+1]-1, each in priority order.  Per
+ * core one Eq. 1 operand buffer holds the RT tasks followed by the
+ * security tasks at their current periods (T^max until fixed).  With
+ * core_aware, each security task's period is minimised in priority order:
+ * its own response at the bottom of the core, else a binary search over
+ * [R, T^max] whose probe re-solves every lower-priority task of the core
+ * and stops at the first one above its T^max.  Otherwise (TMAX) every
+ * period stays T^max.  periods[]/responses[] receive the final periods
+ * and responses (-1 = above T^max).  Returns the number of Eq. 1 solves,
+ * or -1 when out of memory. */
+int64_t hydra_partitioned_periods(int64_t num_cores,
+                                  const int64_t *rt_offsets,
+                                  const int64_t *rt_wcets,
+                                  const int64_t *rt_periods,
+                                  const int64_t *sec_offsets,
+                                  const int64_t *sec_wcets,
+                                  const int64_t *max_periods, int core_aware,
+                                  int64_t *periods, int64_t *responses)
+{
+    int64_t width = 1, solves = 0, core;
+    int64_t *buf_periods, *buf_wcets;
+
+    for (core = 0; core < num_cores; core++) {
+        int64_t size = rt_offsets[core + 1] - rt_offsets[core]
+                       + sec_offsets[core + 1] - sec_offsets[core];
+        if (size > width)
+            width = size;
+    }
+    buf_periods = (int64_t *)malloc((size_t)(2 * width) * sizeof(int64_t));
+    if (!buf_periods)
+        return -1;
+    buf_wcets = buf_periods + width;
+
+    for (core = 0; core < num_cores; core++) {
+        int64_t n_rt = rt_offsets[core + 1] - rt_offsets[core];
+        int64_t first = sec_offsets[core];
+        int64_t n_sec = sec_offsets[core + 1] - first;
+        int64_t *sec_periods = buf_periods + n_rt;
+        int64_t p, q;
+        if (n_sec == 0)
+            continue;
+        for (q = 0; q < n_rt; q++) {
+            buf_periods[q] = rt_periods[rt_offsets[core] + q];
+            buf_wcets[q] = rt_wcets[rt_offsets[core] + q];
+        }
+        for (p = 0; p < n_sec; p++) {
+            sec_periods[p] = max_periods[first + p];
+            buf_wcets[n_rt + p] = sec_wcets[first + p];
+        }
+        for (p = 0; core_aware && p < n_sec; p++) {
+            int64_t low, high, best;
+            low = hydra_core_response(buf_periods, buf_wcets, n_rt + p,
+                                      sec_wcets[first + p],
+                                      max_periods[first + p], &solves);
+            if (low < 0)
+                continue; /* allocation guarantees a fit; keep T^max */
+            if (p + 1 == n_sec) {
+                sec_periods[p] = low;
+                continue;
+            }
+            high = max_periods[first + p];
+            best = high;
+            while (low <= high) {
+                int64_t mid = (low + high) / 2;
+                int feasible = 1;
+                sec_periods[p] = mid;
+                for (q = p + 1; q < n_sec; q++)
+                    if (hydra_core_response(buf_periods, buf_wcets, n_rt + q,
+                                            sec_wcets[first + q],
+                                            max_periods[first + q],
+                                            &solves) < 0) {
+                        feasible = 0;
+                        break;
+                    }
+                if (feasible) {
+                    best = mid;
+                    high = mid - 1;
+                } else {
+                    low = mid + 1;
+                }
+            }
+            sec_periods[p] = best;
+        }
+        for (p = 0; p < n_sec; p++) {
+            periods[first + p] = sec_periods[p];
+            responses[first + p] = hydra_core_response(
+                buf_periods, buf_wcets, n_rt + p, sec_wcets[first + p],
+                max_periods[first + p], &solves);
+        }
+    }
+    free(buf_periods);
+    return solves;
+}
+
+/* ---- GLOBAL-TMax: global fixed-priority RTA of a whole task set ------- */
+
+/* Tasks are indexed in priority order.  Each is solved by the Eq. 7
+ * iteration against every task above it, with the greedy top-(M-1)
+ * carry-in bound and no partitioned RT term; a solved response R fixes
+ * the task's Eq. 4 shift C - 1 + T - R for the tasks below.  Returns the
+ * index of the first task above its limit (n when all fit; responses[]
+ * valid before it) or -1 when out of memory.  counters[0] receives the
+ * number of fixed points run. */
+int64_t hydra_global_rta(int64_t num_cores, int64_t n, const int64_t *wcets,
+                         const int64_t *periods, const int64_t *limits,
+                         int64_t *responses, int64_t *counters)
+{
+    int64_t width = num_cores > 1 ? num_cores - 1 : 1;
+    int64_t j, solves = 0, result = n;
+    int64_t *shifts, *deltas, *topk;
+
+    shifts = (int64_t *)malloc((size_t)(2 * n + width) * sizeof(int64_t));
+    if (!shifts)
+        return -1;
+    deltas = shifts + n;
+    topk = deltas + n;
+    for (j = 0; j < n; j++) {
+        int64_t r;
+        if (wcets[j] > limits[j]) {
+            result = j;
+            break;
+        }
+        solves++;
+        r = hydra_fixed_point(
+            wcets[j], limits[j], num_cores, 0, (const int64_t *)0, -1,
+            num_cores - 1, 0, (const int64_t *)0, (const int64_t *)0,
+            (const int64_t *)0, 0, (int64_t *)0,
+            j, wcets, periods, shifts, deltas, topk);
+        if (r < 0) {
+            result = j;
+            break;
+        }
+        responses[j] = r;
+        shifts[j] = wcets[j] - 1 + periods[j] - r;
+    }
+    counters[0] = solves;
+    free(shifts);
     return result;
 }
 """

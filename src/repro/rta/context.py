@@ -189,9 +189,11 @@ class RtaContext:
         self._blocking: Dict[str, int] = {}
         self.kernel_name = normalise_kernel(kernel)
         #: The loaded compiled backend, or ``None`` on the pure-python tier
-        #: (requested, unavailable, or fallback).  ``CoreState`` and
-        #: ``CorePeriodAssigner`` dispatch Eq. 1 on this per solve;
-        #: ``PeriodSelector.select`` runs Algorithms 1-2 on it in one call.
+        #: (requested, unavailable, or fallback).  ``CoreState`` dispatches
+        #: Eq. 1 on this per solve; ``PeriodSelector.select`` (HYDRA-C's
+        #: Algorithms 1-2), ``Hydra._assign_periods`` (HYDRA's per-core
+        #: periods) and ``GlobalRtaEngine.taskset_schedulable``
+        #: (GLOBAL-TMax) each run in one call on it per task set.
         self.compiled_kernel = resolve_kernel(self.kernel_name)
         self.stats = KernelStats()
         self._rt_caches: Dict[object, RtWorkloadCache] = {}

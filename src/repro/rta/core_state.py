@@ -262,10 +262,12 @@ class CoreState:
             # C kernel can consume directly: the prefix demand, or the
             # state's full-demand memo (whose closed-over task list is
             # ``self._entries``).  An arbitrary caller-supplied demand
-            # callable stays on the python tier.
+            # callable stays on the python tier.  ``==``, not ``is``: every
+            # attribute access builds a new bound method, and bound methods
+            # compare equal when they wrap the same function and instance.
             if demand is None:
                 tasks: Optional[Sequence[TaskView]] = prefix
-            elif demand is self._full_demand_at:
+            elif demand == self._full_demand_at:
                 tasks = self._entries
             else:
                 tasks = None

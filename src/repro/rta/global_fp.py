@@ -22,17 +22,22 @@ selection), restructured for the kernel:
   (re-exported by :mod:`repro.rta`), computed without materialising the
   index choice.
 
-The differential suite in ``tests/rta/`` pins verdict and response-time
-equality against the frozen module on randomized task sets.
+On the compiled kernel tier the whole priority-ordered sweep runs in one
+C call per task set (``hydra_global_rta`` of :mod:`repro.rta.compiled`,
+the same iterates), unless an operand fails the kernel's guards.  The
+differential suite in ``tests/rta/`` pins verdict and response-time
+equality against the frozen module on randomized task sets, on both
+tiers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.model.taskset import TaskSet
+from repro.rta.compiled import UNSUPPORTED
 from repro.rta.terms import greedy_positive_sum, scalar_terms, vector_terms
 from repro.schedulability.global_rta import (
     GlobalAnalysisResult,
@@ -163,20 +168,55 @@ class GlobalRtaEngine:
 
         The priority-ordered views come from the frozen module's own
         builder (shared, not copied: view construction is input shaping,
-        not the solver the oracle freezes)."""
+        not the solver the oracle freezes).  On the compiled kernel tier
+        the whole sweep runs in one call (:meth:`_sweep_compiled`)."""
         views = _task_views(taskset)
+        swept = None
+        if self._context.compiled_kernel is not None:
+            swept = self._sweep_compiled(views)
+        status, responses = swept if swept is not None else self._sweep(views)
         response_times: Dict[str, Optional[int]] = {
             view.name: None for view in views
         }
+        for view, response in zip(views, responses):
+            response_times[view.name] = response
+        if status < len(views):
+            return GlobalAnalysisResult(
+                schedulable=False,
+                response_times=response_times,
+                first_failure=views[status].name,
+            )
+        return GlobalAnalysisResult(schedulable=True, response_times=response_times)
+
+    def _sweep(self, views: Sequence[GlobalTaskView]) -> Tuple[int, List[int]]:
+        """Analyse *views* in priority order until the first unschedulable
+        one: ``(its index, or len(views), responses before it)``."""
+        responses: List[int] = []
         known: Dict[str, int] = {}
         for position, view in enumerate(views):
             response = self.response_time(view, views[:position], known)
-            response_times[view.name] = response
             if response is None:
-                return GlobalAnalysisResult(
-                    schedulable=False,
-                    response_times=response_times,
-                    first_failure=view.name,
-                )
+                return position, responses
+            responses.append(response)
             known[view.name] = response
-        return GlobalAnalysisResult(schedulable=True, response_times=response_times)
+        return len(views), responses
+
+    def _sweep_compiled(
+        self, views: Sequence[GlobalTaskView]
+    ) -> Optional[Tuple[int, List[int]]]:
+        """:meth:`_sweep` in one compiled call; ``None`` when an operand
+        falls outside the kernel's guards.  Every fixed point run counts as
+        an exact and a compiled solve."""
+        solved = self._context.compiled_kernel.global_rta(
+            self._num_cores,
+            [view.wcet for view in views],
+            [view.period for view in views],
+            [view.deadline_limit for view in views],
+        )
+        if solved is UNSUPPORTED:
+            return None
+        status, responses, solves = solved
+        stats = self._context.stats
+        stats.exact_solves += solves
+        stats.compiled_solves += solves
+        return status, responses

@@ -15,7 +15,10 @@ core they pick, exactly as
 :func:`repro.baselines.hydra.feasible_cores_for_security_task` documents.
 The returned ``(core_index, response_time, utilization)`` triples match
 the frozen predicate bit for bit, including the left-to-right float
-utilization accumulation that downstream tie-breaks compare.
+utilization accumulation that downstream tie-breaks compare.  On the
+compiled kernel tier each probe's Eq. 1 solve runs in C (per solve, from
+:meth:`CoreState._solve`), and :class:`CorePeriodAssigner` is only the
+python tier of HYDRA's period phase.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.model.tasks import RealTimeTask, SecurityTask
-from repro.rta.compiled import UNSUPPORTED
 from repro.rta.context import RtaContext, rt_task_view
 from repro.rta.core_state import CoreState, TaskView
 
@@ -53,10 +55,15 @@ class CorePeriodAssigner:
     search; the security terms -- at most a handful -- are iterated
     directly.  The fixed-point iterates are identical to the frozen
     :func:`repro.schedulability.uniprocessor.uniprocessor_response_time`.
+
+    This is the pure-python tier of the phase: on the compiled tier
+    :class:`~repro.baselines.hydra.Hydra` runs CORE_AWARE and TMAX for
+    every core in one call
+    (:meth:`~repro.rta.compiled.CompiledKernel.partitioned_periods`), so
+    only the GREEDY_MIN ablation and guard fallbacks reach this class.
     """
 
     def __init__(self, context: RtaContext, rt_tasks: Sequence[RealTimeTask]) -> None:
-        self._context = context
         self._state = context.core_state(
             rt_task_view(task) for task in rt_tasks
         )
@@ -70,20 +77,6 @@ class CorePeriodAssigner:
         """Exact WCRT under the core's RT tasks plus ``(wcet, period)`` pairs."""
         if wcet > limit:
             return None
-        kernel = getattr(self._context, "compiled_kernel", None)
-        if kernel is not None:
-            # RT tasks and higher-priority security pairs contribute the
-            # same ceil(x/T)*C demand terms, so they concatenate into one
-            # Eq. 1 task array for the C kernel.
-            periods = [view.period for view in self._state.tasks]
-            wcets = [view.wcet for view in self._state.tasks]
-            for hp_wcet, hp_period in higher_security:
-                periods.append(hp_period)
-                wcets.append(hp_wcet)
-            solved = kernel.eq1(wcet, limit, periods, wcets)
-            if solved is not UNSUPPORTED:
-                self._context.stats.compiled_solves += 1
-                return solved
         rt_demand = self._state.demand
         response = wcet
         while True:

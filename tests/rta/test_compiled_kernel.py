@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.model import Platform, RealTimeTask
 from repro.rta import (
     RtaContext,
+    TaskView,
     kernel_status,
     normalise_kernel,
     security_response_time,
@@ -200,6 +201,32 @@ class TestCompiledTier:
         assert compiled_result.response_times == python_result.response_times
         assert compiled.compiled_solves > 0 and compiled.seeded_solves > 0
         assert python.compiled_solves == 0
+
+    @requires_compiled
+    @pytest.mark.parametrize("probe", ("probe_response", "admit"))
+    def test_bottom_probe_dispatches_eq1(self, probe):
+        """A task probed below every task on a core (the HYDRA allocation's
+        question) runs one compiled Eq. 1 solve on the full-demand path."""
+
+        def solve(kernel):
+            context = RtaContext(2, kernel=kernel)
+            state = context.core_state(
+                [
+                    TaskView("rt0", 2, 10, 10, (0, "rt0")),
+                    TaskView("rt1", 3, 14, 14, (1, "rt1")),
+                ]
+            )
+            view = TaskView("sec0", 4, 60, 60, (2, "sec0"))
+            if probe == "probe_response":
+                response = state.probe_response(view, 60)
+            else:
+                response = state.admit(view, need_response=True).response
+            return response, context.stats.compiled_solves
+
+        compiled_response, compiled_solves = solve("compiled")
+        python_response, python_solves = solve("python")
+        assert compiled_response == python_response == 9
+        assert (compiled_solves, python_solves) == (1, 0)
 
     @requires_compiled
     def test_summary_line_mentions_compiled_and_dedup(self):

@@ -7,34 +7,50 @@ randomized task sets -- including zero-slack tasks (``wcet == deadline``)
 and overloaded cores (utilization above one) -- every kernel path must
 reproduce the frozen response times and schedulability verdicts exactly.
 
-The Eq. 1 classes run once per kernel tier (``KERNEL_MODES``): the
-pure-python reference and the optional compiled backend of
-:mod:`repro.rta.compiled`.  Where the backend is unavailable (no cffi, no
-compiler, or ``REPRO_DISABLE_COMPILED=1`` -- the CI forced-fallback stage)
-the ``compiled`` parametrization transparently exercises the fallback
-path, which must equal the frozen oracles all the same.  Compiled Eq. 6-8
-solves happen only inside the one-call period selector, whose
-differential lives in ``test_selector_differential.py``.
+The Eq. 1, global and HYDRA period-assignment classes run once per kernel
+tier (``KERNEL_MODES``): the pure-python reference and the optional
+compiled backend of :mod:`repro.rta.compiled`.  On the compiled tier
+GLOBAL-TMax's whole priority-ordered sweep and HYDRA's per-core
+Algorithm 2 (CORE_AWARE and TMAX) each run in one C call per task set,
+with a guard-based fallback to the python path that the fallback cases
+below pin.  Where the backend is unavailable (no cffi, no compiler, or
+``REPRO_DISABLE_COMPILED=1`` -- the CI forced-fallback stage) the
+``compiled`` parametrization transparently exercises the fallback path,
+which must equal the frozen oracles all the same.  HYDRA-C's one-call
+period selector (the Eq. 6-8 solves) has its own differential in
+``test_selector_differential.py``.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.hydra import Hydra, PeriodPolicy
 from repro.batch.reference import (
+    reference_design_hydra,
     reference_security_response_time,
 )
 from repro.core.analysis import CarryInStrategy, SecurityTaskState
+from repro.errors import UnschedulableError
 from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
 from repro.rta import (
     RtaContext,
     TaskView,
+    kernel_available,
     partitioned_rt_check,
     security_response_time,
 )
+from repro.rta.compiled import INT31_LIMIT
+from repro.rta.packing import CorePeriodAssigner
 from repro.schedulability.global_rta import global_taskset_schedulable
-from repro.schedulability.partitioned import partitioned_rt_schedulable
+from repro.schedulability.partitioned import (
+    partitioned_rt_schedulable,
+    rt_tasks_by_core,
+)
+from repro.schemes.variants import RandomFitHydra
 from repro.schedulability.uniprocessor import (
     UniprocessorTask,
     core_is_schedulable,
@@ -156,19 +172,43 @@ class TestPartitionedDifferential:
 # ---------------------------------------------------------------------------
 
 
+def _context(platform, kernel):
+    """A kernel context; the compiled tier's once-per-process fallback
+    warning (backend unavailable) is expected and silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return RtaContext(platform, kernel=kernel)
+
+
+def _global_equals_frozen(kernel_mode, platform, taskset, fits=True):
+    """The engine equals the frozen analysis; ``fits`` says whether the
+    operands pass the compiled path's guards."""
+    frozen = global_taskset_schedulable(taskset, platform)
+    context = _context(platform, kernel_mode)
+    kernel = context.global_engine().taskset_schedulable(taskset)
+    assert kernel.schedulable == frozen.schedulable
+    assert list(kernel.response_times.items()) == list(
+        frozen.response_times.items()
+    )
+    assert kernel.first_failure == frozen.first_failure
+    # The one-call path counts every fixed point as exact *and* compiled.
+    compiled = fits and context.compiled_kernel is not None
+    stats = context.stats
+    assert stats.compiled_solves == (stats.exact_solves if compiled else 0)
+    return stats
+
+
 class TestGlobalDifferential:
+    @pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
     @given(tasksets())
     @settings(max_examples=100, deadline=None)
-    def test_global_engine_equals_frozen(self, data):
+    def test_global_engine_equals_frozen(self, kernel_mode, data):
         platform, taskset, _allocation = data
-        frozen = global_taskset_schedulable(taskset, platform)
-        kernel = RtaContext(platform).global_engine().taskset_schedulable(taskset)
-        assert kernel.schedulable == frozen.schedulable
-        assert kernel.response_times == frozen.response_times
-        assert kernel.first_failure == frozen.first_failure
+        _global_equals_frozen(kernel_mode, platform, taskset)
 
-    def test_vector_path_equals_frozen_on_many_tasks(self):
-        """Force the NumPy branch (> 32 higher-priority tasks)."""
+    @pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
+    def test_vector_path_equals_frozen_on_many_tasks(self, kernel_mode):
+        """> 32 higher-priority tasks: the NumPy branch on the python tier."""
         rng = np.random.default_rng(5)
         rt_tasks = [
             RealTimeTask(
@@ -182,11 +222,206 @@ class TestGlobalDifferential:
             rt_tasks,
             [SecurityTask(name="sec0", wcet=3, max_period=4000)],
         )
-        platform = Platform(num_cores=4)
-        frozen = global_taskset_schedulable(taskset, platform)
-        kernel = RtaContext(platform).global_engine().taskset_schedulable(taskset)
-        assert kernel.response_times == frozen.response_times
-        assert kernel.schedulable == frozen.schedulable
+        _global_equals_frozen(kernel_mode, Platform(num_cores=4), taskset)
+
+    @pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
+    def test_operand_beyond_int31_runs_python(self, kernel_mode):
+        taskset = TaskSet.create(
+            [
+                RealTimeTask(name="rt0", wcet=2, period=10),
+                RealTimeTask(name="rt1", wcet=3, period=INT31_LIMIT),
+            ],
+            [SecurityTask(name="sec0", wcet=4, max_period=300)],
+        )
+        stats = _global_equals_frozen(
+            kernel_mode, Platform(num_cores=2), taskset, fits=False
+        )
+        assert stats.exact_solves == 3
+
+
+# ---------------------------------------------------------------------------
+# HYDRA per-core period assignment (Algorithm 2 per core)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hydra_scenarios(draw):
+    """1-6-core sets with zero-slack security tasks (``wcet == T^max``),
+    overloaded cores, and cores without RT or without security tasks."""
+    num_cores = draw(st.integers(min_value=1, max_value=6))
+    rt_tasks = []
+    for index in range(draw(st.integers(min_value=0, max_value=8))):
+        period = draw(st.integers(min_value=6, max_value=80))
+        wcet = draw(st.integers(min_value=1, max_value=period))
+        rt_tasks.append(RealTimeTask(name=f"rt{index}", wcet=wcet, period=period))
+    security_tasks = []
+    for index in range(draw(st.integers(min_value=1, max_value=7))):
+        wcet = draw(st.integers(min_value=1, max_value=12))
+        zero_slack = draw(st.integers(min_value=0, max_value=4)) == 0
+        max_period = (
+            wcet if zero_slack else draw(st.integers(min_value=wcet, max_value=400))
+        )
+        security_tasks.append(
+            SecurityTask(name=f"sec{index}", wcet=wcet, max_period=max_period)
+        )
+    taskset = TaskSet.create(rt_tasks, security_tasks)
+    # RT tasks land on the first ``rt_cores`` cores only, so the rest start
+    # empty; piling several on one core overloads it.
+    rt_cores = draw(st.integers(min_value=1, max_value=num_cores))
+    allocation = {
+        task.name: draw(st.integers(min_value=0, max_value=rt_cores - 1))
+        for task in taskset.rt_tasks
+    }
+    return Platform(num_cores=num_cores), taskset, allocation
+
+
+#: ``(scheme class, period policy)`` pairs whose period phase has a
+#: compiled path; GREEDY_MIN (a test-only ablation) stays in Python.
+HYDRA_VARIANTS = (
+    (Hydra, PeriodPolicy.CORE_AWARE),
+    (Hydra, PeriodPolicy.TMAX),
+    (RandomFitHydra, PeriodPolicy.CORE_AWARE),
+    (RandomFitHydra, PeriodPolicy.TMAX),
+)
+
+
+def _hydra_design(scheme, policy, kernel_mode, platform, taskset, allocation):
+    """``(design fields, context)``; fields are ``None`` when the RT
+    partition itself fails Eq. 1 (the design raises)."""
+    context = _context(platform, kernel_mode)
+    try:
+        design = scheme(platform, period_policy=policy).design(
+            taskset, allocation, rta_context=context
+        )
+    except UnschedulableError:
+        return None, context
+    return (
+        design.schedulable,
+        list(design.security_periods().items()),
+        list(design.response_times.items()),
+        design.metadata,
+    ), context
+
+
+def _period_phase(policy, kernel_mode, platform, taskset, allocation):
+    """HYDRA's period phase alone on a fresh context (the RT check and the
+    allocation are precomputed and passed in), as ``(design, stats)``."""
+    hydra = Hydra(platform, period_policy=policy)
+    rt_by_core = rt_tasks_by_core(taskset, allocation, platform)
+    security_allocation = hydra.allocate_security(taskset, rt_by_core)
+    context = _context(platform, kernel_mode)
+    design = hydra.design(
+        taskset,
+        allocation,
+        rt_check=partitioned_rt_schedulable(taskset, allocation, platform),
+        security_allocation=security_allocation,
+        rt_by_core=rt_by_core,
+        rta_context=context,
+    )
+    return design, context.stats
+
+
+def _fixed_hydra_taskset(max_period=400, rt_period=14):
+    return TaskSet.create(
+        [
+            RealTimeTask(name="rt0", wcet=2, period=10),
+            RealTimeTask(name="rt1", wcet=3, period=rt_period),
+            RealTimeTask(name="rt2", wcet=4, period=25),
+        ],
+        [
+            SecurityTask(name="sec0", wcet=4, max_period=max_period),
+            SecurityTask(name="sec1", wcet=3, max_period=300),
+            SecurityTask(name="sec2", wcet=5, max_period=500),
+            SecurityTask(name="sec3", wcet=2, max_period=90),
+            # Too large for the fuller core 0: best fit puts it on core 1.
+            SecurityTask(name="sec4", wcet=12, max_period=40),
+        ],
+    )
+
+
+_FIXED_ALLOCATION = {"rt0": 0, "rt1": 1, "rt2": 0}
+
+
+class TestHydraPeriodsDifferential:
+    @pytest.mark.parametrize("scheme,policy", HYDRA_VARIANTS)
+    @given(hydra_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_equals_python_equals_frozen(self, scheme, policy, data):
+        platform, taskset, allocation = data
+        compiled, _ = _hydra_design(
+            scheme, policy, "compiled", platform, taskset, allocation
+        )
+        python, _ = _hydra_design(
+            scheme, policy, "python", platform, taskset, allocation
+        )
+        assert compiled == python
+        if scheme is not Hydra:
+            return  # the frozen oracle only has the best-fit allocation
+        try:
+            frozen = reference_design_hydra(
+                platform,
+                taskset,
+                allocation,
+                pin_periods_to_max=policy is PeriodPolicy.TMAX,
+            )
+        except UnschedulableError:
+            assert compiled is None
+            return
+        assert compiled[0] == frozen.schedulable
+        if frozen.schedulable:
+            assert compiled[1] == list(frozen.security_periods().items())
+
+    @pytest.mark.parametrize("policy", (PeriodPolicy.CORE_AWARE, PeriodPolicy.TMAX))
+    @pytest.mark.parametrize(
+        "taskset",
+        (
+            _fixed_hydra_taskset(max_period=INT31_LIMIT),
+            _fixed_hydra_taskset(rt_period=INT31_LIMIT),
+        ),
+        ids=("tmax-2**31", "rt-period-2**31"),
+    )
+    def test_operand_beyond_int31_runs_python(self, policy, taskset):
+        platform = Platform(num_cores=2)
+        compiled, stats = _period_phase(
+            policy, "compiled", platform, taskset, _FIXED_ALLOCATION
+        )
+        python, _ = _period_phase(
+            policy, "python", platform, taskset, _FIXED_ALLOCATION
+        )
+        assert compiled.schedulable and python.schedulable
+        assert compiled.security_periods() == python.security_periods()
+        assert list(compiled.response_times.items()) == list(
+            python.response_times.items()
+        )
+        assert stats.compiled_solves == 0
+
+    @pytest.mark.parametrize(
+        "policy,solves",
+        ((PeriodPolicy.CORE_AWARE, 59), (PeriodPolicy.TMAX, 5)),
+    )
+    def test_compiled_solves_count_every_eq1_solve(
+        self, policy, solves, monkeypatch
+    ):
+        """One compiled solve per Eq. 1 fixed point the python assigner runs
+        (every ``response_time`` call within its limit) -- the count the
+        per-solve dispatch recorded before the phase moved into one call."""
+        platform = Platform(num_cores=2)
+        taskset = _fixed_hydra_taskset()
+        python_solves = []
+        original = CorePeriodAssigner.response_time
+
+        def counting(self, wcet, limit, higher_security):
+            if wcet <= limit:
+                python_solves.append(wcet)
+            return original(self, wcet, limit, higher_security)
+
+        monkeypatch.setattr(CorePeriodAssigner, "response_time", counting)
+        _period_phase(policy, "python", platform, taskset, _FIXED_ALLOCATION)
+        assert len(python_solves) == solves
+        _design, stats = _period_phase(
+            policy, "compiled", platform, taskset, _FIXED_ALLOCATION
+        )
+        assert stats.compiled_solves == (solves if kernel_available() else 0)
 
 
 # ---------------------------------------------------------------------------
