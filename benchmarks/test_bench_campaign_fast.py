@@ -5,13 +5,14 @@ registry schemes -- four distinct designs -- over the full 45 000-tick
 observation window):
 
 * **batch gate**: cross-scheme design dedup plus the trial-batched
-  lockstep backend (``backend="batch"``, ``dedup=True``) must evaluate
-  the same trial stream at least **3x** faster than the PR 8 campaign
+  backend (``backend="batch"``, ``dedup=True``: one trace-free event loop
+  per distinct design per trial, the campaign default) must evaluate the
+  same trial stream at least **3x** faster than the per-scheme campaign
   path (``backend="fast"``, ``dedup=False``: one event-compressed
-  simulation per scheme per trial);
+  simulation plus slice replay per scheme per trial);
 * **dedup-only gate**: design dedup alone on the event-compressed
   backend must clear **1.3x** on the same workload, so the structural
-  half of the win is pinned independently of the NumPy engine.
+  half of the win is pinned independently of the trace-free loop.
 
 Both timed paths must produce records identical to the baseline, and a
 short prefix of the stream is additionally checked against the tick
@@ -110,7 +111,7 @@ def test_bench_campaign_fast_path(benchmark):
     stats = CampaignStats()
     batch.run_trials(trials, stats=stats)
     assert stats.design_dedup_hits > 0, "design dedup idle on the workload"
-    assert stats.batched_trials > 0, "lockstep engine idle on the workload"
+    assert stats.batched_trials > 0, "trace-free loop idle on the workload"
     assert stats.fallback_trials == 0, "rover campaign left the envelope"
 
     dedup_speedup = timings["baseline"] / timings["dedup"]

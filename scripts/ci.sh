@@ -13,15 +13,17 @@
 #            the compiled backend normally takes over.  Deterministic;
 #            always blocking.
 #   smoke -- deterministic end-to-end drills, always blocking:
-#            (a) a tiny Monte Carlo attack campaign executed under ALL
-#            THREE simulation backends (event-compressed, tick oracle and
-#            trial-batched); their aggregate reports must match byte for
-#            byte.  Run twice: once on the default platform (where the
-#            batch backend runs its lockstep engine) and once under a
-#            non-default platform model (--scheduler edf --protocol pip,
-#            where it must transparently fall back per trial), so the
-#            platform plugin layer AND the campaign fast path are
-#            exercised end to end through the CLI.
+#            (a) a tiny Monte Carlo attack campaign executed with no
+#            --backend (the default, trial-batched) and under ALL THREE
+#            named simulation backends (batch, event-compressed fast and
+#            the tick oracle); their aggregate reports AND their
+#            --checkpoint files (which carry every trial's latencies and
+#            counters) must match byte for byte.  Run twice: once on the
+#            default platform (where the batch backend runs its
+#            trace-free loop) and once under a non-default platform model
+#            (--scheduler edf --protocol pip, where it must transparently
+#            fall back per trial), so the platform plugin layer AND the
+#            campaign fast path are exercised end to end through the CLI.
 #            (b) a live `hydra-c serve` daemon on a Unix socket, driven
 #            through `hydra-c query`: ping, a design query asked twice
 #            (byte-identical replies, and `stats` then counts an answer-LRU
@@ -45,7 +47,7 @@
 #            the period-selection-heavy Fig. 6 / Fig. 7b columns, the
 #            event-compressed simulation backend >= 5x faster than
 #            the tick engine on the rover horizon, the campaign fast path
-#            (design dedup + trial-batched lockstep engine) >= 3x over the
+#            (design dedup + trial-batched trace-free loop) >= 3x over the
 #            PR 8 campaign path (dedup alone >= 1.3x), and the serve
 #            layer's repeat-query p50 (answer LRU) below its cold p50.
 #            None of these rewrite benchmarks/figures_output.txt or
@@ -92,32 +94,44 @@ if [[ "$stage" == "tier1" || "$stage" == "all" ]]; then
 fi
 
 if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
-    echo "== campaign smoke: tiny campaign under all three simulation backends =="
+    campaign_dir=$(mktemp -d)
+    trap 'rm -rf "$campaign_dir"' EXIT
     campaign_args=(--trials 2 --horizon 9000 --schemes HYDRA-C,HYDRA
                    --jitter 50 --quiet)
-    fast_report=$(python -m repro campaign "${campaign_args[@]}" --backend fast)
-    for other in tick batch; do
-        other_report=$(python -m repro campaign "${campaign_args[@]}" --backend "$other")
-        if [[ "$fast_report" != "$other_report" ]]; then
-            echo "campaign smoke FAILED: fast and $other backends disagree" >&2
-            diff <(printf '%s\n' "$fast_report") <(printf '%s\n' "$other_report") >&2 || true
-            exit 1
-        fi
-    done
-    printf '%s\n' "$fast_report"
+    # campaign_drill LABEL ARGS...: the campaign with no --backend and
+    # under each named backend; every run's report and checkpoint must
+    # equal the default run's byte for byte.
+    campaign_drill() {
+        local label=$1
+        shift
+        local run command
+        for run in default batch fast tick; do
+            command=(python -m repro campaign "$@")
+            if [[ "$run" != default ]]; then
+                command+=(--backend "$run")
+            fi
+            "${command[@]}" --checkpoint "$campaign_dir/$label-$run.jsonl" \
+                > "$campaign_dir/$label-$run.txt"
+        done
+        for run in batch fast tick; do
+            for suffix in txt jsonl; do
+                if ! cmp "$campaign_dir/$label-default.$suffix" "$campaign_dir/$label-$run.$suffix"; then
+                    echo "campaign smoke FAILED ($label): default and $run backends disagree ($suffix)" >&2
+                    diff "$campaign_dir/$label-default.$suffix" "$campaign_dir/$label-$run.$suffix" >&2 || true
+                    exit 1
+                fi
+            done
+        done
+        cat "$campaign_dir/$label-default.txt"
+    }
 
-    echo "== campaign smoke: non-default platform (EDF + PIP) under all three backends =="
-    platform_args=("${campaign_args[@]}" --scheduler edf --protocol pip)
-    fast_platform=$(python -m repro campaign "${platform_args[@]}" --backend fast)
-    for other in tick batch; do
-        other_platform=$(python -m repro campaign "${platform_args[@]}" --backend "$other")
-        if [[ "$fast_platform" != "$other_platform" ]]; then
-            echo "campaign smoke FAILED: backends disagree under EDF+PIP ($other)" >&2
-            diff <(printf '%s\n' "$fast_platform") <(printf '%s\n' "$other_platform") >&2 || true
-            exit 1
-        fi
-    done
-    printf '%s\n' "$fast_platform"
+    echo "== campaign smoke: tiny campaign, default backend vs all three backends (reports + checkpoints) =="
+    campaign_drill default-platform "${campaign_args[@]}"
+
+    echo "== campaign smoke: non-default platform (EDF + PIP), default backend vs all three backends (reports + checkpoints) =="
+    campaign_drill edf-pip "${campaign_args[@]}" --scheduler edf --protocol pip
+    trap - EXIT
+    rm -rf "$campaign_dir"
 
     echo "== serve smoke: live admission daemon over a Unix socket =="
     serve_dir=$(mktemp -d)

@@ -4,12 +4,12 @@ The paper measures intrusion-detection latency over 35 rover trials; this
 package turns that into a campaign engine: a :class:`CampaignSpec`
 (schemes x trial count x attack scenario x jitter model) is expanded into
 deterministic per-trial seeds, evaluated in chunks across worker processes
-on any simulation backend (event-compressed by default, trial-vectorized
-via ``--backend batch``; see :mod:`repro.sim`), deduplicated across schemes
-whose integrated designs coincide,
-checkpointed to a fingerprint-guarded JSONL store, and aggregated into
-detection-latency distributions per scheme -- reproducing Fig. 5 and
-extending it to every scheme in the registry.
+on any simulation backend (by default the trace-free trial-batched loop;
+``--backend fast`` or ``tick`` for the per-trial engines; see
+:mod:`repro.sim`), deduplicated across schemes whose integrated designs
+coincide, checkpointed to a fingerprint-guarded JSONL store, and
+aggregated into detection-latency distributions per scheme -- reproducing
+Fig. 5 and extending it to every scheme in the registry.
 
 Layering mirrors :mod:`repro.batch` (spec -> runner -> store ->
 orchestrator -> aggregate); ``hydra-c campaign`` is the CLI entry point.

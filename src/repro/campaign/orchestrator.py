@@ -73,7 +73,7 @@ class TrialBlock:
     block to a subset of schemes: under the batched backend the
     orchestrator slices work by *design group* as well as by trial, so a
     worker simulates one distinct design across its whole trial slice in
-    lockstep and the orchestrator reassembles full records afterwards.
+    one batch and the orchestrator reassembles full records afterwards.
     """
 
     spec: CampaignSpec
@@ -266,7 +266,7 @@ class CampaignOrchestrator:
 
         The per-trial backends parallelise over trials only.  The batched
         backend slices by design group too -- one block simulates one
-        distinct design over a trial slice in lockstep -- so campaigns
+        distinct design over a trial slice in one batch -- so campaigns
         whose scheme count exceeds their chunk length still saturate the
         pool, and dedup work never repeats across workers.
         """

@@ -98,12 +98,14 @@ class CampaignSpec:
     jitter:
         Release-offset randomisation model.
     backend:
-        Simulation backend: ``"fast"`` (event-compressed, default),
-        ``"batch"`` (trial-vectorized lockstep, falls back per trial to
-        the event-compressed engine outside its envelope) or ``"tick"``
-        (the slow oracle).  Deliberately *not* part of the checkpoint
-        fingerprint: the differential suite pins all backends
-        bit-identical, so a campaign may be resumed under any of them.
+        Simulation backend: ``"batch"`` (default; one trace-free scalar
+        event loop per trial, falling back per trial to the
+        event-compressed engine outside its envelope), ``"fast"`` (the
+        event-compressed engine plus slice replay, the ablation of
+        ``batch``) or ``"tick"`` (the slow oracle).  Deliberately *not*
+        part of the checkpoint fingerprint: the differential suite pins
+        all backends bit-identical, so a campaign may be resumed under any
+        of them.
     dedup:
         Simulate once per *distinct* integrated design per trial and fan
         the outcome out to every aliasing scheme (default on).  A pure
@@ -129,7 +131,7 @@ class CampaignSpec:
     seed: int = 2020
     latest_injection_fraction: float = 0.5
     jitter: JitterModel = field(default_factory=JitterModel.none)
-    backend: str = "fast"
+    backend: str = "batch"
     dedup: bool = True
     n_jobs: int = 1
     chunk_size: int = 8

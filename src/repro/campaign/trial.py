@@ -5,9 +5,10 @@ once per process from a :class:`~repro.campaign.spec.CampaignSpec`, it
 resolves every selected scheme against the registry, integrates each one on
 the rover workload (honouring the rover's legacy RT partition where the
 scheme consumes it) and then evaluates trials: draw the trial's attacks and
-release jitter from its derived seed, simulate every scheme's design over
-the observation window with the configured backend, and replay the attacks
-against each trace.
+release jitter from its derived seed, then simulate every scheme's design
+over the observation window with the configured backend -- trace-free with
+detection folded in (``batch``, the default) or as a trace the attacks are
+replayed against (``fast``, ``tick``).
 
 Cross-scheme design dedup
 -------------------------
@@ -75,10 +76,11 @@ class CampaignStats:
     #: Scheme-trial evaluations answered by another scheme's identical
     #: design (one simulation fanned out to N aliases counts N-1 hits).
     design_dedup_hits: int = 0
-    #: Design-trial simulations executed by the lockstep batched engine.
+    #: Design-trial simulations executed by the batch backend's trace-free
+    #: loop.
     batched_trials: int = 0
     #: Design-trial simulations the batch backend handed to the
-    #: event-compressed engine (outside the vectorizable envelope).
+    #: event-compressed engine (outside the loop's envelope).
     fallback_trials: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -367,15 +369,22 @@ def _design_key(design) -> Tuple:
     detection replay can observe.
 
     Policy, core count, every task's runtime parameters (assigned security
-    periods included), the resource-claim sections (a lock-using platform
-    model branches on them) and both allocations.  Scheme name, response
-    times and metadata never enter the simulation, so designs equal under
-    this key produce byte-identical trial outcomes for any trial and any
-    platform model.
+    periods included), every task's resource-claim sections, RT and
+    security alike (a lock-using platform model branches on them), and
+    both allocations.  Scheme name, response times and metadata never
+    enter the simulation, so designs equal under this key produce
+    byte-identical trial outcomes for any trial and any platform model.
     """
     taskset = design.taskset
     rt_tasks = tuple(
-        (task.name, task.wcet, task.period, task.deadline, task.priority)
+        (
+            task.name,
+            task.wcet,
+            task.period,
+            task.deadline,
+            task.priority,
+            _claims_key(task),
+        )
         for task in taskset.rt_tasks
     )
     security_tasks = tuple(
@@ -384,10 +393,7 @@ def _design_key(design) -> Tuple:
             task.wcet,
             task.effective_period,
             task.priority,
-            tuple(
-                (claim.resource, claim.start, claim.duration)
-                for claim in task.claims
-            ),
+            _claims_key(task),
         )
         for task in taskset.security_tasks
     )
@@ -408,4 +414,11 @@ def _design_key(design) -> Tuple:
         security_tasks,
         rt_allocation,
         security_allocation,
+    )
+
+
+def _claims_key(task) -> Tuple:
+    """A task's resource-claim sections as a hashable tuple."""
+    return tuple(
+        (claim.resource, claim.start, claim.duration) for claim in task.claims
     )

@@ -20,9 +20,10 @@ Usage (installed as the ``hydra-c`` console script, also runnable as
 ``campaign`` runs the Monte Carlo extension of the Fig. 5 security
 evaluation: paired attack trials across any set of registered schemes,
 resumable at chunk granularity, aggregated into detection-latency
-distributions.  ``--backend`` picks the simulation backend (``fast``
-event-compressed default, ``batch`` trial-vectorized, ``tick`` the slow
-oracle; all bit-identical, see ``hydra-c backends``), ``--no-dedup``
+distributions.  ``--backend`` picks the simulation backend (``batch``
+trace-free per-trial loop, the default; ``fast`` event-compressed with
+slice replay; ``tick`` the slow oracle; all bit-identical, see
+``hydra-c backends``), ``--no-dedup``
 disables the cross-scheme design dedup (a pure execution knob), and
 ``--stats`` prints the campaign fast-path counters after the report.
 
@@ -217,12 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--backend",
-        default="fast",
+        default="batch",
         metavar="NAME",
         help=(
-            "simulation backend: 'fast' (event-compressed), 'batch' "
-            "(trial-vectorized) or 'tick' (the slow oracle); bit-identical "
-            "results either way, see 'hydra-c backends'"
+            "simulation backend: 'batch' (default: trace-free event loop "
+            "per trial), 'fast' (event-compressed with slice replay) or "
+            "'tick' (the slow oracle); bit-identical results either way, "
+            "see 'hydra-c backends'"
         ),
     )
     campaign.add_argument(
@@ -522,8 +524,8 @@ def _format_backends_table() -> str:
         "tick": "tick-accurate oracle (slow; the frozen reference)",
         "fast": "event-compressed (jumps between scheduling events)",
         "batch": (
-            "trial-vectorized lockstep over campaign trial batches "
-            "(falls back to 'fast' outside its envelope)"
+            "trace-free event loop per campaign trial (campaign default; "
+            "falls back to 'fast' outside its envelope)"
         ),
     }
     rows = [

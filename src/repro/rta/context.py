@@ -30,7 +30,7 @@ batch service does exactly that and passes it to every shared phase; see
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.model.platform import Platform
 from repro.model.tasks import RealTimeTask
@@ -197,7 +197,6 @@ class RtaContext:
         self.compiled_kernel = resolve_kernel(self.kernel_name)
         self.stats = KernelStats()
         self._rt_caches: Dict[object, RtWorkloadCache] = {}
-        self._global_engine: Optional[GlobalRtaEngine] = None
 
     # -- blocking terms (resource protocols) -----------------------------------
 
@@ -275,7 +274,11 @@ class RtaContext:
         return cache
 
     def global_engine(self) -> GlobalRtaEngine:
-        """The context's global fixed-priority engine (GLOBAL-TMax)."""
-        if self._global_engine is None:
-            self._global_engine = GlobalRtaEngine(self, self.num_cores)
-        return self._global_engine
+        """A global fixed-priority engine (GLOBAL-TMax) over this context.
+
+        Built per call, not cached: the engine holds only the context and
+        the core count, and caching it here would make a context/engine
+        reference cycle that keeps every discarded context (its workload
+        caches and stats) alive until a cyclic garbage collection.
+        """
+        return GlobalRtaEngine(self, self.num_cores)

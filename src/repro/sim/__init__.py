@@ -24,11 +24,13 @@ Three interchangeable backends execute a design:
 * ``"fast"`` -- the event-compressed engine
   (:class:`~repro.sim.fast.EventCompressedSimulator`), which jumps between
   scheduling events and produces bit-identical traces;
-* ``"batch"`` -- the trial-vectorized engine
-  (:class:`~repro.sim.batched.TrialBatchedSimulator`), which additionally
-  advances whole *batches* of campaign trials of one fixed design in NumPy
-  lockstep (:func:`~repro.sim.batched.simulate_trials_batched`), falling
-  back per trial to the event-compressed engine outside its envelope.
+* ``"batch"`` -- the trial-batched backend
+  (:class:`~repro.sim.batched.TrialBatchedSimulator`), the campaign
+  default: for a batch of campaign trials of one fixed design
+  (:func:`~repro.sim.batched.simulate_trials_batched`) it builds the
+  design's envelope once and runs each trial through one trace-free scalar
+  event loop with the detection replay folded in, falling back per trial
+  to the event-compressed engine outside its envelope.
 
 ``resolve_backend(name)`` maps a backend name to its simulator class.
 """

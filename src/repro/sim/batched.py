@@ -3,55 +3,66 @@
 A Monte Carlo campaign simulates the *same design* hundreds of times,
 varying only the release jitter and the attack injection points.  The
 event-compressed engine (:mod:`repro.sim.fast`) already collapses each
-trial to a few hundred scheduler rounds, but it still pays the full python
-round loop per trial.  This module batches instead: one struct-of-arrays
-engine advances N trials of one fixed design in NumPy lockstep -- release,
-completion, priority and progress state held in ``[trial, task]`` arrays,
-every scheduler round executed as a handful of vectorized operations over
-all still-running trials at once.
+trial to a few hundred scheduler rounds, but it still builds every trial's
+full execution-slice trace and replays the attacks against it afterwards.
+This module skips the trace: the design's envelope (task tables, core
+orders, priority orders) is built once per batch, and each trial then runs
+one scalar event loop over plain per-task lists that folds the detection
+replay into the loop itself.
 
-Why ``[trial, task]`` and not ``[trial, job]``
-----------------------------------------------
-Two structural invariants of the supported workloads make per-task state
-sufficient:
+Why per-task state suffices
+---------------------------
+Two structural invariants of the supported workloads make one slot per
+task enough (no per-job records):
 
 * **At most one live job per task.**  Security scans never overlap (the
   engines skip a release while the previous scan is active), and a second
   concurrent RT job implies a deadline miss -- the analysis guarantees
-  none, and the engines treat one as a loud error.  The batched engine
-  watches for the overlap and *falls back* for that trial (see below)
-  instead of modelling it.
+  none, and the engines treat one as a loud error.  The loop watches for
+  the overlap and *falls back* for that trial (see below) instead of
+  modelling it.
 * **Unique priorities.**  :meth:`repro.model.taskset.TaskSet.create`
   assigns every task a distinct priority with every RT priority above
   every security priority, so the engines' ``(priority, release, job_id)``
-  tie-break never reaches its second component across tasks and the
-  lockstep scheduler can select by static task priority alone.
+  tie-break never reaches its second component across tasks and the loop
+  can select by static task priority alone.
 
-The vectorizable envelope and the fallback
-------------------------------------------
-The lockstep loop replicates the engines' semantics only under the default
+The envelope and the fallback
+-----------------------------
+The loop replicates the engines' semantics only under the default
 platform model (``rm`` / ``none`` / ``zero``): fixed priorities, inert
-resource claims, free context switches.  Anything else -- a non-default
-platform, a non-uniform attack structure, a release overlap, an RT
-deadline miss -- transparently falls back *per trial* to the
-event-compressed engine (which also reproduces the tick oracle's error
-behaviour exactly, e.g. the :class:`~repro.errors.SimulationError` on an
-RT deadline miss).  A whole-design condition (non-default platform,
-malformed bindings) falls back for every trial of the batch.
+resource claims, free context switches.  A whole-design condition (a
+non-default platform, duplicate priorities, a missing core binding) falls
+back for every trial of the batch; a per-trial condition (an attack on an
+unmonitored task or beyond its monitor's coverage, an unknown or negative
+jitter key, an RT release overlap, an RT deadline miss under
+``fail_on_rt_deadline_miss``) falls back for that trial alone.  The
+fallback is the event-compressed engine plus the slice replay, which also
+reproduces the tick oracle's errors exactly (e.g. the
+:class:`~repro.errors.SimulationError` on an RT deadline miss).
 
 Detection without traces
 ------------------------
 The per-trial engines emit execution slices and replay attacks against
 them afterwards (:func:`repro.security.detection.detection_time_for_attack`).
-The batched engine folds that replay into the round loop: a monitor job
-detects attack *a* at the tick its cumulative progress reaches
-``ticks_to_scan(unit + 1)``, provided the sweep over the compromised unit
-started no earlier than the injection.  Under zero overheads progress
-advances exactly one tick per tick of occupancy, so both thresholds cross
-at uniquely determined ticks inside a round's ``[now, next_event)``
-interval -- the same instants the slice replay computes -- and because a
-task's jobs never overlap in time, the first qualifying crossing is the
-minimum over jobs that the oracle takes.
+The loop instead watches each monitor job's progress: a job detects attack
+*a* at the tick its cumulative progress reaches ``ticks_to_scan(unit + 1)``,
+provided the sweep over the compromised unit started no earlier than the
+injection.  Under zero overheads progress advances exactly one tick per
+tick of occupancy, so both thresholds cross at uniquely determined ticks
+inside a round's ``[now, next_event)`` interval -- the same instants the
+slice replay computes -- and because a task's jobs never overlap in time,
+the first qualifying crossing is the minimum over jobs that the oracle
+takes.
+
+Why scalar and not NumPy
+------------------------
+This backend used to advance a whole batch in NumPy lockstep over
+``[trial, task]`` arrays.  At the campaign's widths (8-trial chunks, a
+handful of tasks) each round paid a few dozen ufunc calls on arrays of a
+few elements, and the per-call overhead made the lockstep slower than the
+event-compressed engine *with* its traces.  The scalar loop does the same
+work with neither traces nor ufuncs.
 
 The differential suite (``tests/sim/test_batched_engine.py``) pins outcome
 equality against both per-trial engines across random designs, jitter,
@@ -61,9 +72,7 @@ attack seeds and forced-fallback platform models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.framework import SystemDesign
 from repro.platform.models import DEFAULT_PLATFORM, PlatformModel
@@ -97,7 +106,7 @@ class BatchTrialResult:
     ``latencies`` holds one entry per attack of the trial's scenario, in
     scenario order: ticks from injection to detection, ``None`` when the
     attack goes undetected within the horizon.  ``batched`` records
-    whether the lockstep engine produced the numbers or the trial fell
+    whether the trace-free loop produced the numbers or the trial fell
     back to the event-compressed engine.
     """
 
@@ -126,12 +135,13 @@ class BatchSimulationResult:
 class TrialBatchedSimulator(EventCompressedSimulator):
     """Registry face of the ``batch`` backend.
 
-    A single ``.run()`` is a batch of width one, where lockstep buys
-    nothing -- so the one-design/one-trial behaviour is simply inherited
-    from the event-compressed engine (bit-identical to the tick oracle by
-    the differential suite).  The batching itself lives in
-    :func:`simulate_trials_batched`, which the campaign runner invokes
-    with a whole chunk of trials per distinct design.
+    ``.run()`` must return a full :class:`~repro.sim.trace.SimulationTrace`,
+    which the trace-free loop never builds -- so the one-design/one-trial
+    behaviour is simply inherited from the event-compressed engine
+    (bit-identical to the tick oracle by the differential suite).  The
+    batching itself lives in :func:`simulate_trials_batched`, which the
+    campaign runner invokes with a whole chunk of trials per distinct
+    design.
     """
 
 
@@ -139,9 +149,6 @@ class TrialBatchedSimulator(EventCompressedSimulator):
 # package ``repro.sim`` imports this module, so resolving "batch" works
 # everywhere the other backends do.
 SIMULATOR_BACKENDS["batch"] = TrialBatchedSimulator
-
-
-_BIG = np.iinfo(np.int64).max // 4
 
 
 def simulate_trials_batched(
@@ -152,37 +159,29 @@ def simulate_trials_batched(
     platform: PlatformModel = DEFAULT_PLATFORM,
     fail_on_rt_deadline_miss: bool = True,
 ) -> BatchSimulationResult:
-    """Simulate every trial of *trials* under *design*, batched in lockstep.
+    """Simulate every trial of *trials* under *design*, trace-free.
 
-    Trials outside the vectorizable envelope are evaluated by the
+    The design's envelope is built once; each trial then runs the scalar
+    event loop.  Trials outside the envelope are evaluated by the
     event-compressed engine instead (same outcomes, same errors); the
     result records which path each trial took.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    engine = _BatchEngine.build(design, monitors, trials, horizon, platform)
-    if engine is None:
-        results = [
-            _run_fallback(
+    engine = _TrialEngine.build(design, monitors, platform)
+    results = []
+    for trial in trials:
+        result = (
+            engine.run(trial, horizon, fail_on_rt_deadline_miss)
+            if engine is not None
+            else None
+        )
+        if result is None:
+            result = _run_fallback(
                 design, monitors, trial, horizon, platform,
                 fail_on_rt_deadline_miss,
             )
-            for trial in trials
-        ]
-        return BatchSimulationResult(results=tuple(results))
-
-    fallback_mask = engine.run(fail_on_rt_deadline_miss)
-    results = []
-    for index, trial in enumerate(trials):
-        if fallback_mask[index]:
-            results.append(
-                _run_fallback(
-                    design, monitors, trial, horizon, platform,
-                    fail_on_rt_deadline_miss,
-                )
-            )
-        else:
-            results.append(engine.result(index))
+        results.append(result)
     return BatchSimulationResult(results=tuple(results))
 
 
@@ -217,13 +216,47 @@ def _run_fallback(
     )
 
 
-class _BatchEngine:
-    """The struct-of-arrays lockstep engine for one design.
+def _place_with_affinity(
+    order: Sequence[int],
+    active: List[bool],
+    last_core: List[int],
+    occupant: List[int],
+) -> None:
+    """Task-index twin of ``_BaseScheduler._place_with_affinity``.
+
+    The idle cores of *occupant* (``-1``) are the free ones.  The first
+    ``free`` active tasks of *order* (priority order) are selected; those
+    whose last core is still free keep it, claimed in selection order; the
+    rest fill the remaining free cores in ascending index order.
+    """
+    free = occupant.count(-1)
+    if not free:
+        return
+    selected = []
+    for k in order:
+        if active[k]:
+            selected.append(k)
+            if len(selected) == free:
+                break
+    pending = []
+    for k in selected:
+        core = last_core[k]
+        if core >= 0 and occupant[core] < 0:
+            occupant[core] = k
+        else:
+            pending.append(k)
+    for k in pending:
+        occupant[occupant.index(-1)] = k
+
+
+class _TrialEngine:
+    """The scalar trace-free event loop for one design.
 
     ``build`` returns ``None`` when the design/platform combination is
     outside the envelope (the caller then falls back wholesale); ``run``
-    returns the per-trial fallback mask for conditions that only surface
-    while simulating (release overlaps, RT deadline misses).
+    returns ``None`` for a trial that leaves the envelope, either up front
+    (attack or jitter it cannot represent) or while simulating (a release
+    overlap, an RT deadline miss).
     """
 
     @classmethod
@@ -231,13 +264,9 @@ class _BatchEngine:
         cls,
         design: SystemDesign,
         monitors: Sequence[SecurityMonitor],
-        trials: Sequence[BatchTrialInput],
-        horizon: int,
         platform: PlatformModel,
-    ) -> Optional["_BatchEngine"]:
+    ) -> Optional["_TrialEngine"]:
         if not platform.is_default:
-            return None
-        if not trials:
             return None
         taskset = design.taskset
         policy = SchedulerPolicy(design.policy.value)
@@ -252,430 +281,229 @@ class _BatchEngine:
             else {}
         )
 
+        num_cores = design.platform.num_cores
+        num_rt = len(taskset.rt_tasks)
         tasks = list(taskset.rt_tasks) + list(taskset.security_tasks)
-        names = [task.name for task in tasks]
-        name_to_index = {name: k for k, name in enumerate(names)}
         priorities = [task.priority for task in tasks]
         if len(set(priorities)) != len(priorities):
-            # The lockstep scheduler selects by static task priority; a
-            # duplicate would need the engines' full tie-break.
+            # The loop selects by static task priority; a duplicate would
+            # need the engines' full tie-break.
             return None
+        priority_order = sorted(range(len(tasks)), key=priorities.__getitem__)
+        security_order = [k for k in priority_order if k >= num_rt]
 
-        num_cores = design.platform.num_cores
-        bound = np.full(len(tasks), -1, dtype=np.int64)
-        for k, task in enumerate(tasks):
-            if k < len(taskset.rt_tasks):
-                if task.name in rt_alloc:
-                    bound[k] = rt_alloc[task.name]
-            elif policy is SchedulerPolicy.PARTITIONED:
-                if task.name in sec_alloc:
-                    bound[k] = sec_alloc[task.name]
-        num_rt = len(taskset.rt_tasks)
-        if policy is not SchedulerPolicy.GLOBAL:
-            if np.any(bound[:num_rt] < 0):
-                return None  # missing RT binding: the engines raise
-            if policy is SchedulerPolicy.PARTITIONED and np.any(
-                bound[num_rt:] < 0
-            ):
-                return None
+        # Each core's bound tasks in priority order: RT tasks unless the
+        # policy is global, security tasks only when it is partitioned.
+        core_orders: List[List[int]] = [[] for _ in range(num_cores)]
+        for k in priority_order:
+            if k < num_rt and policy is not SchedulerPolicy.GLOBAL:
+                core = rt_alloc.get(tasks[k].name)
+            elif k >= num_rt and policy is SchedulerPolicy.PARTITIONED:
+                core = sec_alloc.get(tasks[k].name)
+            else:
+                continue
+            if core is None or not 0 <= core < num_cores:
+                return None  # a missing or invalid binding: the engines raise
+            core_orders[core].append(k)
 
-        # Attack structure must be uniform across trials for lockstep
-        # threshold arrays: same attack count, same target per position,
-        # every target monitored and every unit within coverage.
-        by_task: Dict[str, SecurityMonitor] = {
+        engine = cls()
+        engine._num_cores = num_cores
+        engine._num_rt = num_rt
+        engine._index = {task.name: k for k, task in enumerate(tasks)}
+        engine._monitors = {
             monitor.task_name: monitor for monitor in monitors
         }
-        first = list(trials[0].scenario)
-        attack_tasks: List[int] = []
-        for attack in first:
-            monitor = by_task.get(attack.monitor_task)
-            if monitor is None or attack.monitor_task not in name_to_index:
-                return None
-            attack_tasks.append(name_to_index[attack.monitor_task])
-        num_attacks = len(first)
-        num_trials = len(trials)
-        start_req = np.zeros((num_trials, num_attacks), dtype=np.int64)
-        detect_req = np.zeros((num_trials, num_attacks), dtype=np.int64)
-        inject = np.zeros((num_trials, num_attacks), dtype=np.int64)
-        for t, trial in enumerate(trials):
-            attacks = list(trial.scenario)
-            if len(attacks) != num_attacks:
-                return None
-            for a, attack in enumerate(attacks):
-                monitor = by_task.get(attack.monitor_task)
-                if (
-                    monitor is None
-                    or name_to_index.get(attack.monitor_task)
-                    != attack_tasks[a]
-                    or attack.compromised_unit >= monitor.coverage_units
-                ):
-                    return None
-                start_req[t, a] = monitor.ticks_to_scan(attack.compromised_unit)
-                detect_req[t, a] = monitor.ticks_to_scan(
-                    attack.compromised_unit + 1
-                )
-                inject[t, a] = attack.inject_time
+        engine._wcet = [task.wcet for task in tasks]
+        engine._period = [
+            task.period if k < num_rt else task.effective_period
+            for k, task in enumerate(tasks)
+        ]
+        engine._deadline = [
+            task.deadline if k < num_rt else -1 for k, task in enumerate(tasks)
+        ]
+        engine._core_orders = core_orders
+        # The tasks placed on the cores left idle, by affinity.
+        engine._affinity_order = {
+            SchedulerPolicy.PARTITIONED: None,
+            SchedulerPolicy.SEMI_PARTITIONED: security_order,
+            SchedulerPolicy.GLOBAL: priority_order,
+        }[policy]
+        return engine
+
+    def run(
+        self,
+        trial: BatchTrialInput,
+        horizon: int,
+        fail_on_rt_deadline_miss: bool,
+    ) -> Optional[BatchTrialResult]:
+        """Simulate one trial; ``None`` hands it to the fallback engine."""
+        num_tasks = len(self._wcet)
+        index = self._index
 
         # Release offsets; unknown jitter keys are a configuration error
         # the engines raise, so such a trial is not representable here.
-        offsets = np.zeros((num_trials, len(tasks)), dtype=np.int64)
-        per_trial_valid = np.ones(num_trials, dtype=bool)
-        for t, trial in enumerate(trials):
-            for name, offset in trial.release_jitter.items():
-                k = name_to_index.get(name)
-                if k is None or offset < 0:
-                    per_trial_valid[t] = False
-                    break
-                offsets[t, k] = offset
+        next_release = [0] * num_tasks
+        for name, offset in trial.release_jitter.items():
+            k = index.get(name)
+            if k is None or offset < 0:
+                return None
+            next_release[k] = offset
 
-        engine = cls()
-        engine._policy = policy
-        engine._num_cores = num_cores
-        engine._num_rt = num_rt
-        engine._horizon = horizon
-        engine._num_trials = num_trials
-        engine._wcet = np.asarray([task.wcet for task in tasks], dtype=np.int64)
-        engine._period = np.asarray(
-            [
-                task.period if k < num_rt else task.effective_period
-                for k, task in enumerate(tasks)
-            ],
-            dtype=np.int64,
-        )
-        engine._deadline = np.asarray(
-            [
-                task.deadline if k < num_rt else -1
-                for k, task in enumerate(tasks)
-            ],
-            dtype=np.int64,
-        )
-        engine._is_security = np.asarray(
-            [k >= num_rt for k in range(len(tasks))], dtype=bool
-        )
-        engine._bound = bound
-        priority_order = sorted(range(len(tasks)), key=lambda k: priorities[k])
-        engine._priority_order = priority_order
-        engine._core_orders = [
-            [k for k in priority_order if bound[k] == core]
-            for core in range(num_cores)
-        ]
-        engine._rt_core_orders = [
-            [k for k in priority_order if k < num_rt and bound[k] == core]
-            for core in range(num_cores)
-        ]
-        engine._security_order = [k for k in priority_order if k >= num_rt]
-        engine._attack_tasks = attack_tasks
-        engine._attacks_of_task = {
-            k: [a for a, ka in enumerate(attack_tasks) if ka == k]
-            for k in set(attack_tasks)
-        }
-        engine._start_req = start_req
-        engine._detect_req = detect_req
-        engine._inject = inject
-        engine._offsets = offsets
-        engine._invalid = ~per_trial_valid
-        return engine
+        # Per-attack scan thresholds, grouped by the monitored task.
+        attacks_of_task: List[List[int]] = [[] for _ in range(num_tasks)]
+        start_req: List[int] = []
+        detect_req: List[int] = []
+        inject: List[int] = []
+        for a, attack in enumerate(trial.scenario):
+            monitor = self._monitors.get(attack.monitor_task)
+            k = index.get(attack.monitor_task)
+            if (
+                monitor is None
+                or k is None
+                or attack.compromised_unit >= monitor.coverage_units
+            ):
+                return None
+            attacks_of_task[k].append(a)
+            start_req.append(monitor.ticks_to_scan(attack.compromised_unit))
+            detect_req.append(monitor.ticks_to_scan(attack.compromised_unit + 1))
+            inject.append(attack.inject_time)
 
-    # -- lockstep loop ---------------------------------------------------------
+        num_cores = self._num_cores
+        num_rt = self._num_rt
+        wcet = self._wcet
+        period = self._period
+        deadline = self._deadline
+        core_orders = self._core_orders
+        affinity_order = self._affinity_order
 
-    def run(self, fail_on_rt_deadline_miss: bool) -> np.ndarray:
-        """Advance every trial to the horizon; return the fallback mask."""
-        T = self._num_trials
-        K = self._wcet.shape[0]
-        C = self._num_cores
-        A = len(self._attack_tasks)
-        horizon = self._horizon
+        active = [False] * num_tasks
+        job_index = [-1] * num_tasks
+        release_time = [0] * num_tasks
+        # Work done by each task's live job; with zero overheads its
+        # remaining occupancy is exactly wcet - progress.
+        progress = [0] * num_tasks
+        last_core = [-1] * num_tasks
+        scan_start = [-1] * len(inject)
+        detection = [-1] * len(inject)
+        previous_task = [-1] * num_cores
+        previous_job = [-1] * num_cores
+        context_switches = migrations = preemptions = 0
 
-        next_release = self._offsets.copy()
-        active = np.zeros((T, K), dtype=bool)
-        job_idx = np.full((T, K), -1, dtype=np.int64)
-        num_released = np.zeros((T, K), dtype=np.int64)
-        release_time = np.zeros((T, K), dtype=np.int64)
-        remaining = np.zeros((T, K), dtype=np.int64)
-        progress = np.zeros((T, K), dtype=np.int64)
-        last_core = np.full((T, K), -1, dtype=np.int64)
-        has_run = np.zeros((T, K), dtype=bool)
-
-        scan_start = np.full((T, A), -1, dtype=np.int64)
-        detection = np.full((T, A), -1, dtype=np.int64)
-
-        now = np.zeros(T, dtype=np.int64)
-        context_switches = np.zeros(T, dtype=np.int64)
-        migrations = np.zeros(T, dtype=np.int64)
-        preemptions = np.zeros(T, dtype=np.int64)
-        finished = np.zeros(T, dtype=bool)
-        fallback = self._invalid.copy()
-
-        prev_task = np.full((T, C), -1, dtype=np.int64)
-        prev_job = np.full((T, C), -1, dtype=np.int64)
-
+        now = 0
         while True:
-            live = ~(finished | fallback)
-            if not live.any():
-                break
-            rows = np.flatnonzero(live)
-            nowv = now[rows]
-
-            # -- releases at each trial's current event time ----------------
-            for k in range(K):
-                due = next_release[rows, k] <= nowv
-                if not due.any():
+            # -- releases due at `now` ----------------------------------------
+            for k in range(num_tasks):
+                if next_release[k] > now:
                     continue
-                r = rows[due]
-                next_release[r, k] += self._period[k]
-                was_active = active[r, k]
-                if self._is_security[k]:
+                next_release[k] += period[k]
+                if active[k]:
+                    if k < num_rt:
+                        # A second concurrent RT job is beyond the per-task
+                        # state model -- hand the trial to the fallback
+                        # engine (which reproduces the oracle, miss error
+                        # included).
+                        return None
                     # Scans never overlap: an active monitor skips the
                     # boundary (no job, no index bump), like the engines.
-                    new = r[~was_active]
-                else:
-                    # A second concurrent RT job is beyond the per-task
-                    # state model -- hand the trial to the fallback engine
-                    # (which reproduces the oracle, miss error included).
-                    overlap = r[was_active]
-                    if overlap.size:
-                        fallback[overlap] = True
-                    new = r[~was_active]
-                if new.size:
-                    active[new, k] = True
-                    job_idx[new, k] = num_released[new, k]
-                    num_released[new, k] += 1
-                    release_time[new, k] = now[new]
-                    remaining[new, k] = self._wcet[k]
-                    progress[new, k] = 0
-                    last_core[new, k] = -1
-                    has_run[new, k] = False
-                    for a in self._attacks_of_task.get(k, ()):
-                        scan_start[new, a] = -1
-
-            live = ~(finished | fallback)
-            rows = np.flatnonzero(live)
-            if rows.size == 0:
-                continue
-            nowv = now[rows]
-            n = rows.size
-            arange_n = np.arange(n)
-
-            # -- scheduler round (vectorized over trials) --------------------
-            occ = np.full((n, C), -1, dtype=np.int64)
-            if self._policy is SchedulerPolicy.PARTITIONED:
-                self._assign_bound(rows, active, occ, self._core_orders)
-            elif self._policy is SchedulerPolicy.SEMI_PARTITIONED:
-                self._assign_bound(rows, active, occ, self._rt_core_orders)
-                free = occ < 0
-                self._place_with_affinity(
-                    self._security_order, rows, active, last_core,
-                    occ, free, arange_n,
-                )
-            else:
-                free = np.ones((n, C), dtype=bool)
-                self._place_with_affinity(
-                    self._priority_order, rows, active, last_core,
-                    occ, free, arange_n,
-                )
-
-            occ_clipped = np.where(occ >= 0, occ, 0)
-            occ_job = np.where(
-                occ >= 0, job_idx[rows[:, None], occ_clipped], -1
-            )
-
-            # -- context switches / preemptions ------------------------------
-            pt = prev_task[rows]
-            pj = prev_job[rows]
-            diff = (occ != pt) | (occ_job != pj)
-            context_switches[rows] += diff.sum(axis=1)
-            for c in range(C):
-                cond = diff[:, c] & (pt[:, c] >= 0)
-                if not cond.any():
                     continue
-                bt = np.where(cond, pt[:, c], 0)
-                still = (
-                    cond
-                    & active[rows, bt]
-                    & (job_idx[rows, bt] == pj[:, c])
+                active[k] = True
+                job_index[k] += 1
+                release_time[k] = now
+                progress[k] = 0
+                last_core[k] = -1
+
+            # -- scheduler round ----------------------------------------------
+            occupant = [-1] * num_cores
+            for core, order in enumerate(core_orders):
+                for k in order:
+                    if active[k]:
+                        occupant[core] = k
+                        break
+            if affinity_order is not None:
+                _place_with_affinity(
+                    affinity_order, active, last_core, occupant
                 )
-                if not still.any():
+
+            # -- switches, preemptions, migrations, first runs ----------------
+            for core in range(num_cores):
+                k = occupant[core]
+                job = job_index[k] if k >= 0 else -1
+                before = previous_task[core]
+                if k != before or job != previous_job[core]:
+                    context_switches += 1
+                    if (
+                        before >= 0
+                        and active[before]
+                        and job_index[before] == previous_job[core]
+                        and before not in occupant
+                    ):
+                        preemptions += 1
+                previous_task[core] = k
+                previous_job[core] = job
+                if k < 0:
                     continue
-                running_now = (occ == bt[:, None]).any(axis=1)
-                preemptions[rows] += still & ~running_now
+                if last_core[k] < 0:
+                    # The job's first run: a zero start threshold means
+                    # the sweep over the unit begins now.
+                    for a in attacks_of_task[k]:
+                        if start_req[a] == 0:
+                            scan_start[a] = now
+                elif last_core[k] != core:
+                    migrations += 1
+                last_core[k] = core
 
-            # -- migrations, affinity state, first-run bookkeeping -----------
-            running = np.zeros((n, K), dtype=bool)
-            for c in range(C):
-                k = occ[:, c]
-                m = k >= 0
-                if not m.any():
+            # -- jump to the next event ---------------------------------------
+            next_time = min(next_release)
+            if next_time > horizon:
+                next_time = horizon
+            for k in occupant:
+                if k >= 0 and now + wcet[k] - progress[k] < next_time:
+                    next_time = now + wcet[k] - progress[k]
+            delta = next_time - now
+
+            for k in occupant:
+                if k < 0:
                     continue
-                rr = rows[m]
-                rk = k[m]
-                lc = last_core[rr, rk]
-                migrations[rr] += (lc >= 0) & (lc != c)
-                last_core[rr, rk] = c
-                running[arange_n[m], rk] = True
-            for a in range(A):
-                k = self._attack_tasks[a]
-                first_run = (
-                    running[:, k]
-                    & ~has_run[rows, k]
-                    & (self._start_req[rows, a] == 0)
-                )
-                if first_run.any():
-                    # A zero start threshold means the sweep over the unit
-                    # begins the first time the job executes at all.
-                    scan_start[rows[first_run], a] = nowv[first_run]
-            for k in self._security_order:
-                has_run[rows, k] |= running[:, k]
+                done = progress[k]
+                reached = done + delta
+                # Threshold crossings inside [now, next_time): progress
+                # advances one tick per occupied tick, so a threshold X
+                # with done < X <= reached is hit exactly at
+                # now + (X - done).  A job reaches its scan start (or first
+                # runs, for a zero threshold) no later than its detect
+                # threshold, so the scan start read here is this job's.
+                for a in attacks_of_task[k]:
+                    if done < start_req[a] <= reached:
+                        scan_start[a] = now + start_req[a] - done
+                    if detection[a] < 0 and done < detect_req[a] <= reached:
+                        candidate = now + detect_req[a] - done
+                        # inject >= 0, so an unset scan start never
+                        # qualifies.
+                        if scan_start[a] >= inject[a] and candidate > inject[a]:
+                            detection[a] = candidate
+                progress[k] = reached
+                if reached == wcet[k]:
+                    active[k] = False
+                    if fail_on_rt_deadline_miss and k < num_rt:
+                        absolute = release_time[k] + deadline[k]
+                        if next_time > absolute and absolute <= horizon:
+                            return None
 
-            prev_task[rows] = occ
-            prev_job[rows] = occ_job
+            now = next_time
+            if now >= horizon:
+                break
 
-            # -- jump to each trial's next event -----------------------------
-            next_t = np.minimum(horizon, next_release[rows].min(axis=1))
-            rem = np.where(running, remaining[rows], _BIG)
-            next_t = np.minimum(next_t, nowv + rem.min(axis=1))
-            delta = next_t - nowv
-
-            # Detection-threshold crossings inside [now, next_t): progress
-            # advances one tick per occupied tick, so a threshold X with
-            # p < X <= p + delta is reached exactly at now + (X - p).
-            for a in range(A):
-                k = self._attack_tasks[a]
-                run_k = running[:, k]
-                if not run_k.any():
-                    continue
-                p = progress[rows, k]
-                s_req = self._start_req[rows, a]
-                d_req = self._detect_req[rows, a]
-                inj = self._inject[rows, a]
-                cross_s = (
-                    run_k & (s_req > 0) & (p < s_req) & (s_req <= p + delta)
-                )
-                if cross_s.any():
-                    scan_start[rows[cross_s], a] = (
-                        nowv[cross_s] + s_req[cross_s] - p[cross_s]
-                    )
-                cross_d = run_k & (p < d_req) & (d_req <= p + delta)
-                if cross_d.any():
-                    started = scan_start[rows, a]
-                    candidate = nowv + d_req - p
-                    qualifies = (
-                        cross_d
-                        & (detection[rows, a] < 0)
-                        & (started >= 0)
-                        & (started >= inj)
-                        & (candidate > inj)
-                    )
-                    detection[rows[qualifies], a] = candidate[qualifies]
-
-            advance = np.where(running, delta[:, None], 0)
-            progress[rows] = progress[rows] + advance
-            remaining[rows] = remaining[rows] - advance
-            completed = running & (remaining[rows] == 0)
-            if completed.any():
-                ri, ki = np.nonzero(completed)
-                active[rows[ri], ki] = False
-                if fail_on_rt_deadline_miss:
-                    for k in range(self._num_rt):
-                        done_k = completed[:, k]
-                        if not done_k.any():
-                            continue
-                        absolute = release_time[rows, k] + self._deadline[k]
-                        missed = (
-                            done_k & (next_t > absolute) & (absolute <= horizon)
-                        )
-                        if missed.any():
-                            fallback[rows[missed]] = True
-
-            now[rows] = next_t
-            at_end = next_t >= horizon
-            if at_end.any():
-                ended = rows[at_end]
-                if fail_on_rt_deadline_miss:
-                    for k in range(self._num_rt):
-                        open_k = active[ended, k]
-                        if not open_k.any():
-                            continue
-                        absolute = release_time[ended, k] + self._deadline[k]
-                        missed = open_k & (absolute <= horizon)
-                        if missed.any():
-                            fallback[ended[missed]] = True
-                finished[ended] = True
-
-        self._detection = detection
-        self._context_switches = context_switches
-        self._migrations = migrations
-        self._preemptions = preemptions
-        return fallback
-
-    def _assign_bound(
-        self,
-        rows: np.ndarray,
-        active: np.ndarray,
-        occ: np.ndarray,
-        core_orders: Sequence[Sequence[int]],
-    ) -> None:
-        """Per-core highest-priority active bound task (overwrite upward)."""
-        for c in range(self._num_cores):
-            for k in reversed(core_orders[c]):
-                ready = active[rows, k]
-                occ[ready, c] = k
-
-    def _place_with_affinity(
-        self,
-        order: Sequence[int],
-        rows: np.ndarray,
-        active: np.ndarray,
-        last_core: np.ndarray,
-        occ: np.ndarray,
-        free: np.ndarray,
-        arange_n: np.ndarray,
-    ) -> None:
-        """Vectorized twin of ``_BaseScheduler._place_with_affinity``.
-
-        Selection, affinity and fill passes run in the same order as the
-        scalar helper: the first ``n_free`` ready jobs (priority order) are
-        selected per trial; selected jobs whose last core is still free
-        keep it (claimed in selection order); the rest fill the remaining
-        free cores in ascending index order.
-        """
-        n_free = free.sum(axis=1)
-        sel_count = np.zeros(rows.size, dtype=np.int64)
-        selected: Dict[int, np.ndarray] = {}
-        for k in order:
-            s = active[rows, k] & (sel_count < n_free)
-            selected[k] = s
-            sel_count += s
-        pending: Dict[int, np.ndarray] = {}
-        for k in order:
-            s = selected[k]
-            lc = last_core[rows, k]
-            affine = s & (lc >= 0)
-            lc_clipped = np.where(affine, lc, 0)
-            affine = affine & free[arange_n, lc_clipped]
-            if affine.any():
-                occ[arange_n[affine], lc[affine]] = k
-                free[arange_n[affine], lc[affine]] = False
-            pending[k] = s & ~affine
-        for k in order:
-            p = pending[k]
-            if not p.any():
-                continue
-            first_free = np.argmax(free, axis=1)
-            occ[arange_n[p], first_free[p]] = k
-            free[arange_n[p], first_free[p]] = False
-
-    def result(self, index: int) -> BatchTrialResult:
-        """The finished outcome of trial *index* (must not be a fallback)."""
-        latencies = tuple(
-            int(self._detection[index, a] - self._inject[index, a])
-            if self._detection[index, a] >= 0
-            else None
-            for a in range(len(self._attack_tasks))
-        )
+        if fail_on_rt_deadline_miss:
+            for k in range(num_rt):
+                if active[k] and release_time[k] + deadline[k] <= horizon:
+                    return None
         return BatchTrialResult(
-            latencies=latencies,
-            context_switches=int(self._context_switches[index]),
-            migrations=int(self._migrations[index]),
-            preemptions=int(self._preemptions[index]),
+            latencies=tuple(
+                detection[a] - inject[a] if detection[a] >= 0 else None
+                for a in range(len(inject))
+            ),
+            context_switches=context_switches,
+            migrations=migrations,
+            preemptions=preemptions,
             batched=True,
         )

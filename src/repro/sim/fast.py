@@ -181,7 +181,7 @@ class EventCompressedSimulator(Simulator):
 
 
 #: Selectable simulation backends: the frozen tick-accurate oracle and the
-#: event-compressed fast path.
+#: event-compressed fast path (:mod:`repro.sim.batched` adds ``"batch"``).
 SIMULATOR_BACKENDS: Mapping[str, type] = {
     "tick": Simulator,
     "fast": EventCompressedSimulator,
@@ -189,7 +189,8 @@ SIMULATOR_BACKENDS: Mapping[str, type] = {
 
 
 def resolve_backend(name: str) -> type:
-    """Map a backend name (``"tick"`` / ``"fast"``) to its simulator class."""
+    """Map a backend name (``"tick"`` / ``"fast"`` / ``"batch"``) to its
+    simulator class."""
     backend = SIMULATOR_BACKENDS.get(name)
     if backend is None:
         raise ConfigurationError(

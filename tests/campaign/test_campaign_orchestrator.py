@@ -19,8 +19,15 @@ from repro.campaign import (
     format_campaign,
     run_campaign,
 )
+from repro.campaign.trial import _design_key
+from repro.core.framework import SchedulingPolicy, SystemDesign
 from repro.errors import ConfigurationError
+from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
+from repro.model.tasks import ResourceClaim
+from repro.partitioning.allocation import Allocation
+from repro.platform import PlatformModel
 from repro.schemes import REGISTRY
+from repro.sim import simulate_design_fast
 
 
 def small_spec(**overrides):
@@ -251,11 +258,66 @@ class TestFastPathCounters:
     def test_fast_backend_counts_no_batched_trials(self):
         stats = CampaignStats()
         run_campaign(
-            small_spec(schemes=self.ALIASED, num_trials=2), stats_sink=stats
+            small_spec(schemes=self.ALIASED, num_trials=2, backend="fast"),
+            stats_sink=stats,
         )
         assert stats.design_dedup_hits == 2 * 2
         assert stats.batched_trials == 0
         assert stats.fallback_trials == 0
+
+    def test_default_backend_counts_batched_trials(self):
+        """With no backend given the campaign runs the trace-free loop:
+        every design-trial of the rover is inside its envelope."""
+        stats = CampaignStats()
+        run_campaign(
+            small_spec(schemes=self.ALIASED, num_trials=3), stats_sink=stats
+        )
+        # 2 distinct designs (see above) x 3 trials.
+        assert stats.batched_trials == 2 * 3
+        assert stats.fallback_trials == 0
+
+    def test_design_key_sees_rt_resource_claims(self):
+        """Two designs differing only in an RT task's claim section must
+        not alias: under a lock-using protocol they simulate differently,
+        so dedup would report one design's outcome under the other."""
+        platform = PlatformModel.parse("rm", "pip", "zero")
+
+        def design(nav_claims):
+            taskset = TaskSet.create(
+                [
+                    RealTimeTask(
+                        name="nav", wcet=40, period=100, claims=nav_claims
+                    )
+                ],
+                [
+                    SecurityTask(
+                        name="ids",
+                        wcet=150,
+                        max_period=600,
+                        claims=(ResourceClaim("log", 30, 60),),
+                    )
+                ],
+            )
+            return SystemDesign(
+                scheme="HYDRA",
+                policy=SchedulingPolicy.PARTITIONED,
+                taskset=taskset,
+                platform=Platform(num_cores=1),
+                rt_allocation=Allocation({"nav": 0}),
+                security_allocation=Allocation({"ids": 0}),
+            )
+
+        free = design(())
+        claiming = design((ResourceClaim("log", 10, 20),))
+        traces = [
+            simulate_design_fast(d, 3_000, platform=platform)
+            for d in (free, claiming)
+        ]
+        assert [(t.context_switches, t.preemptions) for t in traces] == [
+            (65, 10),
+            (75, 20),
+        ]
+        assert _design_key(free) != _design_key(claiming)
 
     def test_parallel_stats_aggregate_across_workers(self):
         spec = small_spec(schemes=self.ALIASED, num_trials=6, backend="batch")

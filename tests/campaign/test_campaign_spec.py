@@ -36,7 +36,7 @@ class TestCampaignSpec:
     def test_defaults_select_canonical_schemes(self):
         spec = CampaignSpec(num_trials=1)
         assert spec.schemes == REGISTRY.canonical_names()
-        assert spec.backend == "fast"
+        assert spec.backend == "batch"
 
     def test_scheme_validation_is_registry_driven(self):
         with pytest.raises(ConfigurationError, match="unknown scheme"):

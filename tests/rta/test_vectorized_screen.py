@@ -240,10 +240,14 @@ def _double(value):
 
 def _crash_once(payload):
     flag_path, value = payload
-    if os.path.exists(flag_path):
+    # Removing the flag is the atomic claim: of two workers that reach it
+    # together, exactly one crashes (an exists-then-remove check let the
+    # second one fail with FileNotFoundError instead).
+    try:
         os.remove(flag_path)
-        os._exit(17)
-    return value * 2
+    except FileNotFoundError:
+        return value * 2
+    os._exit(17)
 
 
 class TestPersistentPoolExecution:

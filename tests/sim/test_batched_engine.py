@@ -1,14 +1,19 @@
 """Differential suite for the trial-batched campaign backend.
 
-The ``batch`` backend advances whole batches of trials of one fixed design
-in NumPy lockstep (:func:`repro.sim.batched.simulate_trials_batched`), and
-its contract is the same as the fast engine's: every per-trial outcome --
-detection latencies, context switches, migrations, preemptions -- must be
-*bit-identical* to running the tick oracle (and the event-compressed
-engine) trial by trial.  This suite pins that equality over random
-jitter/attack seeds x registry schemes x platform models, including the
-combinations that force the per-trial fallback path (non-default
-platforms, duplicate priorities, negative jitter).
+The ``batch`` backend (the campaign default) builds a design's envelope
+once per batch and runs each trial through one trace-free scalar event
+loop with the detection replay folded in
+(:func:`repro.sim.batched.simulate_trials_batched`).  Its contract is the
+same as the fast engine's: every per-trial outcome -- detection latencies,
+context switches, migrations, preemptions -- must be *bit-identical* to
+running the tick oracle (and the event-compressed engine plus slice
+replay) trial by trial.  This suite pins that equality over random
+jitter/attack seeds x registry schemes x core counts x platform models,
+including the edge cases of the loop (scan-start threshold 0, the last
+scan unit, zero jitter, a horizon shorter than the longest period, a
+monitor job cut off by the horizon) and the combinations that force the
+fallback path (non-default platforms, RT release overlaps, RT deadline
+misses, unknown jitter keys).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.sim.batched as batched_module
 from repro.core.framework import SchedulingPolicy, SystemDesign
 from repro.errors import AllocationError, SimulationError, UnschedulableError
 from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
@@ -27,12 +33,13 @@ from repro.partitioning.allocation import Allocation
 from repro.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.rover.case_study import RoverCaseStudy, rover_monitors
 from repro.schemes import REGISTRY, SharedPhases
-from repro.security.attacks import generate_attacks
+from repro.security.attacks import Attack, AttackScenario, generate_attacks
 from repro.security.detection import evaluate_detection
 from repro.security.monitors import SecurityMonitor
 from repro.sim import (
     SIMULATOR_BACKENDS,
     BatchTrialInput,
+    BatchTrialResult,
     EventCompressedSimulator,
     SimulationConfig,
     Simulator,
@@ -240,6 +247,107 @@ class TestDifferential:
         assert all(not result.batched for result in batch.results)
 
 
+def _longest_period(design):
+    taskset = design.taskset
+    return max(
+        [task.period for task in taskset.rt_tasks]
+        + [task.effective_period for task in taskset.security_tasks]
+    )
+
+
+def _mid_scan_horizon(design):
+    """A horizon shorter than the design's longest period that cuts a
+    monitor job off mid-scan under synchronous release, or ``None``."""
+    limit = _longest_period(design)
+    trace = EventCompressedSimulator.from_design(
+        design,
+        SimulationConfig(horizon=limit, fail_on_rt_deadline_miss=False),
+    ).run()
+    security = {task.name for task in design.taskset.security_tasks}
+    for piece in trace.slices:
+        if piece.task_name in security and piece.end - piece.start >= 2:
+            return piece.start + (piece.end - piece.start) // 2
+    return None
+
+
+def _edge_case_trials(design, monitors, horizon, rng, count=8):
+    """*count* trials over the loop's edge cases: trial 0 releases
+    synchronously (zero jitter); each monitor's attack cycles through unit
+    0 (scan-start threshold 0), its last unit and a random unit."""
+    trials = []
+    for index in range(count):
+        attacks = []
+        for offset, monitor in enumerate(monitors):
+            units = (
+                0,
+                monitor.coverage_units - 1,
+                int(rng.integers(0, monitor.coverage_units)),
+            )
+            attacks.append(
+                Attack(
+                    name=f"attack-{offset}",
+                    monitor_task=monitor.task_name,
+                    inject_time=int(rng.integers(0, max(1, horizon // 2))),
+                    compromised_unit=units[(index + offset) % 3],
+                )
+            )
+        jitter = (
+            {}
+            if index == 0
+            else {
+                task.name: int(rng.integers(0, 200))
+                for task in design.taskset.all_tasks
+                if rng.random() < 0.5
+            }
+        )
+        trials.append(
+            BatchTrialInput(
+                scenario=AttackScenario(attacks), release_jitter=jitter
+            )
+        )
+    return trials
+
+
+class TestScalarLoopSweep:
+    """Seeded sweep: every registry scheme on 1-4 cores, 8 trials per
+    batch, at a horizon that cuts a monitor job off mid-scan (shorter than
+    the longest period) and at a longer one."""
+
+    @pytest.mark.parametrize("num_cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scheme", REGISTRY.names())
+    def test_equals_tick_and_fast(self, scheme, num_cores):
+        rng = np.random.default_rng(
+            [REGISTRY.names().index(scheme), num_cores]
+        )
+        for _ in range(50):
+            built = _design_and_monitors(scheme, num_cores, rng)
+            if built is None:
+                continue
+            short = _mid_scan_horizon(built[0])
+            if short is not None:
+                break
+        else:
+            pytest.fail(f"no usable {scheme} design on {num_cores} cores")
+        design, monitors = built
+        assert short < _longest_period(design)
+
+        for horizon in (short, 2_000):
+            trials = _edge_case_trials(design, monitors, horizon, rng)
+            batch = _assert_matches_oracles(
+                design, monitors, trials, horizon, DEFAULT_PLATFORM
+            )
+            assert batch.fallback_trials == 0
+        # The zero-jitter trial of the short batch ends mid-scan: the
+        # horizon cut a monitor job that had started but not finished.
+        cut = EventCompressedSimulator.from_design(
+            design, SimulationConfig(horizon=short)
+        ).run()
+        assert any(
+            job.is_security and job.completion_time is None and job.executed
+            for job in cut.jobs.values()
+        )
+
+
 class TestEnvelope:
     """Deterministic pins of the batch/fallback split and edge cases."""
 
@@ -304,6 +412,112 @@ class TestEnvelope:
             False,
             True,
         ]
+
+    def test_only_the_overlap_and_the_miss_fall_back(self, monkeypatch):
+        """A batch mixing in-envelope trials with one RT deadline-miss
+        trial and one RT release-overlap trial.
+
+        Two cores, each with a ``blocker`` (6 of every 8 ticks) above a
+        victim; jitter past the horizon keeps a blocker quiet.  On core 0
+        the blocker pushes ``victim_a`` past its constrained deadline (a
+        miss, no overlap); on core 1 it keeps ``victim_b`` running into
+        its own next release (an overlap).
+        """
+        taskset = TaskSet.create(
+            [
+                RealTimeTask(name="blocker_a", wcet=6, period=8),
+                RealTimeTask(name="victim_a", wcet=3, period=24, deadline=12),
+                RealTimeTask(name="blocker_b", wcet=6, period=8),
+                RealTimeTask(name="victim_b", wcet=3, period=12),
+            ],
+            [SecurityTask(name="sec", wcet=2, max_period=50)],
+        )
+        design = SystemDesign(
+            scheme="HYDRA-C",
+            policy=SchedulingPolicy.SEMI_PARTITIONED,
+            taskset=taskset,
+            platform=Platform(num_cores=2),
+            rt_allocation=Allocation(
+                {"blocker_a": 0, "victim_a": 0, "blocker_b": 1, "victim_b": 1}
+            ),
+        )
+        monitors = [
+            SecurityMonitor.for_task(task)
+            for task in design.taskset.security_tasks
+        ]
+        rng = np.random.default_rng(23)
+        quiet = {"blocker_a": 500, "blocker_b": 500}
+        miss = {"blocker_b": 500}
+        overlap = {"blocker_a": 500}
+        trials = [
+            BatchTrialInput(
+                scenario=generate_attacks(monitors, 100, rng=rng),
+                release_jitter=jitter,
+            )
+            for jitter in (quiet, miss, quiet, overlap, quiet)
+        ]
+
+        # Without the deadline check a miss is representable: only the
+        # overlap leaves the per-task state model.
+        unchecked = _assert_matches_oracles(
+            design, monitors, trials, 100, DEFAULT_PLATFORM
+        )
+        assert [result.batched for result in unchecked.results] == [
+            True, True, True, False, True,
+        ]
+
+        # With the check (the campaign default) both contended trials go
+        # to the fallback engine, and only those two.
+        handed = []
+
+        def recording_fallback(design, monitors, trial, *args):
+            handed.append(trial)
+            return BatchTrialResult((), 0, 0, 0, batched=False)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(batched_module, "_run_fallback", recording_fallback)
+            checked = simulate_trials_batched(design, monitors, trials, 100)
+        assert len(handed) == 2
+        assert handed[0] is trials[1] and handed[1] is trials[3]
+        for index in (0, 2, 4):
+            assert checked.results[index] == unchecked.results[index]
+
+        # ... and the real fallback raises the engines' error.
+        with pytest.raises(SimulationError, match="deadline miss"):
+            simulate_trials_batched(design, monitors, trials, 100)
+
+    def test_busy_monitor_skips_its_release_inside_the_loop(self):
+        """A monitor still scanning at its next period boundary skips that
+        release (no new job, no progress reset) -- in the loop exactly as
+        in the engines.  ``hog`` leaves ``scan`` 2 of every 8 ticks, so
+        each 5-tick scan overruns its 10-tick period; no RT job misses, so
+        every trial stays on the trace-free path."""
+        taskset = TaskSet.create(
+            [RealTimeTask(name="hog", wcet=6, period=8)],
+            [SecurityTask(name="scan", wcet=5, max_period=10, coverage_units=5)],
+        )
+        design = SystemDesign(
+            scheme="HYDRA-C",
+            policy=SchedulingPolicy.SEMI_PARTITIONED,
+            taskset=taskset,
+            platform=Platform(num_cores=1),
+            rt_allocation=Allocation({"hog": 0}),
+        )
+        monitors = [
+            SecurityMonitor.for_task(task)
+            for task in design.taskset.security_tasks
+        ]
+        trials = _edge_case_trials(
+            design, monitors, 400, np.random.default_rng(31)
+        )
+        batch = _assert_matches_oracles(
+            design, monitors, trials, 400, DEFAULT_PLATFORM
+        )
+        assert batch.fallback_trials == 0
+        trace = EventCompressedSimulator.from_design(
+            design, SimulationConfig(horizon=400)
+        ).run()
+        assert len(trace.jobs_for_task("scan")) < 400 // 10
 
     def test_unknown_jitter_key_raises_like_the_engines(self):
         """A jitter key naming no task is a configuration error in the

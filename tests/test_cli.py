@@ -78,7 +78,7 @@ class TestParser:
         args = build_parser().parse_args(["campaign"])
         assert args.trials == 35
         assert args.horizon == 45_000
-        assert args.backend == "fast"
+        assert args.backend == "batch"
         assert args.jitter == 0
         assert args.checkpoint is None
         assert args.chunk_size == 8
@@ -376,6 +376,8 @@ class TestMain:
         assert main(argv + ["--backend", "fast"]) == 0
         fast_out = capsys.readouterr().out
         assert main(argv + ["--backend", "tick"]) == 0
+        assert capsys.readouterr().out == fast_out
+        assert main(argv) == 0  # the default backend, batch
         assert capsys.readouterr().out == fast_out
 
     def test_campaign_checkpoint_resume_roundtrip(self, capsys, tmp_path):
