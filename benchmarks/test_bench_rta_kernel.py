@@ -45,8 +45,10 @@ def test_bench_rta_kernel_speedup(benchmark, tasksets_per_group):
         schemes=ALLOCATION_SCHEMES,
     )
     specs = build_specs(config)
+    # The python tier explicitly (the default tier is the compiled backend
+    # wherever it builds).
     service = BatchDesignService(
-        config.num_cores, scheme_names=ALLOCATION_SCHEMES
+        config.num_cores, scheme_names=ALLOCATION_SCHEMES, kernel="python"
     )
     timings = {"kernel": float("inf"), "seed": float("inf")}
 

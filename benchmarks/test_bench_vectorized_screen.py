@@ -55,7 +55,11 @@ def _gate(benchmark, tasksets_per_group, schemes, seed, min_speedup):
         schemes=schemes,
     )
     specs = build_specs(config)
-    service = BatchDesignService(config.num_cores, scheme_names=schemes)
+    # The python tier explicitly: the default tier is the compiled backend
+    # wherever it builds, which runs none of the solve-skipping layers.
+    service = BatchDesignService(
+        config.num_cores, scheme_names=schemes, kernel="python"
+    )
     timings = {"candidate": float("inf")}
 
     def run_column():

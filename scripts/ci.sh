@@ -10,36 +10,44 @@
 #            fast with a labelled gate, then replays the RTA differential
 #            suite under REPRO_DISABLE_COMPILED=1 so the pure-python
 #            fallback path can never silently regress on machines where
-#            the compiled backend normally takes over.  Deterministic;
-#            always blocking.
+#            the compiled backend normally takes over (it is the default
+#            `auto` tier wherever it builds, so there every other run of
+#            this stage is on it).  Deterministic; always blocking.
 #   smoke -- deterministic end-to-end drills, always blocking:
 #            (a) a tiny Monte Carlo attack campaign executed with no
-#            --backend (the default, trial-batched) and under ALL THREE
-#            named simulation backends (batch, event-compressed fast and
-#            the tick oracle); their aggregate reports AND their
-#            --checkpoint files (which carry every trial's latencies and
-#            counters) must match byte for byte.  Run twice: once on the
-#            default platform (where the batch backend runs its
-#            trace-free loop) and once under a non-default platform model
-#            (--scheduler edf --protocol pip, where it must transparently
-#            fall back per trial), so the platform plugin layer AND the
-#            campaign fast path are exercised end to end through the CLI.
+#            --backend (the default, trial-batched), again with no
+#            --backend under REPRO_DISABLE_COMPILED=1 (the python kernel
+#            tier designs every scheme), and under ALL THREE named
+#            simulation backends (batch, event-compressed fast and the
+#            tick oracle); their aggregate reports AND their --checkpoint
+#            files (which carry every trial's latencies and counters) must
+#            match byte for byte.  Run twice: once on the default platform
+#            (where the batch backend runs its trace-free loop) and once
+#            under a non-default platform model (--scheduler edf
+#            --protocol pip, where it must transparently fall back per
+#            trial and every scheme's design -- HYDRA-C's re-partitioning
+#            FF/WF variants included -- carries the PIP blocking terms),
+#            so the platform plugin layer AND the campaign fast path are
+#            exercised end to end through the CLI.
 #            (b) a live `hydra-c serve` daemon on a Unix socket, driven
 #            through `hydra-c query`: ping, a design query asked twice
 #            (byte-identical replies, and `stats` then counts an answer-LRU
-#            hit), an infeasible admission (an answer, not an error), a
-#            query with a key the daemon has not seen that exceeds a tiny
-#            timeout budget, then SIGTERM and a clean (exit 0) drain.
+#            hit), the same design query to a second daemon started with
+#            --kernel python (byte-identical reply), an infeasible
+#            admission (an answer, not an error), a query with a key the
+#            daemon has not seen that exceeds a tiny timeout budget, then
+#            SIGTERM and a clean (exit 0) drain of both daemons.
 #            (c) a 4-core sweep under --kernel compiled and --kernel
 #            python must print byte-identical reports; then a 2-core
 #            sweep over HYDRA-C, HYDRA, HYDRA-TMax, GLOBAL-TMax and
 #            HYDRA-RF (every scheme with a one-call compiled path) must
 #            print byte-identical reports AND write byte-identical
 #            checkpoints (the checkpoint carries every scheme's periods;
-#            the reports never print HYDRA-RF's).  Only meaningful
-#            where the compiled backend builds (the compiled-extra CI
-#            job); elsewhere the compiled run is the warned python
-#            fallback and the diff is trivially equal.
+#            the reports never print HYDRA-RF's).
+#            The default kernel tier is `auto`, so the tier comparisons
+#            in (a)-(c) are only meaningful where the compiled backend
+#            builds (the compiled-extra CI job); elsewhere every run is
+#            the python tier and the diffs are trivially equal.
 #   bench -- the speedup gates: the batched pipeline must stay >= 2x
 #            faster than the frozen seed path (repro/batch/reference.py),
 #            the RTA kernel >= 2x on the allocation-heavy Fig. 7a columns,
@@ -96,27 +104,33 @@ fi
 if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     campaign_dir=$(mktemp -d)
     trap 'rm -rf "$campaign_dir"' EXIT
-    campaign_args=(--trials 2 --horizon 9000 --schemes HYDRA-C,HYDRA
+    # The re-partitioning HYDRA-C variants ride along: under PIP their
+    # designs carry the blocking terms, on either kernel tier.
+    campaign_args=(--trials 2 --horizon 9000
+                   --schemes HYDRA-C,HYDRA,HYDRA-C-FF,HYDRA-C-WF
                    --jitter 50 --quiet)
-    # campaign_drill LABEL ARGS...: the campaign with no --backend and
-    # under each named backend; every run's report and checkpoint must
-    # equal the default run's byte for byte.
+    # campaign_drill LABEL ARGS...: the campaign with no --backend, with
+    # no --backend on the forced python kernel tier, and under each named
+    # backend; every run's report and checkpoint must equal the default
+    # run's byte for byte.
     campaign_drill() {
         local label=$1
         shift
         local run command
-        for run in default batch fast tick; do
+        for run in default python batch fast tick; do
             command=(python -m repro campaign "$@")
-            if [[ "$run" != default ]]; then
-                command+=(--backend "$run")
-            fi
+            case "$run" in
+                default) ;;
+                python) command=(env REPRO_DISABLE_COMPILED=1 "${command[@]}") ;;
+                *) command+=(--backend "$run") ;;
+            esac
             "${command[@]}" --checkpoint "$campaign_dir/$label-$run.jsonl" \
                 > "$campaign_dir/$label-$run.txt"
         done
-        for run in batch fast tick; do
+        for run in python batch fast tick; do
             for suffix in txt jsonl; do
                 if ! cmp "$campaign_dir/$label-default.$suffix" "$campaign_dir/$label-$run.$suffix"; then
-                    echo "campaign smoke FAILED ($label): default and $run backends disagree ($suffix)" >&2
+                    echo "campaign smoke FAILED ($label): the default run and the $run run disagree ($suffix)" >&2
                     diff "$campaign_dir/$label-default.$suffix" "$campaign_dir/$label-$run.$suffix" >&2 || true
                     exit 1
                 fi
@@ -125,10 +139,10 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
         cat "$campaign_dir/$label-default.txt"
     }
 
-    echo "== campaign smoke: tiny campaign, default backend vs all three backends (reports + checkpoints) =="
+    echo "== campaign smoke: tiny campaign, default run vs python kernel tier and all three backends (reports + checkpoints) =="
     campaign_drill default-platform "${campaign_args[@]}"
 
-    echo "== campaign smoke: non-default platform (EDF + PIP), default backend vs all three backends (reports + checkpoints) =="
+    echo "== campaign smoke: non-default platform (EDF + PIP), default run vs python kernel tier and all three backends (reports + checkpoints) =="
     campaign_drill edf-pip "${campaign_args[@]}" --scheduler edf --protocol pip
     trap - EXIT
     rm -rf "$campaign_dir"
@@ -136,9 +150,12 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     echo "== serve smoke: live admission daemon over a Unix socket =="
     serve_dir=$(mktemp -d)
     serve_sock="$serve_dir/serve.sock"
+    python_sock="$serve_dir/serve-python.sock"
     python -m repro serve --socket "$serve_sock" --quiet &
     serve_pid=$!
-    trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
+    python -m repro serve --socket "$python_sock" --kernel python --quiet &
+    python_pid=$!
+    trap 'kill "$serve_pid" "$python_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
 
     query() { python -m repro query --socket "$serve_sock" "$1"; }
 
@@ -163,6 +180,15 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
         exit 1
     fi
 
+    # The default daemon runs the default (auto) kernel tier; a daemon on
+    # the python reference tier must answer the same bytes.
+    python_reply=$(python -m repro query --socket "$python_sock" "$design_query")
+    if [[ "$python_reply" != "$design_reply" ]]; then
+        echo "serve smoke FAILED: the --kernel python daemon answered differently" >&2
+        diff <(printf '%s\n' "$design_reply") <(printf '%s\n' "$python_reply") >&2 || true
+        exit 1
+    fi
+
     # An infeasible admission is an answer (ok:true, feasible:false), not
     # an error -- the query CLI must exit 0 here.
     infeasible_reply=$(query '{"op": "admit", "num_cores": 2,
@@ -184,11 +210,13 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     grep -q '"type":"timeout"' <<<"$timeout_reply"
     grep -q '"pong":true' <<<"$(query '{"op": "ping"}')"
 
-    kill -TERM "$serve_pid"
-    if ! wait "$serve_pid"; then
-        echo "serve smoke FAILED: daemon did not drain cleanly on SIGTERM" >&2
-        exit 1
-    fi
+    kill -TERM "$serve_pid" "$python_pid"
+    for pid in "$serve_pid" "$python_pid"; do
+        if ! wait "$pid"; then
+            echo "serve smoke FAILED: daemon did not drain cleanly on SIGTERM" >&2
+            exit 1
+        fi
+    done
     trap - EXIT
     rm -rf "$serve_dir"
     echo "serve smoke OK"

@@ -39,7 +39,7 @@ from repro.batch.service import BatchDesignService, TasksetSpec
 from repro.batch.store import open_result_store
 from repro.exec import PersistentPool, slice_evenly
 from repro.platform import PlatformModel
-from repro.rta import KernelStats
+from repro.rta import DEFAULT_KERNEL, KernelStats
 from repro.storage import CheckpointStore
 
 if TYPE_CHECKING:  # avoid a runtime cycle: experiments.sweep imports batch
@@ -121,7 +121,7 @@ class SpecBlock:
     seeds: np.ndarray
     # Kernel tier of the worker's service.  Declared last with a default so
     # pre-PR 7 pickled blocks (and positional constructions) stay valid.
-    kernel: str = "python"
+    kernel: str = DEFAULT_KERNEL
     # Platform-model selection (PR 8), defaulted for the same reason.
     scheduler: str = "rm"
     protocol: str = "none"

@@ -50,7 +50,12 @@ from repro.model.taskset import TaskSet
 from repro.partitioning.allocation import Allocation
 from repro.partitioning.heuristics import partition_rt_tasks
 from repro.platform import DEFAULT_PLATFORM, PlatformModel
-from repro.rta import RtaContext, normalise_kernel, partitioned_rt_check
+from repro.rta import (
+    DEFAULT_KERNEL,
+    RtaContext,
+    normalise_kernel,
+    partitioned_rt_check,
+)
 from repro.schedulability.partitioned import rt_tasks_by_core
 from repro.schemes import (
     REGISTRY,
@@ -103,7 +108,7 @@ class BatchDesignService:
         that honours it (see :class:`repro.schemes.DesignOptions`).
     kernel:
         Fixed-point kernel tier for every context the service creates:
-        ``"python"`` (default), ``"compiled"`` or ``"auto"`` -- see
+        ``"auto"`` (default), ``"python"`` or ``"compiled"`` -- see
         :class:`repro.rta.RtaContext`.  Byte-equal results across tiers.
     platform_model:
         The :class:`~repro.platform.PlatformModel` selection.  At design
@@ -120,7 +125,7 @@ class BatchDesignService:
         max_generation_attempts: int = MAX_GENERATION_ATTEMPTS,
         registry: SchemeRegistry = REGISTRY,
         search_mode: Union[SearchMode, str] = SearchMode.BINARY,
-        kernel: str = "python",
+        kernel: str = DEFAULT_KERNEL,
         platform_model: PlatformModel = DEFAULT_PLATFORM,
     ) -> None:
         if num_cores < 1:

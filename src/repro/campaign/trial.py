@@ -194,11 +194,11 @@ class CampaignRunner:
         self._simulator_cls = resolve_backend(spec.backend)
         # The rover's legacy RT partition is the shared RT_PARTITION phase;
         # schemes that do not consume it (GLOBAL-TMax, the re-partitioning
-        # variants) simply ignore the bundle.  The shared RTA context
-        # carries the campaign's platform model, so a lock-using protocol's
-        # blocking terms inflate every scheme's design-time analysis
-        # (under the default protocol the context is blocking-free and the
-        # designs are unchanged).
+        # variants) simply ignore the bundle.  The shared RTA context runs
+        # on the default kernel tier and carries the campaign's platform
+        # model, so a lock-using protocol's blocking terms inflate every
+        # scheme's design-time analysis (under the default protocol the
+        # context is blocking-free and the designs are unchanged).
         context = RtaContext(
             self._platform, platform_model=spec.platform_model
         )

@@ -39,7 +39,11 @@ registered schemes to evaluate (default: the paper's four; see
 ``hydra-c schemes`` for the full list, including the parameterised
 HYDRA-C/HYDRA variants the scheme registry adds) and ``--search-mode``
 to pick HYDRA-C's Algorithm 2 period search (binary/linear; identical
-periods either way, but checkpoint-fingerprint relevant).
+periods either way, but checkpoint-fingerprint relevant).  They and
+``serve`` also take ``--kernel`` (default ``auto``: the compiled backend
+where it builds, else python; byte-identical results on every tier);
+``fig5`` and ``campaign`` always run on that default, and
+``REPRO_DISABLE_COMPILED=1`` forces python for every command.
 
 Every experiment command (``sweep``, the fig* sweeps and ``campaign``)
 additionally takes the platform-model flags
@@ -76,6 +80,7 @@ from repro.experiments.fig6_period_distance import compute_fig6, format_fig6, ru
 from repro.experiments.fig7a_acceptance import compute_fig7a, format_fig7a, run_fig7a
 from repro.experiments.fig7b_period_diff import compute_fig7b, format_fig7b, run_fig7b
 from repro.experiments.sweep import SweepProgress, run_sweep
+from repro.rta.compiled import DEFAULT_KERNEL, KERNEL_CHOICES
 
 __all__ = ["main", "build_parser"]
 
@@ -175,13 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--kernel",
-            choices=("python", "compiled", "auto"),
-            default="python",
+            choices=KERNEL_CHOICES,
+            default=DEFAULT_KERNEL,
             help=(
-                "fixed-point kernel tier: 'python' (reference), 'compiled' "
-                "(the optional cffi backend; warns and falls back when "
-                "unavailable) or 'auto'.  Byte-identical results either "
-                "way; see 'hydra-c kernels'"
+                "fixed-point kernel tier: 'auto' (default: the compiled "
+                "backend where it builds, else python), 'python' "
+                "(reference) or 'compiled' (warns and falls back when "
+                "unavailable).  Byte-identical results either way; see "
+                "'hydra-c kernels'"
             ),
         )
         sub.add_argument(
@@ -338,11 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--kernel",
-        choices=("python", "compiled", "auto"),
-        default="python",
+        choices=KERNEL_CHOICES,
+        default=DEFAULT_KERNEL,
         help=(
-            "fixed-point kernel tier of the warm services (byte-identical "
-            "answers either way; see 'hydra-c kernels')"
+            "fixed-point kernel tier of the warm services: 'auto' "
+            "(default: compiled where it builds, else python), 'python' "
+            "or 'compiled'; resolved before the socket opens, named in "
+            "the 'listening on' line and the 'stats' op.  Byte-identical "
+            "answers either way; see 'hydra-c kernels'"
         ),
     )
     serve.add_argument(

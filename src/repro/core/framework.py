@@ -21,6 +21,7 @@ from repro.model.platform import Platform
 from repro.model.taskset import TaskSet
 from repro.partitioning.allocation import Allocation
 from repro.partitioning.heuristics import FitStrategy, partition_rt_tasks
+from repro.rta import RtaContext
 from repro.schedulability.partitioned import (
     PartitionedAnalysisResult,
     partitioned_rt_schedulable,
@@ -170,11 +171,15 @@ class HydraC:
         task set under several schemes (:class:`repro.batch.BatchDesignService`)
         pass it to avoid repeating the per-core RT response-time analysis.
         ``rta_context`` is the task set's shared :class:`repro.rta.RtaContext`
-        (one is created internally when omitted).
+        (one on the default kernel tier is created internally when
+        omitted, and serves both the RT partitioning and the period
+        selection).
 
         The returned design has ``schedulable=False`` (and no assigned
         periods) when the security tasks cannot meet their maximum periods.
         """
+        if rta_context is None:
+            rta_context = RtaContext(self._platform)
         allocation = self._resolve_rt_allocation(taskset, rt_allocation, rta_context)
         if rt_check is None:
             rt_check = partitioned_rt_schedulable(

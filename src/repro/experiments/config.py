@@ -17,6 +17,7 @@ from repro.core.period_selection import SearchMode, normalise_search_mode
 from repro.errors import ConfigurationError
 from repro.generation.taskset_generator import TasksetGenerationConfig
 from repro.platform import PlatformModel
+from repro.rta.compiled import DEFAULT_KERNEL, normalise_kernel
 from repro.schemes import REGISTRY
 
 __all__ = ["TABLE3_PARAMETERS", "UTILIZATION_GROUPS", "ExperimentConfig"]
@@ -82,10 +83,10 @@ class ExperimentConfig:
         fingerprint, so a resume under a different mode is rejected instead
         of silently mixing runs.
     kernel:
-        Fixed-point kernel tier (``"python"``, ``"compiled"`` or
-        ``"auto"``, see :mod:`repro.rta.compiled`).  Results are byte-equal
-        across tiers (pinned by the differential suites and the golden
-        figure outputs), so -- unlike ``search_mode`` -- this knob is
+        Fixed-point kernel tier (``"auto"``, the default, ``"python"`` or
+        ``"compiled"``, see :mod:`repro.rta.compiled`).  Results are
+        byte-equal across tiers (pinned by the differential suites and the
+        golden figure outputs), so -- unlike ``search_mode`` -- this knob is
         deliberately *not* part of the checkpoint fingerprint: a sweep may
         be resumed under a different kernel without mixing anything.
     scheduler / protocol / overheads:
@@ -107,14 +108,12 @@ class ExperimentConfig:
     checkpoint_path: Optional[str] = None
     schemes: Optional[Sequence[str]] = None
     search_mode: str = SearchMode.BINARY.value
-    kernel: str = "python"
+    kernel: str = DEFAULT_KERNEL
     scheduler: str = "rm"
     protocol: str = "none"
     overheads: str = "zero"
 
     def __post_init__(self) -> None:
-        from repro.rta.compiled import normalise_kernel
-
         resolved = REGISTRY.resolve(self.schemes)
         object.__setattr__(
             self, "schemes", tuple(spec.name for spec in resolved)

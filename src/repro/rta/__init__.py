@@ -33,6 +33,7 @@ shared (re-exported here) rather than duplicated.
 """
 
 from repro.rta.compiled import (
+    DEFAULT_KERNEL,
     KERNEL_CHOICES,
     kernel_available,
     kernel_status,
@@ -67,6 +68,7 @@ __all__ = [
     "CorePeriodAssigner",
     "CoreState",
     "DEFAULT_EXACT_ENUMERATION_LIMIT",
+    "DEFAULT_KERNEL",
     "GlobalRtaEngine",
     "KERNEL_CHOICES",
     "KernelStats",

@@ -12,12 +12,16 @@ chosen over Numba/Cython/mypyc in this environment.
 The backend is strictly optional and strictly behind the
 :class:`~repro.rta.context.RtaContext` seam:
 
-* ``kernel="python"`` (the default everywhere) never imports this
-  package's build machinery;
+* ``kernel="auto"`` (:data:`DEFAULT_KERNEL`, the default everywhere) uses
+  the backend when it builds and silently runs the pure-python kernels
+  when it does not; without a C compiler the build is tried once per
+  process;
+* ``kernel="python"`` never imports this package's build machinery --
+  the reference tier, also forced for every default by
+  ``REPRO_DISABLE_COMPILED=1``;
 * ``kernel="compiled"`` requests the backend and, when it cannot be
   built (no cffi, no C compiler, ``REPRO_DISABLE_COMPILED=1``), warns
-  **once per process** and falls back to the pure-python kernels;
-* ``kernel="auto"`` uses the backend when available, silently.
+  **once per process** and falls back to the pure-python kernels.
 
 Dispatch is guarded: operands must fit the C kernels' integer-width
 preconditions (:data:`INT31_LIMIT`, ``wcet <= period`` -- see
@@ -52,6 +56,7 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "KERNEL_CHOICES",
+    "DEFAULT_KERNEL",
     "INT31_LIMIT",
     "UNSUPPORTED",
     "CompiledKernel",
@@ -65,6 +70,10 @@ __all__ = [
 
 #: Valid values of the ``kernel=`` knob (context, service, config, CLI).
 KERNEL_CHOICES = ("python", "compiled", "auto")
+
+#: The tier every ``kernel=`` knob defaults to: compiled where the
+#: backend builds, silently python where it does not.
+DEFAULT_KERNEL = "auto"
 
 #: Operands must stay below this for a solve to dispatch to C: every
 #: C-side window iterate is then < 2**31 and the per-term/per-core

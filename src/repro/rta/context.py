@@ -34,7 +34,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.model.platform import Platform
 from repro.model.tasks import RealTimeTask
-from repro.rta.compiled import normalise_kernel, resolve_kernel
+from repro.rta.compiled import DEFAULT_KERNEL, normalise_kernel, resolve_kernel
 from repro.rta.core_state import CoreState, TaskView
 from repro.rta.global_fp import GlobalRtaEngine
 from repro.rta.migrating import RtWorkloadCache
@@ -157,11 +157,13 @@ class RtaContext:
         exact fixed point.
     kernel:
         Which fixed-point kernel tier solves the exact Eq. 1/6-8
-        iterations: ``"python"`` (default, the pure reference tier),
-        ``"compiled"`` (the :mod:`repro.rta.compiled` backend, warning
-        once and falling back when unavailable) or ``"auto"`` (compiled
-        when available, silently python otherwise).  Results are byte-equal
-        across tiers; see the differential suites in ``tests/rta/``.
+        iterations: ``"auto"`` (the default,
+        :data:`~repro.rta.compiled.DEFAULT_KERNEL`: compiled when
+        available, silently python otherwise), ``"python"`` (the pure
+        reference tier) or ``"compiled"`` (the :mod:`repro.rta.compiled`
+        backend, warning once and falling back when unavailable).  Results
+        are byte-equal across tiers; see the differential suites in
+        ``tests/rta/``.
     platform_model:
         The :class:`~repro.platform.models.PlatformModel` whose resource
         protocol supplies per-task blocking terms (see
@@ -172,7 +174,7 @@ class RtaContext:
         self,
         num_cores,
         quick_accept: bool = True,
-        kernel: str = "python",
+        kernel: str = DEFAULT_KERNEL,
         platform_model=None,
     ) -> None:
         if isinstance(num_cores, Platform):

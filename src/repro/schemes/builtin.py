@@ -119,9 +119,12 @@ class RepartitioningHydraCPlugin(_HydraCBasedPlugin):
 
     Consumes *no* shared phase: the legacy allocation and its Eq. 1 check do
     not apply to a different partition, so the plugin lets
-    :class:`~repro.core.framework.HydraC` derive both (its own partitioning
-    still runs on a kernel context of its own).  A task set whose RT
-    tasks do not fit under the variant's packing strategy raises
+    :class:`~repro.core.framework.HydraC` derive both.  Its partitioning
+    and period selection still run on the task set's shared kernel
+    context, like every other scheme's: the context's tier, its
+    resource-protocol blocking terms and its
+    :class:`~repro.rta.KernelStats` apply to this plugin too.  A task set
+    whose RT tasks do not fit under the variant's packing strategy raises
     :class:`~repro.errors.AllocationError`, which the batch service records
     as a rejection.
     """
@@ -140,7 +143,9 @@ class RepartitioningHydraCPlugin(_HydraCBasedPlugin):
         )
 
     def design(self, taskset: TaskSet, shared: SharedPhases) -> SystemDesign:
-        return self._relabel(self._impl.design(taskset))
+        return self._relabel(
+            self._impl.design(taskset, rta_context=shared.rta_context)
+        )
 
 
 class HydraFamilyPlugin(_RelabelingPlugin):

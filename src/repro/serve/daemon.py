@@ -45,6 +45,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.exec import PersistentPool
+from repro.rta.compiled import DEFAULT_KERNEL
 from repro.serve.protocol import QueryError, error_response, parse_request
 from repro.serve.service import DEFAULT_MAX_CONTEXTS, AdmissionService
 
@@ -63,9 +64,10 @@ def _answer_in_worker(payload: Tuple[str, int, str]) -> Dict[str, object]:
     global _WORKER_SERVICE
     line, max_contexts, kernel = payload
     if _WORKER_SERVICE is None:
-        # First query in this worker: the service (and, for the compiled
-        # tier, the dlopen of the machine-cached kernel object) is built
-        # once and kept warm for the daemon's lifetime.
+        # First query in this worker: the service is built once and kept
+        # warm for the daemon's lifetime.  Its kernel tier is already
+        # resolved: the worker was forked from the daemon, whose own
+        # service loaded the compiled backend before the socket opened.
         _WORKER_SERVICE = AdmissionService(
             max_contexts=max_contexts, kernel=kernel
         )
@@ -121,8 +123,10 @@ class ServeDaemon:
     max_contexts:
         Answer LRU size of each service (see :class:`AdmissionService`).
     kernel:
-        Fixed-point kernel tier of each service (``"python"``,
-        ``"compiled"`` or ``"auto"``; byte-equal results across tiers).
+        Fixed-point kernel tier of each service (``"auto"``, the default,
+        ``"python"`` or ``"compiled"``; byte-equal results across tiers).
+        The daemon's own service resolves it at construction, before the
+        listener opens; the lifecycle log names the resolved tier.
     quiet:
         Suppress the stderr lifecycle log lines.
     """
@@ -132,7 +136,7 @@ class ServeDaemon:
         jobs: int = 1,
         timeout: Optional[float] = None,
         max_contexts: int = DEFAULT_MAX_CONTEXTS,
-        kernel: str = "python",
+        kernel: str = DEFAULT_KERNEL,
         quiet: bool = False,
     ) -> None:
         if timeout is not None and not timeout > 0:
@@ -155,6 +159,9 @@ class ServeDaemon:
     def _log(self, message: str) -> None:
         if not self._quiet:
             print(f"hydra-c serve: {message}", file=sys.stderr, flush=True)
+
+    def _describe(self) -> str:
+        return f"jobs={self._jobs}, kernel={self._service.kernel_tier}"
 
     def stop(self) -> None:
         """Begin the graceful drain (idempotent; safe from signal handlers)."""
@@ -307,7 +314,7 @@ class ServeDaemon:
         server = await asyncio.start_unix_server(
             self._handle_connection, path=str(path)
         )
-        self._log(f"listening on {path} (jobs={self._jobs})")
+        self._log(f"listening on {path} ({self._describe()})")
         try:
             await self._stop_event.wait()
             self._log("draining")
@@ -350,7 +357,7 @@ class ServeDaemon:
         except ValueError:
             # stdout is a regular file: write through the executor.
             writer = _BlockingStreamWriter(sys.stdout.buffer, loop)
-        self._log(f"serving on stdio (jobs={self._jobs})")
+        self._log(f"serving on stdio ({self._describe()})")
         try:
             await self._serve_stream(reader, writer)
         finally:

@@ -35,6 +35,7 @@ so interactive callers see *why* instead of a hung socket.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -73,11 +74,7 @@ def parse_request(line: str) -> Dict[str, object]:
             f"unknown op {op!r} (supported: {', '.join(OPS)})"
         )
     timeout = request.get("timeout")
-    if timeout is not None and (
-        not isinstance(timeout, (int, float))
-        or isinstance(timeout, bool)
-        or timeout <= 0
-    ):
+    if timeout is not None and not require_number(timeout, "'timeout'") > 0:
         raise QueryError("'timeout' must be a positive number of seconds")
     return request
 
@@ -120,7 +117,14 @@ def require_int(
 def require_number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise QueryError(f"{where} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        # json.loads parses NaN and Infinity as numbers.
+        raise QueryError(f"{where} must be a finite number")
+    return number
 
 
 def require_range(

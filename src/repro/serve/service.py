@@ -38,7 +38,8 @@ from repro.errors import AllocationError, ConfigurationError, ReproError
 from repro.model.tasks import RealTimeTask, SecurityTask
 from repro.model.taskset import TaskSet
 from repro.partitioning.heuristics import partition_rt_tasks
-from repro.rta import KernelStats, RtaContext, normalise_kernel
+from repro.rta import KernelStats, RtaContext
+from repro.rta.compiled import DEFAULT_KERNEL, normalise_kernel, resolve_kernel
 from repro.serve.protocol import (
     QueryError,
     error_response,
@@ -67,14 +68,18 @@ class AdmissionService:
         compares against.
     kernel:
         Fixed-point kernel tier for every context this service creates
-        (``"python"``, ``"compiled"`` or ``"auto"``; byte-equal results
-        across tiers, see :class:`~repro.rta.RtaContext`).
+        (``"auto"``, the default, ``"python"`` or ``"compiled"``;
+        byte-equal results across tiers, see
+        :class:`~repro.rta.RtaContext`).  The tier is resolved here, so
+        the one-time build or load of the compiled backend happens before
+        the first query, never inside a query's timeout budget;
+        :attr:`kernel_tier` names the tier that answers.
     """
 
     def __init__(
         self,
         max_contexts: int = DEFAULT_MAX_CONTEXTS,
-        kernel: str = "python",
+        kernel: str = DEFAULT_KERNEL,
     ) -> None:
         if max_contexts < 0:
             raise ConfigurationError(
@@ -82,6 +87,11 @@ class AdmissionService:
             )
         self._max_contexts = max_contexts
         self._kernel = normalise_kernel(kernel)
+        #: The tier that answers: ``"compiled"`` or ``"python"`` (``auto``
+        #: and a failed ``compiled`` resolve to the one actually loaded).
+        self.kernel_tier = (
+            "python" if resolve_kernel(self._kernel) is None else "compiled"
+        )
         self._services: Dict[tuple, BatchDesignService] = {}
         self._answers: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         #: Running kernel counters: every computed answer's fresh context
@@ -281,6 +291,7 @@ class AdmissionService:
             "context_hits": self.context_hits,
             "contexts": len(self._answers),
             "services": len(self._services),
+            "kernel_tier": self.kernel_tier,
             "kernel": self._kernel_stats.as_dict(),
         }
 

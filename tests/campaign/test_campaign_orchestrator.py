@@ -20,12 +20,15 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.trial import _design_key
-from repro.core.framework import SchedulingPolicy, SystemDesign
+from repro.core.framework import HydraC, SchedulingPolicy, SystemDesign
 from repro.errors import ConfigurationError
 from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
 from repro.model.tasks import ResourceClaim
 from repro.partitioning.allocation import Allocation
+from repro.partitioning.heuristics import FitStrategy
 from repro.platform import PlatformModel
+from repro.rover.case_study import rover_taskset
+from repro.rta import RtaContext
 from repro.schemes import REGISTRY
 from repro.sim import simulate_design_fast
 
@@ -350,6 +353,37 @@ class TestRunnerSetup:
             CampaignSpec(schemes=REGISTRY.names(), num_trials=1, horizon=1_000)
         )
         assert set(runner.designs) == set(REGISTRY.names())
+
+    @pytest.mark.parametrize(
+        "scheme,strategy",
+        [
+            ("HYDRA-C-FF", FitStrategy.FIRST_FIT),
+            ("HYDRA-C-WF", FitStrategy.WORST_FIT),
+        ],
+    )
+    def test_repartitioning_variants_design_with_the_blocking_terms(
+        self, scheme, strategy
+    ):
+        """The re-partitioning HYDRA-C variants design on the campaign's
+        shared context, so a lock protocol's blocking terms reach their
+        partitioning and Algorithms 1-2 like every other scheme's."""
+        spec = CampaignSpec(schemes=(scheme,), num_trials=1, protocol="pip")
+        design = CampaignRunner(spec).designs[scheme]
+        platform = Platform.dual_core(name="rpi3-rover")
+        taskset = rover_taskset()
+        context = RtaContext(platform, platform_model=spec.platform_model)
+        context.prime_blocking(taskset)
+        assert context.has_blocking
+        expected = HydraC(platform, rt_partition_strategy=strategy).design(
+            taskset, rta_context=context
+        )
+        assert design.security_periods() == expected.security_periods()
+        assert design.rt_allocation == expected.rt_allocation
+        assert design.security_periods() != (
+            HydraC(platform, rt_partition_strategy=strategy)
+            .design(taskset)
+            .security_periods()
+        )
 
     def test_trials_are_paired_across_schemes(self):
         runner = CampaignRunner(small_spec(num_trials=1))

@@ -5,6 +5,8 @@ import pytest
 from repro.core.framework import HydraC, SchedulingPolicy, SystemDesign
 from repro.errors import UnschedulableError
 from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
+from repro.rta import RtaContext
+from repro.rta.compiled import CompiledKernel, kernel_available
 
 
 class TestHydraCDesign:
@@ -45,6 +47,32 @@ class TestHydraCDesign:
         )
         with pytest.raises(UnschedulableError, match="legacy RT tasks"):
             HydraC(dual_core).design(taskset, {"a": 0, "b": 0})
+
+    @pytest.mark.skipif(
+        not kernel_available(),
+        reason="compiled kernel backend unavailable on this machine",
+    )
+    def test_design_without_a_context_runs_the_compiled_selector(
+        self, rover, dual_core, monkeypatch
+    ):
+        """The context built when none is given sits on the default tier,
+        so Algorithms 1-2 run in the loaded C selector."""
+        calls = []
+        select = CompiledKernel.select_periods
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[0])
+            return select(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledKernel, "select_periods", spy)
+        design = HydraC(dual_core).design(rover)
+        assert calls == [dual_core.num_cores]
+        reference = HydraC(dual_core).design(
+            rover, rta_context=RtaContext(dual_core, kernel="python")
+        )
+        assert len(calls) == 1  # the python tier never enters the C selector
+        assert design.security_periods() == reference.security_periods()
+        assert design.rt_allocation == reference.rt_allocation
 
     def test_is_schedulable(self, rover, rover_allocation, dual_core):
         assert HydraC(dual_core).is_schedulable(rover, rover_allocation)

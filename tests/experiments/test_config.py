@@ -59,6 +59,11 @@ class TestExperimentConfig:
     def test_search_mode_defaults_to_binary(self):
         assert ExperimentConfig().search_mode == "binary"
 
+    def test_kernel_defaults_to_the_default_tier(self):
+        from repro.rta.compiled import DEFAULT_KERNEL
+
+        assert ExperimentConfig().kernel == DEFAULT_KERNEL == "auto"
+
     def test_search_mode_accepts_enum_and_string(self):
         from repro.core.period_selection import SearchMode
 

@@ -74,6 +74,27 @@ class TestKernelKnob:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(kernel="bogus")
 
+    def test_every_kernel_knob_defaults_to_the_default_tier(self):
+        import dataclasses
+        import inspect
+
+        from repro.batch.orchestrator import SpecBlock
+        from repro.batch.service import BatchDesignService
+        from repro.serve import ServeDaemon
+        from repro.serve.service import AdmissionService
+
+        default = compiled_pkg.DEFAULT_KERNEL
+        assert default == "auto"
+        assert RtaContext(2).kernel_name == default
+        assert BatchDesignService(2)._new_context().kernel_name == default
+        block_default = {
+            field.name: field.default for field in dataclasses.fields(SpecBlock)
+        }["kernel"]
+        assert block_default == default
+        for owner in (BatchDesignService, AdmissionService, ServeDaemon):
+            parameter = inspect.signature(owner).parameters["kernel"]
+            assert parameter.default == default, owner
+
     def test_python_tier_never_loads_backend(self, clean_kernel_state):
         context = RtaContext(2, kernel="python")
         assert context.compiled_kernel is None
@@ -260,7 +281,11 @@ class TestSolveSkipping:
             schemes=("HYDRA-C",),
         )
         specs = build_specs(config)[:6]
-        service = BatchDesignService(2, scheme_names=("HYDRA-C",))
+        # The layers are python-tier only; the default tier would take the
+        # one-call compiled selector where the backend builds.
+        service = BatchDesignService(
+            2, scheme_names=("HYDRA-C",), kernel="python"
+        )
         sink: dict = {}
         frozen = [
             reference_evaluate_one(

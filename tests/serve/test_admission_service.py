@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.batch.reference import reference_evaluate_one
+from repro.rta import compiled
 from repro.serve.service import AdmissionService
 
 DESIGN_QUERY = {
@@ -215,6 +216,18 @@ class TestErrorHandling:
         assert not response["ok"]
         assert response["error"]["type"] == "query"
 
+    def test_handle_line_answers_an_infinite_range_bound(self):
+        """Regression: ``json.loads`` parses ``Infinity``, which once
+        reached the generator's RNG and raised ``OverflowError`` out of
+        ``handle_line``."""
+        response = AdmissionService().handle_line(
+            '{"op": "design", "num_cores": 2, "seed": 1,'
+            ' "normalized_range": [0.05, Infinity]}'
+        )
+        assert not response["ok"]
+        assert response["error"]["type"] == "query"
+        assert "finite" in response["error"]["message"]
+
     def test_stats_counts_queries(self):
         service = AdmissionService()
         service.handle({"op": "ping"})
@@ -237,3 +250,52 @@ class TestErrorHandling:
         roomy_kernel = roomy.handle({"op": "stats"})["result"]["kernel"]
         assert tiny_kernel["exact_solves"] > 0
         assert tiny_kernel == roomy_kernel
+
+
+@pytest.fixture
+def fresh_kernel_state(monkeypatch):
+    """Forget the process's backend load attempt around one test."""
+    compiled._reset_for_tests()
+    yield monkeypatch
+    compiled._reset_for_tests()
+
+
+class TestKernelTier:
+    """The service resolves its tier once, up front, and reports it."""
+
+    def test_default_service_loads_the_backend_before_its_first_query(
+        self, fresh_kernel_state
+    ):
+        calls = []
+        load = compiled.load_kernel
+
+        def spy():
+            calls.append(True)
+            return load()
+
+        fresh_kernel_state.setattr(compiled, "load_kernel", spy)
+        service = AdmissionService()
+        assert calls, "the tier must resolve at construction"
+        assert service.queries == 0
+        expected = "compiled" if load() is not None else "python"
+        stats = service.handle({"op": "stats"})["result"]
+        assert stats["kernel_tier"] == service.kernel_tier == expected
+
+    def test_python_tier_never_loads_the_backend(self, fresh_kernel_state):
+        def forbidden():
+            raise AssertionError("the python tier loaded the backend")
+
+        fresh_kernel_state.setattr(compiled, "load_kernel", forbidden)
+        service = AdmissionService(kernel="python")
+        assert service.handle(dict(FEASIBLE_ADMIT))["ok"]
+        stats = service.handle({"op": "stats"})["result"]
+        assert stats["kernel_tier"] == "python"
+
+    def test_disabled_backend_reports_the_python_tier(self, fresh_kernel_state):
+        fresh_kernel_state.setenv("REPRO_DISABLE_COMPILED", "1")
+        compiled._reset_for_tests()
+        service = AdmissionService()
+        assert service.handle(dict(DESIGN_QUERY))["ok"]
+        stats = service.handle({"op": "stats"})["result"]
+        assert stats["kernel_tier"] == "python"
+        assert stats["kernel"]["compiled_solves"] == 0

@@ -114,6 +114,24 @@ class TestRoundTrip:
             assert response["id"] == "slow"
             assert client.request({"op": "ping"})["ok"]
 
+    def test_non_finite_numbers_answer_query_errors(self, daemon):
+        """``json.loads`` parses NaN and Infinity: a NaN budget once
+        expired at once (``type: timeout``) and an infinite range bound
+        crashed the evaluation (``type: internal``)."""
+        socket_path, _process = daemon
+        with ServeClient.connect(socket_path) as client:
+            nan_budget = client.request(
+                dict(DESIGN_QUERY, timeout=float("nan"))
+            )
+            infinite_bound = client.request(
+                dict(DESIGN_QUERY, normalized_range=[0.05, float("inf")])
+            )
+            for response in (nan_budget, infinite_bound):
+                assert not response["ok"]
+                assert response["error"]["type"] == "query"
+                assert "finite" in response["error"]["message"]
+            assert client.request(dict(DESIGN_QUERY))["ok"]
+
     def test_shutdown_op_drains_and_exits_zero(self, daemon):
         socket_path, process = daemon
         with ServeClient.connect(socket_path) as client:
@@ -182,6 +200,25 @@ class TestStdio:
         reference = reference_evaluate_one(2, 0, (0.05, 0.2), 2020)
         assert responses[1]["result"]["evaluation"] == reference.to_json()
         assert responses[2]["result"] == {"stopping": True}
+
+
+class TestLifecycleLog:
+    def test_log_names_the_resolved_kernel_tier(self):
+        """``auto`` falls back silently, so the log says which tier
+        answers: here the forced python fallback."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_DISABLE_COMPILED"] = "1"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--stdio"],
+            env=env,
+            input='{"op": "shutdown"}\n',
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "serving on stdio (jobs=1, kernel=python)" in completed.stderr
 
 
 class TestWorkerProcesses:

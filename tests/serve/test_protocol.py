@@ -7,6 +7,7 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
     parse_request,
+    require_range,
 )
 
 
@@ -35,9 +36,21 @@ class TestParseRequest:
 
     def test_timeout_must_be_a_positive_number(self):
         assert parse_request('{"op": "ping", "timeout": 2.5}')["timeout"] == 2.5
-        for bad in ('"2"', "0", "-1", "true"):
+        # json.loads parses NaN and Infinity, and NaN once passed as a
+        # budget (nan <= 0 is False) that expired every query at once.
+        for bad in ('"2"', "0", "-1", "true", "NaN", "Infinity", "1e999",
+                    "1" + "0" * 400):
             with pytest.raises(QueryError, match="timeout"):
                 parse_request(f'{{"op": "ping", "timeout": {bad}}}')
+
+
+class TestFieldValidation:
+    @pytest.mark.parametrize(
+        "pair", [[0.05, float("inf")], [float("nan"), 0.2], [0.05, 10**400]]
+    )
+    def test_range_bounds_must_be_finite(self, pair):
+        with pytest.raises(QueryError, match="must be a finite number"):
+            require_range({"normalized_range": pair}, "normalized_range")
 
 
 class TestEnvelopes:

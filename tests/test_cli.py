@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.rta.compiled import DEFAULT_KERNEL
 
 
 class TestParser:
@@ -73,6 +74,19 @@ class TestParser:
     def test_unknown_search_mode_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--search-mode", "quadratic"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep"], ["fig6"], ["fig7a"], ["fig7b"], ["serve", "--stdio"]],
+    )
+    def test_kernel_flag_defaults_to_the_default_tier(self, argv):
+        assert build_parser().parse_args(argv).kernel == DEFAULT_KERNEL
+
+    @pytest.mark.parametrize("command", ["fig5", "campaign"])
+    def test_fig5_and_campaign_take_no_kernel_flag(self, command):
+        assert not hasattr(build_parser().parse_args([command]), "kernel")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--kernel", "auto"])
 
     def test_campaign_defaults(self):
         args = build_parser().parse_args(["campaign"])
