@@ -17,7 +17,9 @@ observation window):
 Both timed paths must produce records identical to the baseline, and a
 short prefix of the stream is additionally checked against the tick
 oracle (``backend="tick"``, ``dedup=False`` -- the frozen reference).
-The fast-path counters land in the benchmark's ``extra_info``.
+The fast-path counters land in the benchmark's ``extra_info``; where
+the compiled backend builds, every batched design-trial must have run the
+C trial loop.
 """
 
 import time
@@ -29,6 +31,7 @@ from repro.campaign import (
     JitterModel,
     build_trial_specs,
 )
+from repro.rta.compiled import kernel_available
 
 #: Every scheme family the registry knows: the three HYDRA-C
 #: re-partitioning variants alias to one design on the rover, so the six
@@ -113,6 +116,10 @@ def test_bench_campaign_fast_path(benchmark):
     assert stats.design_dedup_hits > 0, "design dedup idle on the workload"
     assert stats.batched_trials > 0, "trace-free loop idle on the workload"
     assert stats.fallback_trials == 0, "rover campaign left the envelope"
+    if kernel_available():
+        assert stats.compiled_trials == stats.batched_trials, (
+            "C trial loop idle on the workload"
+        )
 
     dedup_speedup = timings["baseline"] / timings["dedup"]
     batch_speedup = timings["baseline"] / timings["batch"]

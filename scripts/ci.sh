@@ -8,16 +8,20 @@
 #            excluded).  Runs the RTA-kernel-vs-frozen-reference
 #            differential smoke first so an analysis regression fails
 #            fast with a labelled gate, then replays the RTA differential
-#            suite under REPRO_DISABLE_COMPILED=1 so the pure-python
-#            fallback path can never silently regress on machines where
-#            the compiled backend normally takes over (it is the default
-#            `auto` tier wherever it builds, so there every other run of
-#            this stage is on it).  Deterministic; always blocking.
+#            suite and the trial-batched simulation differential suite
+#            under REPRO_DISABLE_COMPILED=1 so the pure-python fallback
+#            paths -- the python kernels and the python trial loop -- can
+#            never silently regress on machines where the compiled
+#            backend normally takes over (it is the default `auto` tier
+#            wherever it builds, so there every other run of this stage
+#            is on it).  Deterministic; always blocking.
 #   smoke -- deterministic end-to-end drills, always blocking:
 #            (a) a tiny Monte Carlo attack campaign executed with no
 #            --backend (the default, trial-batched), again with no
 #            --backend under REPRO_DISABLE_COMPILED=1 (the python kernel
-#            tier designs every scheme), and under ALL THREE named
+#            tier designs every scheme and the python trial loop
+#            simulates, so this run also compares the C trial loop with
+#            the python one), and under ALL THREE named
 #            simulation backends (batch, event-compressed fast and the
 #            tick oracle); their aggregate reports AND their --checkpoint
 #            files (which carry every trial's latencies and counters) must
@@ -93,8 +97,8 @@ esac
 if [[ "$stage" == "tier1" || "$stage" == "all" ]]; then
     echo "== tier 1a: RTA kernel vs frozen reference (differential smoke) =="
     python -m pytest -x -q tests/rta
-    echo "== tier 1b: RTA differential under forced pure-python fallback =="
-    REPRO_DISABLE_COMPILED=1 python -m pytest -x -q tests/rta
+    echo "== tier 1b: RTA and trial-loop differentials under forced pure-python fallback =="
+    REPRO_DISABLE_COMPILED=1 python -m pytest -x -q tests/rta tests/sim/test_batched_engine.py
     echo "== tier 1c: platform models, fast-vs-tick differential (smoke) =="
     python -m pytest -x -q tests/platform
     echo "== tier 1d: pytest -m 'not bench' =="

@@ -151,8 +151,9 @@ class CampaignOrchestrator:
         closed on every exit path.
     stats_sink:
         Optional :class:`~repro.campaign.trial.CampaignStats` accumulating
-        the campaign's fast-path counters (design-dedup hits, batched vs
-        fallback design-trials), aggregated across worker processes.
+        the campaign's fast-path counters (design-dedup hits, batched --
+        and of those, compiled -- vs fallback design-trials), aggregated
+        across worker processes.
         Observability only -- never affects the result stream.
     """
 

@@ -29,7 +29,17 @@ from repro.rover.case_study import ROVER_HORIZON_TICKS
 from repro.schemes import REGISTRY
 from repro.sim.fast import SIMULATOR_BACKENDS
 
-__all__ = ["JitterModel", "CampaignSpec", "TrialSpec", "build_trial_specs"]
+__all__ = [
+    "TICK_LIMIT",
+    "JitterModel",
+    "CampaignSpec",
+    "TrialSpec",
+    "build_trial_specs",
+]
+
+#: Horizons and jitter offsets must stay below this: the trial draws
+#: (``rng.integers``) need their bounds to fit ``int64``.
+TICK_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,8 @@ class JitterModel:
             raise ConfigurationError(
                 "jitter kind 'uniform' needs max_offset >= 1"
             )
+        if self.max_offset >= TICK_LIMIT:
+            raise ConfigurationError("jitter max_offset must be < 2**62")
 
     @classmethod
     def none(cls) -> "JitterModel":
@@ -149,8 +161,8 @@ class CampaignSpec:
         object.__setattr__(self, "overheads", model.overheads.describe())
         if self.num_trials < 1:
             raise ConfigurationError("num_trials must be >= 1")
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
+        if not 1 <= self.horizon < TICK_LIMIT:
+            raise ConfigurationError("horizon must be >= 1 and < 2**62")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
         if not 0.0 < self.latest_injection_fraction <= 1.0:

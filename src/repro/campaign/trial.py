@@ -79,6 +79,9 @@ class CampaignStats:
     #: Design-trial simulations executed by the batch backend's trace-free
     #: loop.
     batched_trials: int = 0
+    #: The subset of ``batched_trials`` the loop ran in C (the compiled
+    #: kernel tier).
+    compiled_trials: int = 0
     #: Design-trial simulations the batch backend handed to the
     #: event-compressed engine (outside the loop's envelope).
     fallback_trials: int = 0
@@ -100,7 +103,8 @@ class CampaignStats:
         """The one-line report behind ``hydra-c campaign --stats``."""
         return (
             f"campaign: {self.design_dedup_hits} design-dedup hits, "
-            f"{self.batched_trials} batched / "
+            f"{self.batched_trials} batched "
+            f"({self.compiled_trials} compiled) / "
             f"{self.fallback_trials} fallback design-trials"
         )
 
@@ -332,6 +336,7 @@ class CampaignRunner:
             )
             if stats is not None:
                 stats.batched_trials += batch.batched_trials
+                stats.compiled_trials += batch.compiled_trials
                 stats.fallback_trials += batch.fallback_trials
             return [
                 SchemeTrialOutcome(

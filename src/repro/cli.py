@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "after the report, print the campaign fast-path counters "
-            "(design-dedup hits, batched vs fallback design-trials) "
-            "to stderr"
+            "(design-dedup hits, batched design-trials and how many of "
+            "them ran compiled, fallback design-trials) to stderr"
         ),
     )
     campaign.add_argument(

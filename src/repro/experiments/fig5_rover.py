@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.campaign.spec import TICK_LIMIT
 from repro.errors import ConfigurationError
 from repro.rover.case_study import ROVER_HORIZON_TICKS, RoverCaseStudy, RoverComparisonResult
 
@@ -62,8 +63,8 @@ def run_fig5(
     """
     if num_trials < 1:
         raise ConfigurationError("num_trials must be >= 1")
-    if horizon < 1:
-        raise ConfigurationError("horizon must be >= 1")
+    if not 1 <= horizon < TICK_LIMIT:
+        raise ConfigurationError("horizon must be >= 1 and < 2**62")
     if seed is not None and seed < 0:
         raise ConfigurationError("seed must be >= 0")
     study = RoverCaseStudy(horizon=horizon, num_trials=num_trials, seed=seed)

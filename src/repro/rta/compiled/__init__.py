@@ -1,4 +1,5 @@
-"""Optional compiled backend for the integer fixed-point kernels.
+"""Optional compiled backend for the integer fixed-point kernels (and the
+campaign's trial loop).
 
 The PR 5 profile of the synthetic sweeps is dominated by the *scalar*
 integer fixed points that survive the vectorized column screens: the
@@ -26,7 +27,7 @@ The backend is strictly optional and strictly behind the
 Dispatch is guarded: operands must fit the C kernels' integer-width
 preconditions (:data:`INT31_LIMIT`, ``wcet <= period`` -- see
 :func:`operands_fit` -- and :data:`MAX_COMPILED_SETS`), otherwise the work
-stays in Python.  Three phases dispatch once per task set:
+stays in Python.  Three analysis phases dispatch once per task set:
 
 * HYDRA-C period selection (Algorithms 1-2 with every Eq. 6-8 solve
   inside), from :meth:`~repro.core.period_selection.PeriodSelector.select`;
@@ -40,10 +41,17 @@ Eq. 1 still dispatches per solve from
 :meth:`~repro.rta.core_state.CoreState._solve` (partitioning admits and
 the HYDRA allocation's probes).  Every one-call solve counts in
 ``KernelStats.compiled_solves`` (the global ones in ``exact_solves`` too,
-as on the python tier).  Every result is byte-equal to the pure path --
-the differential suites in ``tests/rta/`` run both ways, and the frozen
-oracles (:mod:`repro.schedulability`, :mod:`repro.batch.reference`) keep
-gating.
+as on the python tier).  The fourth one-call entry point is not an
+analysis: :meth:`CompiledKernel.simulate_trials` runs the campaign's
+trace-free trial loop (:mod:`repro.sim.batched`) for a chunk of trials of
+one design, dispatched from
+:func:`~repro.sim.batched.simulate_trials_batched` on the default tier
+(positive periods, every operand below :data:`INT31_LIMIT`) and counted
+in ``CampaignStats.compiled_trials``.  Every result is byte-equal to the
+pure path -- the differential suites in ``tests/rta/`` and
+``tests/sim/test_batched_engine.py`` run both ways, and the frozen oracles
+(:mod:`repro.schedulability`, :mod:`repro.batch.reference`, the tick
+simulator) keep gating.
 """
 
 from __future__ import annotations
@@ -292,6 +300,77 @@ class CompiledKernel:
         if status < 0:
             raise MemoryError("compiled global RTA: out of memory")
         return status, ffi.unpack(responses, status), counters[0]
+
+    def simulate_trials(
+        self,
+        envelope,
+        horizon: int,
+        fail_on_rt_deadline_miss: bool,
+        releases: Sequence[int],
+        attack_offsets: Sequence[int],
+        attack_tasks: Sequence[int],
+        start_reqs: Sequence[int],
+        detect_reqs: Sequence[int],
+        injects: Sequence[int],
+    ):
+        """The batch simulation backend's event loop over trials of one design.
+
+        ``envelope`` is the design's ``(num_rt, wcets, periods, deadlines,
+        core offsets, core tasks, affinity order)``, int64 buffers built
+        once per design (tasks RT first; the affinity order ``None`` for
+        the partitioned policy).  Per trial, ``releases`` holds every
+        task's first release (flattened) and ``attack_offsets`` delimits
+        its attacks, each with its monitored task, thresholds and inject
+        time.  The caller guards every period positive and every operand
+        below :data:`INT31_LIMIT`.  Returns ``(statuses, counters,
+        latencies)``: per trial 1 when simulated, 0 when it left the
+        envelope; per trial its context switches, migrations and
+        preemptions; per attack its detection latency (``-1`` =
+        undetected).
+        """
+        ffi = self._ffi
+        (num_rt, wcets, periods, deadlines,
+         core_offsets, core_tasks, affinity) = envelope
+        num_trials = len(attack_offsets) - 1
+        num_attacks = attack_offsets[-1]
+        statuses = ffi.new("int64_t[]", num_trials)
+        counters = ffi.new("int64_t[]", 3 * num_trials)
+        latencies = ffi.new("int64_t[]", max(num_attacks, 1))
+        code = self._lib.hydra_simulate_trials(
+            len(wcets),
+            num_rt,
+            len(core_offsets) - 1,
+            ffi.from_buffer("int64_t[]", wcets),
+            ffi.from_buffer("int64_t[]", periods),
+            ffi.from_buffer("int64_t[]", deadlines),
+            ffi.from_buffer("int64_t[]", core_offsets),
+            ffi.from_buffer("int64_t[]", core_tasks),
+            -1 if affinity is None else len(affinity),
+            (
+                ffi.NULL
+                if affinity is None
+                else ffi.from_buffer("int64_t[]", affinity)
+            ),
+            horizon,
+            1 if fail_on_rt_deadline_miss else 0,
+            num_trials,
+            ffi.new("int64_t[]", releases),
+            ffi.new("int64_t[]", attack_offsets),
+            ffi.new("int64_t[]", attack_tasks),
+            ffi.new("int64_t[]", start_reqs),
+            ffi.new("int64_t[]", detect_reqs),
+            ffi.new("int64_t[]", injects),
+            statuses,
+            counters,
+            latencies,
+        )
+        if code < 0:
+            raise MemoryError("compiled trial simulation: out of memory")
+        return (
+            ffi.unpack(statuses, num_trials),
+            ffi.unpack(counters, 3 * num_trials),
+            ffi.unpack(latencies, num_attacks),
+        )
 
 
 def operands_fit(wcets: Sequence[int], periods: Sequence[int]) -> bool:

@@ -1,7 +1,8 @@
-"""C source of the compiled fixed-point kernels (cffi API mode).
+"""C source of the compiled kernels (cffi API mode).
 
 Four exported functions cover every integer fixed point the kernel tier
-dispatches (see :mod:`repro.rta.compiled`):
+dispatches, and a fifth runs the campaign's trace-free trial loop (see
+:mod:`repro.rta.compiled`):
 
 * ``hydra_eq1_solve`` -- the Eq. 1 demand iteration behind
   :meth:`~repro.rta.core_state.CoreState._solve` (prefix and
@@ -29,13 +30,20 @@ dispatches (see :mod:`repro.rta.compiled`):
   exact carry-in-set enumeration -- in exactly the order of
   :func:`repro.schedulability.carry_in.enumerate_carry_in_sets`, so ledger
   slots line up with the python tier's seed keys -- and the Eq. 7
-  iteration ``x = floor(Omega(x)/M) + C_s`` per set.
+  iteration ``x = floor(Omega(x)/M) + C_s`` per set;
+* ``hydra_simulate_trials`` -- the batch simulation backend's event loop
+  (:meth:`repro.sim.batched._TrialEngine.run`) for every trial of one
+  design: releases, the priority-indexed scheduler round with affinity
+  placement, switch/preemption/migration accounting and the detection
+  thresholds, round for round; a trial that leaves the loop's envelope
+  is reported, not simulated.
 
 The iterates are the same integers the pure-python kernels produce (the
 Python callers guard every operand below ``2**31`` and per-task
 ``wcet <= period`` where the argument needs it; accumulations that could
 exceed 63 bits run in ``__int128``), so results are byte-equal -- pinned
-by the differential suites in ``tests/rta/``.
+by the differential suites in ``tests/rta/`` and, for the trial loop,
+``tests/sim/test_batched_engine.py``.
 """
 
 from __future__ import annotations
@@ -68,6 +76,21 @@ int64_t hydra_partitioned_periods(int64_t num_cores,
 int64_t hydra_global_rta(int64_t num_cores, int64_t n, const int64_t *wcets,
                          const int64_t *periods, const int64_t *limits,
                          int64_t *responses, int64_t *counters);
+int64_t hydra_simulate_trials(int64_t num_tasks, int64_t num_rt,
+                              int64_t num_cores, const int64_t *wcets,
+                              const int64_t *periods,
+                              const int64_t *deadlines,
+                              const int64_t *core_offsets,
+                              const int64_t *core_tasks, int64_t n_affinity,
+                              const int64_t *affinity, int64_t horizon,
+                              int fail_on_miss, int64_t num_trials,
+                              const int64_t *releases,
+                              const int64_t *attack_offsets,
+                              const int64_t *attack_tasks,
+                              const int64_t *start_reqs,
+                              const int64_t *detect_reqs,
+                              const int64_t *injects, int64_t *statuses,
+                              int64_t *counters, int64_t *latencies);
 """
 
 C_SOURCE = r"""
@@ -642,5 +665,286 @@ int64_t hydra_global_rta(int64_t num_cores, int64_t n, const int64_t *wcets,
     counters[0] = solves;
     free(shifts);
     return result;
+}
+
+/* ---- Campaign trials: the batch backend's trace-free event loop ------- */
+
+/* One design's envelope and the per-task, per-core and per-attack state
+ * of the trial being simulated (all state lives in one workspace). */
+typedef struct {
+    int64_t num_tasks, num_rt, num_cores, n_affinity, horizon;
+    int fail_on_miss;
+    const int64_t *wcets, *periods, *deadlines;
+    const int64_t *core_offsets, *core_tasks, *affinity;
+    int64_t *next_release, *active, *job_index, *release_time, *progress;
+    int64_t *last_core, *occupant, *previous_task, *previous_job, *pending;
+    int64_t *scan_start;
+} hydra_trials;
+
+/* Task-index twin of _BaseScheduler._place_with_affinity: the first
+ * free_cores active tasks of the affinity order are selected; those whose
+ * last core is still free keep it, claimed in selection order; the rest
+ * fill the remaining free cores in ascending index order. */
+static void hydra_place_with_affinity(hydra_trials *s, int64_t free_cores)
+{
+    int64_t selected = 0, n_pending = 0, core = 0, i;
+    for (i = 0; i < s->n_affinity && selected < free_cores; i++) {
+        int64_t k = s->affinity[i], last;
+        if (!s->active[k])
+            continue;
+        selected++;
+        last = s->last_core[k];
+        if (last >= 0 && s->occupant[last] < 0)
+            s->occupant[last] = k;
+        else
+            s->pending[n_pending++] = k;
+    }
+    for (i = 0; i < n_pending; i++) {
+        while (s->occupant[core] >= 0)
+            core++;
+        s->occupant[core] = s->pending[i];
+    }
+}
+
+/* One trial of repro.sim.batched._TrialEngine.run, round for round.
+ * Returns 1 with counters[0..2] (context switches, migrations,
+ * preemptions) and latencies[] (detection - inject, -1 = undetected)
+ * filled, or 0 when the trial leaves the envelope: an RT release overlap,
+ * or an RT deadline miss under fail_on_miss.  A trial carries few
+ * attacks (the campaign draws one per monitor), so a task's attacks are
+ * found by scanning them all. */
+static int hydra_trial(hydra_trials *s, const int64_t *releases,
+                       int64_t n_attacks, const int64_t *attack_tasks,
+                       const int64_t *start_reqs, const int64_t *detect_reqs,
+                       const int64_t *injects, int64_t *counters,
+                       int64_t *latencies)
+{
+    const int64_t n = s->num_tasks, m = s->num_cores, horizon = s->horizon;
+    int64_t *active = s->active, *job_index = s->job_index;
+    int64_t *progress = s->progress, *last_core = s->last_core;
+    int64_t *occupant = s->occupant, *next_release = s->next_release;
+    int64_t *detection = latencies; /* absolute ticks until the end */
+    int64_t switches = 0, migrations = 0, preemptions = 0, now = 0;
+    int64_t k, c, a, i;
+
+    for (k = 0; k < n; k++) {
+        next_release[k] = releases[k];
+        active[k] = 0;
+        job_index[k] = -1;
+        s->release_time[k] = 0;
+        progress[k] = 0;
+        last_core[k] = -1;
+    }
+    for (c = 0; c < m; c++)
+        s->previous_task[c] = s->previous_job[c] = -1;
+    for (a = 0; a < n_attacks; a++)
+        s->scan_start[a] = detection[a] = -1;
+
+    for (;;) {
+        int64_t next_time, delta, free_cores = 0;
+
+        /* releases due at now */
+        for (k = 0; k < n; k++) {
+            if (next_release[k] > now)
+                continue;
+            next_release[k] += s->periods[k];
+            if (active[k]) {
+                if (k < s->num_rt)
+                    return 0; /* a second concurrent RT job */
+                continue;     /* a busy monitor skips the boundary */
+            }
+            active[k] = 1;
+            job_index[k]++;
+            s->release_time[k] = now;
+            progress[k] = 0;
+            last_core[k] = -1;
+        }
+
+        /* scheduler round: each core's highest-priority active bound
+         * task, then the idle cores by affinity */
+        for (c = 0; c < m; c++) {
+            occupant[c] = -1;
+            for (i = s->core_offsets[c]; i < s->core_offsets[c + 1]; i++)
+                if (active[s->core_tasks[i]]) {
+                    occupant[c] = s->core_tasks[i];
+                    break;
+                }
+            if (occupant[c] < 0)
+                free_cores++;
+        }
+        if (s->n_affinity >= 0 && free_cores > 0)
+            hydra_place_with_affinity(s, free_cores);
+
+        /* switches, preemptions, migrations, first runs */
+        for (c = 0; c < m; c++) {
+            int64_t job, before;
+            k = occupant[c];
+            job = k >= 0 ? job_index[k] : -1;
+            before = s->previous_task[c];
+            if (k != before || job != s->previous_job[c]) {
+                switches++;
+                if (before >= 0 && active[before]
+                    && job_index[before] == s->previous_job[c]) {
+                    int64_t placed = 0;
+                    for (i = 0; i < m; i++)
+                        if (occupant[i] == before)
+                            placed = 1;
+                    if (!placed)
+                        preemptions++;
+                }
+            }
+            s->previous_task[c] = k;
+            s->previous_job[c] = job;
+            if (k < 0)
+                continue;
+            if (last_core[k] < 0) {
+                /* the job's first run: a zero start threshold means the
+                 * sweep over the unit begins now */
+                for (a = 0; a < n_attacks; a++)
+                    if (attack_tasks[a] == k && start_reqs[a] == 0)
+                        s->scan_start[a] = now;
+            } else if (last_core[k] != c) {
+                migrations++;
+            }
+            last_core[k] = c;
+        }
+
+        /* jump to the next event */
+        next_time = horizon;
+        for (k = 0; k < n; k++)
+            if (next_release[k] < next_time)
+                next_time = next_release[k];
+        for (c = 0; c < m; c++) {
+            k = occupant[c];
+            if (k >= 0 && now + s->wcets[k] - progress[k] < next_time)
+                next_time = now + s->wcets[k] - progress[k];
+        }
+        delta = next_time - now;
+
+        for (c = 0; c < m; c++) {
+            int64_t done, reached;
+            k = occupant[c];
+            if (k < 0)
+                continue;
+            done = progress[k];
+            reached = done + delta;
+            /* threshold X with done < X <= reached is hit at
+             * now + (X - done) */
+            for (a = 0; a < n_attacks; a++) {
+                if (attack_tasks[a] != k)
+                    continue;
+                if (done < start_reqs[a] && start_reqs[a] <= reached)
+                    s->scan_start[a] = now + start_reqs[a] - done;
+                if (detection[a] < 0 && done < detect_reqs[a]
+                    && detect_reqs[a] <= reached) {
+                    int64_t candidate = now + detect_reqs[a] - done;
+                    if (s->scan_start[a] >= injects[a]
+                        && candidate > injects[a])
+                        detection[a] = candidate;
+                }
+            }
+            progress[k] = reached;
+            if (reached == s->wcets[k]) {
+                active[k] = 0;
+                if (s->fail_on_miss && k < s->num_rt) {
+                    int64_t absolute = s->release_time[k] + s->deadlines[k];
+                    if (next_time > absolute && absolute <= horizon)
+                        return 0;
+                }
+            }
+        }
+
+        now = next_time;
+        if (now >= horizon)
+            break;
+    }
+
+    if (s->fail_on_miss)
+        for (k = 0; k < s->num_rt; k++)
+            if (active[k] && s->release_time[k] + s->deadlines[k] <= horizon)
+                return 0;
+    counters[0] = switches;
+    counters[1] = migrations;
+    counters[2] = preemptions;
+    for (a = 0; a < n_attacks; a++)
+        if (detection[a] >= 0)
+            latencies[a] = detection[a] - injects[a];
+    return 1;
+}
+
+/* Simulates num_trials trials of one design.  Tasks are indexed RT first
+ * (0..num_rt-1), then security.  Core c's bound tasks, in priority order,
+ * are core_tasks[core_offsets[c]..core_offsets[c+1]-1]; the idle cores
+ * are filled from affinity[0..n_affinity-1] (n_affinity < 0: no affinity
+ * placement, the partitioned policy).  Trial t first releases task k at
+ * releases[t*num_tasks + k]; its attacks are attack_offsets[t] ..
+ * attack_offsets[t+1]-1, each with its monitored task, scan-start and
+ * detect thresholds and inject time.  statuses[t] receives 1 when the
+ * trial was simulated (counters[3t..3t+2] = context switches, migrations,
+ * preemptions; latencies[a] = detection - inject, -1 = undetected) and 0
+ * when it left the envelope (the caller's fallback runs it).  Callers
+ * keep every period positive and every operand below 2**31.  Returns 0,
+ * or -1 when out of memory. */
+int64_t hydra_simulate_trials(int64_t num_tasks, int64_t num_rt,
+                              int64_t num_cores, const int64_t *wcets,
+                              const int64_t *periods,
+                              const int64_t *deadlines,
+                              const int64_t *core_offsets,
+                              const int64_t *core_tasks, int64_t n_affinity,
+                              const int64_t *affinity, int64_t horizon,
+                              int fail_on_miss, int64_t num_trials,
+                              const int64_t *releases,
+                              const int64_t *attack_offsets,
+                              const int64_t *attack_tasks,
+                              const int64_t *start_reqs,
+                              const int64_t *detect_reqs,
+                              const int64_t *injects, int64_t *statuses,
+                              int64_t *counters, int64_t *latencies)
+{
+    hydra_trials s;
+    int64_t max_attacks = 0, t;
+    int64_t *block;
+
+    for (t = 0; t < num_trials; t++)
+        if (attack_offsets[t + 1] - attack_offsets[t] > max_attacks)
+            max_attacks = attack_offsets[t + 1] - attack_offsets[t];
+    block = (int64_t *)malloc(
+        (size_t)(6 * num_tasks + 4 * num_cores + max_attacks + 1)
+        * sizeof(int64_t));
+    if (!block)
+        return -1;
+    s.num_tasks = num_tasks;
+    s.num_rt = num_rt;
+    s.num_cores = num_cores;
+    s.n_affinity = n_affinity;
+    s.horizon = horizon;
+    s.fail_on_miss = fail_on_miss;
+    s.wcets = wcets;
+    s.periods = periods;
+    s.deadlines = deadlines;
+    s.core_offsets = core_offsets;
+    s.core_tasks = core_tasks;
+    s.affinity = affinity;
+    s.next_release = block;
+    s.active = s.next_release + num_tasks;
+    s.job_index = s.active + num_tasks;
+    s.release_time = s.job_index + num_tasks;
+    s.progress = s.release_time + num_tasks;
+    s.last_core = s.progress + num_tasks;
+    s.occupant = s.last_core + num_tasks;
+    s.previous_task = s.occupant + num_cores;
+    s.previous_job = s.previous_task + num_cores;
+    s.pending = s.previous_job + num_cores;
+    s.scan_start = s.pending + num_cores;
+
+    for (t = 0; t < num_trials; t++) {
+        int64_t first = attack_offsets[t];
+        statuses[t] = hydra_trial(
+            &s, releases + t * num_tasks, attack_offsets[t + 1] - first,
+            attack_tasks + first, start_reqs + first, detect_reqs + first,
+            injects + first, counters + 3 * t, latencies + first);
+    }
+    free(block);
+    return 0;
 }
 """

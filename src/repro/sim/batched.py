@@ -7,8 +7,9 @@ trial to a few hundred scheduler rounds, but it still builds every trial's
 full execution-slice trace and replays the attacks against it afterwards.
 This module skips the trace: the design's envelope (task tables, core
 orders, priority orders) is built once per batch, and each trial then runs
-one scalar event loop over plain per-task lists that folds the detection
-replay into the loop itself.
+one scalar event loop over plain per-task state that folds the detection
+replay into the loop itself -- in C on the compiled kernel tier, in
+python elsewhere (see "The compiled loop" below).
 
 Why per-task state suffices
 ---------------------------
@@ -64,18 +65,44 @@ few elements, and the per-call overhead made the lockstep slower than the
 event-compressed engine *with* its traces.  The scalar loop does the same
 work with neither traces nor ufuncs.
 
+The compiled loop
+-----------------
+The loop exists twice.  On the compiled kernel tier (the default
+``auto`` tier wherever the cffi backend builds, see
+:mod:`repro.rta.compiled`) the trials of one call run in C, in one
+``hydra_simulate_trials`` call per design per trial chunk: the design's
+task tables are marshalled once in :meth:`_TrialEngine.build`, each call
+passes only the chunk's release offsets and attack thresholds, and each
+trial comes back with a status, its three counters and one latency per
+attack.  Python keeps the up-front checks (:meth:`_TrialEngine.prepare`)
+and the fallback; a trial the C loop reports as leaving the envelope goes
+to the fallback exactly as one the python loop rejects, in trial order.
+Only operands the C loop provably handles in ``int64`` are dispatched:
+positive periods, and a horizon, periods, wcets, release offsets, inject
+times and scan thresholds all below :data:`~repro.rta.compiled.INT31_LIMIT`;
+anything else runs the python loop (:meth:`_TrialEngine.run`), which is
+also the only loop on hosts without the backend and under
+``REPRO_DISABLE_COMPILED=1``.
+
 The differential suite (``tests/sim/test_batched_engine.py``) pins outcome
 equality against both per-trial engines across random designs, jitter,
-attack seeds and forced-fallback platform models.
+attack seeds and forced-fallback platform models, on both loops.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.framework import SystemDesign
 from repro.platform.models import DEFAULT_PLATFORM, PlatformModel
+from repro.rta.compiled import (
+    DEFAULT_KERNEL,
+    INT31_LIMIT,
+    CompiledKernel,
+    resolve_kernel,
+)
 from repro.security.attacks import AttackScenario
 from repro.security.monitors import SecurityMonitor
 from repro.sim.engine import SimulationConfig
@@ -107,7 +134,8 @@ class BatchTrialResult:
     scenario order: ticks from injection to detection, ``None`` when the
     attack goes undetected within the horizon.  ``batched`` records
     whether the trace-free loop produced the numbers or the trial fell
-    back to the event-compressed engine.
+    back to the event-compressed engine; ``compiled`` whether that loop
+    ran in C.
     """
 
     latencies: Tuple[Optional[int], ...]
@@ -115,6 +143,7 @@ class BatchTrialResult:
     migrations: int
     preemptions: int
     batched: bool
+    compiled: bool = False
 
 
 @dataclass(frozen=True)
@@ -126,6 +155,10 @@ class BatchSimulationResult:
     @property
     def batched_trials(self) -> int:
         return sum(1 for result in self.results if result.batched)
+
+    @property
+    def compiled_trials(self) -> int:
+        return sum(1 for result in self.results if result.compiled)
 
     @property
     def fallback_trials(self) -> int:
@@ -161,21 +194,35 @@ def simulate_trials_batched(
 ) -> BatchSimulationResult:
     """Simulate every trial of *trials* under *design*, trace-free.
 
-    The design's envelope is built once; each trial then runs the scalar
-    event loop.  Trials outside the envelope are evaluated by the
-    event-compressed engine instead (same outcomes, same errors); the
-    result records which path each trial took.
+    The design's envelope is built once.  On the compiled kernel tier the
+    trials whose operands pass the guard run in one C call; every other
+    in-envelope trial runs the python event loop.  Trials outside the
+    envelope are evaluated by the event-compressed engine instead (same
+    outcomes, same errors, raised in trial order); the result records
+    which path each trial took.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    engine = _TrialEngine.build(design, monitors, platform)
-    results = []
-    for trial in trials:
-        result = (
-            engine.run(trial, horizon, fail_on_rt_deadline_miss)
-            if engine is not None
-            else None
+    engine = _TrialEngine.build(
+        design, monitors, platform, resolve_kernel(DEFAULT_KERNEL)
+    )
+    prepared: List[Optional[_PreparedTrial]] = [None] * len(trials)
+    compiled: Dict[int, Optional[BatchTrialResult]] = {}
+    if engine is not None:
+        prepared = [engine.prepare(trial) for trial in trials]
+        compiled = engine.run_compiled(
+            prepared, horizon, fail_on_rt_deadline_miss
         )
+    results = []
+    for index, trial in enumerate(trials):
+        if index in compiled:
+            result = compiled[index]
+        elif prepared[index] is not None:
+            result = engine.run(
+                prepared[index], horizon, fail_on_rt_deadline_miss
+            )
+        else:
+            result = None
         if result is None:
             result = _run_fallback(
                 design, monitors, trial, horizon, platform,
@@ -249,14 +296,39 @@ def _place_with_affinity(
         occupant[occupant.index(-1)] = k
 
 
+class _PreparedTrial(NamedTuple):
+    """One trial's loop inputs, indexed by task and by attack (scenario
+    order): the first release of every task and, per attack, its monitored
+    task, scan-start and detect thresholds and injection tick."""
+
+    releases: List[int]
+    attack_tasks: List[int]
+    start_req: List[int]
+    detect_req: List[int]
+    inject: List[int]
+
+    def fits_compiled(self) -> bool:
+        """The C loop's per-trial guard: every operand below INT31_LIMIT
+        (start thresholds never exceed detect thresholds)."""
+        return (
+            max(self.releases, default=0) < INT31_LIMIT
+            and max(self.detect_req, default=0) < INT31_LIMIT
+            and max(self.inject, default=0) < INT31_LIMIT
+        )
+
+
 class _TrialEngine:
     """The scalar trace-free event loop for one design.
 
     ``build`` returns ``None`` when the design/platform combination is
-    outside the envelope (the caller then falls back wholesale); ``run``
-    returns ``None`` for a trial that leaves the envelope, either up front
-    (attack or jitter it cannot represent) or while simulating (a release
-    overlap, an RT deadline miss).
+    outside the envelope (the caller then falls back wholesale);
+    ``prepare`` returns ``None`` for a trial whose attacks or jitter the
+    loop cannot represent; ``run`` (the python loop, one trial) and
+    ``run_compiled`` (the C loop, a chunk of trials in one call) return
+    ``None`` for a trial that leaves the envelope while simulating (a
+    release overlap, an RT deadline miss).  ``run`` is the only loop on
+    hosts without the compiled backend and the reference the C loop is
+    tested against.
     """
 
     @classmethod
@@ -265,6 +337,7 @@ class _TrialEngine:
         design: SystemDesign,
         monitors: Sequence[SecurityMonitor],
         platform: PlatformModel,
+        kernel: Optional[CompiledKernel] = None,
     ) -> Optional["_TrialEngine"]:
         if not platform.is_default:
             return None
@@ -328,33 +401,52 @@ class _TrialEngine:
             SchedulerPolicy.SEMI_PARTITIONED: security_order,
             SchedulerPolicy.GLOBAL: priority_order,
         }[policy]
+        # The C loop's design-level guard: positive periods, operands
+        # below INT31_LIMIT (deadlines never exceed periods).  Its task
+        # tables are marshalled here, once per design.
+        engine._kernel = engine._envelope = None
+        if kernel is not None and all(
+            0 < period < INT31_LIMIT and wcet < INT31_LIMIT
+            for wcet, period in zip(engine._wcet, engine._period)
+        ):
+            engine._kernel = kernel
+            core_offsets = [0]
+            for order in core_orders:
+                core_offsets.append(core_offsets[-1] + len(order))
+            engine._envelope = (
+                num_rt,
+                array("q", engine._wcet),
+                array("q", engine._period),
+                array("q", engine._deadline),
+                array("q", core_offsets),
+                array("q", [k for order in core_orders for k in order]),
+                (
+                    None
+                    if engine._affinity_order is None
+                    else array("q", engine._affinity_order)
+                ),
+            )
         return engine
 
-    def run(
-        self,
-        trial: BatchTrialInput,
-        horizon: int,
-        fail_on_rt_deadline_miss: bool,
-    ) -> Optional[BatchTrialResult]:
-        """Simulate one trial; ``None`` hands it to the fallback engine."""
-        num_tasks = len(self._wcet)
+    def prepare(self, trial: BatchTrialInput) -> Optional[_PreparedTrial]:
+        """Index one trial's inputs; ``None`` hands it to the fallback."""
         index = self._index
 
         # Release offsets; unknown jitter keys are a configuration error
         # the engines raise, so such a trial is not representable here.
-        next_release = [0] * num_tasks
+        releases = [0] * len(self._wcet)
         for name, offset in trial.release_jitter.items():
             k = index.get(name)
             if k is None or offset < 0:
                 return None
-            next_release[k] = offset
+            releases[k] = offset
 
-        # Per-attack scan thresholds, grouped by the monitored task.
-        attacks_of_task: List[List[int]] = [[] for _ in range(num_tasks)]
+        # Per-attack scan thresholds and the monitored task.
+        attack_tasks: List[int] = []
         start_req: List[int] = []
         detect_req: List[int] = []
         inject: List[int] = []
-        for a, attack in enumerate(trial.scenario):
+        for attack in trial.scenario:
             monitor = self._monitors.get(attack.monitor_task)
             k = index.get(attack.monitor_task)
             if (
@@ -363,10 +455,94 @@ class _TrialEngine:
                 or attack.compromised_unit >= monitor.coverage_units
             ):
                 return None
-            attacks_of_task[k].append(a)
+            attack_tasks.append(k)
             start_req.append(monitor.ticks_to_scan(attack.compromised_unit))
             detect_req.append(monitor.ticks_to_scan(attack.compromised_unit + 1))
             inject.append(attack.inject_time)
+        return _PreparedTrial(releases, attack_tasks, start_req, detect_req, inject)
+
+    def run_compiled(
+        self,
+        prepared: Sequence[Optional[_PreparedTrial]],
+        horizon: int,
+        fail_on_rt_deadline_miss: bool,
+    ) -> Dict[int, Optional[BatchTrialResult]]:
+        """Simulate every guarded trial of *prepared* in one C call.
+
+        Returns the dispatched trials by position: their result, or
+        ``None`` for one that left the envelope.  Empty when the engine
+        has no compiled kernel or the horizon fails the guard.
+        """
+        if self._kernel is None or horizon >= INT31_LIMIT:
+            return {}
+        positions = [
+            index
+            for index, trial in enumerate(prepared)
+            if trial is not None and trial.fits_compiled()
+        ]
+        if not positions:
+            return {}
+        releases: List[int] = []
+        attack_offsets = [0]
+        attack_tasks: List[int] = []
+        start_req: List[int] = []
+        detect_req: List[int] = []
+        inject: List[int] = []
+        for index in positions:
+            trial = prepared[index]
+            releases += trial.releases
+            attack_tasks += trial.attack_tasks
+            start_req += trial.start_req
+            detect_req += trial.detect_req
+            inject += trial.inject
+            attack_offsets.append(len(inject))
+        statuses, counters, latencies = self._kernel.simulate_trials(
+            self._envelope,
+            horizon,
+            fail_on_rt_deadline_miss,
+            releases,
+            attack_offsets,
+            attack_tasks,
+            start_req,
+            detect_req,
+            inject,
+        )
+        results: Dict[int, Optional[BatchTrialResult]] = {}
+        for slot, index in enumerate(positions):
+            if not statuses[slot]:
+                results[index] = None
+                continue
+            results[index] = BatchTrialResult(
+                latencies=tuple(
+                    None if latency < 0 else latency
+                    for latency in latencies[
+                        attack_offsets[slot]:attack_offsets[slot + 1]
+                    ]
+                ),
+                context_switches=counters[3 * slot],
+                migrations=counters[3 * slot + 1],
+                preemptions=counters[3 * slot + 2],
+                batched=True,
+                compiled=True,
+            )
+        return results
+
+    def run(
+        self,
+        prepared: _PreparedTrial,
+        horizon: int,
+        fail_on_rt_deadline_miss: bool,
+    ) -> Optional[BatchTrialResult]:
+        """The python event loop over one prepared trial; ``None`` hands
+        it to the fallback."""
+        num_tasks = len(self._wcet)
+        start_req = prepared.start_req
+        detect_req = prepared.detect_req
+        inject = prepared.inject
+        next_release = list(prepared.releases)
+        attacks_of_task: List[List[int]] = [[] for _ in range(num_tasks)]
+        for a, k in enumerate(prepared.attack_tasks):
+            attacks_of_task[k].append(a)
 
         num_cores = self._num_cores
         num_rt = self._num_rt

@@ -29,6 +29,8 @@ from repro.partitioning.heuristics import FitStrategy
 from repro.platform import PlatformModel
 from repro.rover.case_study import rover_taskset
 from repro.rta import RtaContext
+from repro.rta import compiled as compiled_pkg
+from repro.rta.compiled import kernel_available
 from repro.schemes import REGISTRY
 from repro.sim import simulate_design_fast
 
@@ -270,7 +272,8 @@ class TestFastPathCounters:
 
     def test_default_backend_counts_batched_trials(self):
         """With no backend given the campaign runs the trace-free loop:
-        every design-trial of the rover is inside its envelope."""
+        every design-trial of the rover is inside its envelope (and of
+        the C loop's guard)."""
         stats = CampaignStats()
         run_campaign(
             small_spec(schemes=self.ALIASED, num_trials=3), stats_sink=stats
@@ -278,6 +281,25 @@ class TestFastPathCounters:
         # 2 distinct designs (see above) x 3 trials.
         assert stats.batched_trials == 2 * 3
         assert stats.fallback_trials == 0
+        # Where the backend builds, every one of them ran the C loop.
+        assert stats.compiled_trials == (
+            stats.batched_trials if kernel_available() else 0
+        )
+
+    def test_forced_python_tier_compiles_no_trials(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
+        compiled_pkg._reset_for_tests()
+        try:
+            stats = CampaignStats()
+            run_campaign(
+                small_spec(schemes=self.ALIASED, num_trials=3),
+                stats_sink=stats,
+            )
+        finally:
+            monkeypatch.delenv("REPRO_DISABLE_COMPILED")
+            compiled_pkg._reset_for_tests()
+        assert stats.batched_trials == 2 * 3
+        assert stats.compiled_trials == 0
 
     def test_design_key_sees_rt_resource_claims(self):
         """Two designs differing only in an RT task's claim section must
@@ -337,14 +359,17 @@ class TestFastPathCounters:
             parallel_stats.batched_trials + parallel_stats.fallback_trials
             == serial_stats.batched_trials + serial_stats.fallback_trials
         )
+        assert parallel_stats.compiled_trials == serial_stats.compiled_trials
 
     def test_stats_merge_is_forgiving(self):
         stats = CampaignStats(design_dedup_hits=1)
         stats.merge({"design_dedup_hits": 2, "batched_trials": 3})
         stats.merge({})  # an older worker knowing no counters at all
+        stats.merge({"batched_trials": 1, "compiled_trials": 2})
         assert stats.design_dedup_hits == 3
-        assert stats.batched_trials == 3
-        assert "3 batched" in stats.summary_line()
+        assert stats.batched_trials == 4
+        assert stats.compiled_trials == 2
+        assert "4 batched (2 compiled)" in stats.summary_line()
 
 
 class TestRunnerSetup:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.campaign import CampaignSpec, JitterModel, build_trial_specs
+from repro.campaign.spec import TICK_LIMIT
 from repro.errors import ConfigurationError
 from repro.schemes import REGISTRY
 
@@ -30,6 +31,11 @@ class TestJitterModel:
     def test_invalid_models_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             JitterModel(**kwargs)
+
+    def test_offset_must_fit_the_trial_draws(self):
+        assert JitterModel.uniform(TICK_LIMIT - 1).max_offset == TICK_LIMIT - 1
+        with pytest.raises(ConfigurationError, match="max_offset"):
+            JitterModel.uniform(TICK_LIMIT)
 
 
 class TestCampaignSpec:
@@ -59,6 +65,11 @@ class TestCampaignSpec:
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             CampaignSpec(**kwargs)
+
+    def test_horizon_must_fit_the_trial_draws(self):
+        assert CampaignSpec(horizon=TICK_LIMIT - 1).horizon == TICK_LIMIT - 1
+        with pytest.raises(ConfigurationError, match="horizon"):
+            CampaignSpec(horizon=TICK_LIMIT)
 
     def test_fingerprint_excludes_execution_knobs_and_trial_count(self):
         base = CampaignSpec(num_trials=3, seed=7)

@@ -11,9 +11,15 @@ replay) trial by trial.  This suite pins that equality over random
 jitter/attack seeds x registry schemes x core counts x platform models,
 including the edge cases of the loop (scan-start threshold 0, the last
 scan unit, zero jitter, a horizon shorter than the longest period, a
-monitor job cut off by the horizon) and the combinations that force the
-fallback path (non-default platforms, RT release overlaps, RT deadline
-misses, unknown jitter keys).
+monitor job cut off by the horizon, more free cores than tasks) and the
+combinations that force the fallback path (non-default platforms, RT
+release overlaps, RT deadline misses, unknown jitter keys).
+
+The loop has two implementations: the C loop of the compiled kernel tier
+(the default wherever the backend builds) and the python loop, the only
+one on compiler-free hosts.  Every in-envelope comparison runs on both
+(the ``loop_tier`` fixture; the compiled case skips without the backend),
+including the operands the C loop's guard keeps on the python loop.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
 from repro.partitioning.allocation import Allocation
 from repro.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.rover.case_study import RoverCaseStudy, rover_monitors
+from repro.rta import compiled as compiled_pkg
+from repro.rta.compiled import INT31_LIMIT
 from repro.schemes import REGISTRY, SharedPhases
 from repro.security.attacks import Attack, AttackScenario, generate_attacks
 from repro.security.detection import evaluate_detection
@@ -55,6 +63,21 @@ FALLBACK_PLATFORMS = [
     )
     if not (scheduler == "rm" and protocol == "none" and overheads == "zero")
 ]
+
+
+@pytest.fixture(params=["compiled", "python"])
+def loop_tier(request, monkeypatch):
+    """Run on the C trial loop (the default tier; skipped where the
+    backend is unavailable) and on the python loop, forced by
+    ``REPRO_DISABLE_COMPILED=1``."""
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
+    compiled_pkg._reset_for_tests()
+    if request.param == "compiled" and not compiled_pkg.kernel_available():
+        compiled_pkg._reset_for_tests()
+        pytest.skip("compiled backend unavailable")
+    yield request.param
+    compiled_pkg._reset_for_tests()
 
 
 def _random_taskset(rng: np.random.Generator) -> TaskSet:
@@ -118,8 +141,13 @@ def _oracle_outcome(design, monitors, trial, horizon, platform, simulator_cls):
     )
 
 
-def _assert_matches_oracles(design, monitors, trials, horizon, platform):
-    """The batched result of every trial equals both per-trial engines."""
+def _assert_matches_oracles(
+    design, monitors, trials, horizon, platform, tier=None
+):
+    """The batched result of every trial equals both per-trial engines.
+
+    With *tier* given, every batched trial must have run on that tier's
+    loop (no operand here reaches the C loop's guard)."""
     batch = simulate_trials_batched(
         design,
         monitors,
@@ -141,6 +169,10 @@ def _assert_matches_oracles(design, monitors, trials, horizon, platform):
             assert got == _oracle_outcome(
                 design, monitors, trial, horizon, platform, simulator_cls
             )
+    if tier is not None:
+        assert batch.compiled_trials == (
+            batch.batched_trials if tier == "compiled" else 0
+        )
     return batch
 
 
@@ -184,7 +216,11 @@ class TestDifferential:
     @settings(
         max_examples=40,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            # The tier fixture deliberately holds for every example.
+            HealthCheck.function_scoped_fixture,
+        ],
     )
     @given(
         scheme=st.sampled_from(REGISTRY.names()),
@@ -195,7 +231,14 @@ class TestDifferential:
         num_trials=st.integers(min_value=1, max_value=4),
     )
     def test_default_platform_lockstep(
-        self, scheme, design_seed, trial_seed, num_cores, horizon, num_trials
+        self,
+        loop_tier,
+        scheme,
+        design_seed,
+        trial_seed,
+        num_cores,
+        horizon,
+        num_trials,
     ):
         """Under the default platform (the lockstep envelope) every trial's
         outcome matches both per-trial engines bit for bit."""
@@ -210,7 +253,7 @@ class TestDifferential:
             num_trials,
         )
         _assert_matches_oracles(
-            design, monitors, trials, horizon, DEFAULT_PLATFORM
+            design, monitors, trials, horizon, DEFAULT_PLATFORM, loop_tier
         )
 
     @settings(
@@ -309,13 +352,14 @@ def _edge_case_trials(design, monitors, horizon, rng, count=8):
 
 
 class TestScalarLoopSweep:
-    """Seeded sweep: every registry scheme on 1-4 cores, 8 trials per
-    batch, at a horizon that cuts a monitor job off mid-scan (shorter than
-    the longest period) and at a longer one."""
+    """Seeded sweep: every registry scheme on 1-4, 6 and 8 cores (more
+    free cores than tasks for the affinity placement), 8 trials per batch,
+    at a horizon that cuts a monitor job off mid-scan (shorter than the
+    longest period) and at a longer one."""
 
-    @pytest.mark.parametrize("num_cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_cores", [1, 2, 3, 4, 6, 8])
     @pytest.mark.parametrize("scheme", REGISTRY.names())
-    def test_equals_tick_and_fast(self, scheme, num_cores):
+    def test_equals_tick_and_fast(self, loop_tier, scheme, num_cores):
         rng = np.random.default_rng(
             [REGISTRY.names().index(scheme), num_cores]
         )
@@ -334,7 +378,7 @@ class TestScalarLoopSweep:
         for horizon in (short, 2_000):
             trials = _edge_case_trials(design, monitors, horizon, rng)
             batch = _assert_matches_oracles(
-                design, monitors, trials, horizon, DEFAULT_PLATFORM
+                design, monitors, trials, horizon, DEFAULT_PLATFORM, loop_tier
             )
             assert batch.fallback_trials == 0
         # The zero-jitter trial of the short batch ends mid-scan: the
@@ -348,23 +392,77 @@ class TestScalarLoopSweep:
         )
 
 
+@pytest.mark.usefixtures("loop_tier")
 class TestEnvelope:
-    """Deterministic pins of the batch/fallback split and edge cases."""
+    """Deterministic pins of the batch/fallback split and edge cases, on
+    both loops."""
 
     def _rover(self):
         design = RoverCaseStudy().hydra_c_design()
         return design, rover_monitors()
 
-    def test_rover_trials_are_batched(self):
+    def test_rover_trials_are_batched(self, loop_tier):
         design, monitors = self._rover()
         rng = np.random.default_rng(2020)
         trials = _draw_trials(design, monitors, 9_000, rng, 6)
         batch = _assert_matches_oracles(
-            design, monitors, trials, 9_000, DEFAULT_PLATFORM
+            design, monitors, trials, 9_000, DEFAULT_PLATFORM, loop_tier
         )
         assert batch.batched_trials == len(trials)
         assert batch.fallback_trials == 0
         assert all(result.batched for result in batch.results)
+
+    def test_int31_jitter_trial_stays_on_the_python_loop(self, loop_tier):
+        """A release offset at INT31_LIMIT fails the C loop's per-trial
+        guard: that trial alone runs the python loop (its batchmates stay
+        in C) and every outcome still matches the oracles."""
+        design, monitors = self._rover()
+        rng = np.random.default_rng(7)
+        trials = _draw_trials(design, monitors, 9_000, rng, 3)
+        name = design.taskset.all_tasks[0].name
+        trials[1] = BatchTrialInput(
+            scenario=trials[1].scenario,
+            release_jitter={**trials[1].release_jitter, name: INT31_LIMIT},
+        )
+        batch = _assert_matches_oracles(
+            design, monitors, trials, 9_000, DEFAULT_PLATFORM
+        )
+        in_c = loop_tier == "compiled"
+        assert [result.batched for result in batch.results] == [True] * 3
+        assert [result.compiled for result in batch.results] == [
+            in_c, False, in_c,
+        ]
+
+    def test_int31_period_keeps_the_design_on_the_python_loop(self, loop_tier):
+        """A period at INT31_LIMIT fails the C loop's design guard: every
+        trial of the design runs the python loop, equal to the oracles."""
+        taskset = TaskSet.create(
+            [RealTimeTask(name="rt", wcet=2, period=10)],
+            [
+                SecurityTask(
+                    name="scan", wcet=3, max_period=INT31_LIMIT,
+                    coverage_units=3,
+                )
+            ],
+        )
+        design = SystemDesign(
+            scheme="HYDRA-C",
+            policy=SchedulingPolicy.SEMI_PARTITIONED,
+            taskset=taskset,
+            platform=Platform(num_cores=1),
+            rt_allocation=Allocation({"rt": 0}),
+        )
+        monitors = [
+            SecurityMonitor.for_task(task)
+            for task in design.taskset.security_tasks
+        ]
+        trials = _edge_case_trials(
+            design, monitors, 400, np.random.default_rng(17), count=4
+        )
+        batch = _assert_matches_oracles(
+            design, monitors, trials, 400, DEFAULT_PLATFORM, tier="python"
+        )
+        assert batch.batched_trials == len(trials)
 
     def test_per_trial_fallback_inside_a_batched_batch(self):
         """A trial that leaves the lockstep state model falls back *alone*;

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.rta.compiled import DEFAULT_KERNEL
+from repro.rta.compiled import DEFAULT_KERNEL, kernel_available
 
 
 class TestParser:
@@ -139,6 +139,11 @@ class TestParser:
             ["fig5", "--trials", "0"],
             ["fig5", "--trials", "-3"],
             ["fig5", "--horizon", "0"],
+            # Beyond int64, where the trial draws would crash.
+            ["campaign", "--jitter", "100000000000000000000", "--trials", "1",
+             "--horizon", "2000"],
+            ["campaign", "--horizon", "100000000000000000000", "--trials", "1"],
+            ["fig5", "--horizon", "100000000000000000000", "--trials", "1"],
         ],
     )
     def test_bad_seed_and_fig5_bounds_are_one_line_errors(self, capsys, argv):
@@ -383,6 +388,16 @@ class TestMain:
         assert "HYDRA-C" in captured.out
         assert "jitter=uniform:50" in captured.out
         assert "campaign: chunk" in captured.err
+
+    def test_campaign_stats_line_counts_compiled_trials(self, capsys):
+        argv = ["campaign", "--trials", "2", "--horizon", "6000", "--schemes",
+                "HYDRA-C,HYDRA", "--quiet", "--stats"]
+        assert main(argv) == 0
+        compiled = 4 if kernel_available() else 0
+        assert capsys.readouterr().err == (
+            "campaign: 0 design-dedup hits, 4 batched "
+            f"({compiled} compiled) / 0 fallback design-trials\n"
+        )
 
     def test_campaign_backends_print_identical_reports(self, capsys):
         argv = ["campaign", "--trials", "2", "--horizon", "6000", "--schemes",
