@@ -106,8 +106,10 @@ def test_bench_kernel_shortcuts_fire_on_the_bench_workload(benchmark, monkeypatc
         schemes=ALLOCATION_SCHEMES,
     )
     specs = build_specs(config)
+    # The shortcuts are python-tier layers (the compiled tier packs each
+    # task set in one exact C call).
     service = BatchDesignService(
-        config.num_cores, scheme_names=ALLOCATION_SCHEMES
+        config.num_cores, scheme_names=ALLOCATION_SCHEMES, kernel="python"
     )
     contexts = []
 

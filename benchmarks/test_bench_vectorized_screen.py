@@ -134,7 +134,10 @@ def test_bench_screens_and_seeds_fire_on_the_bench_workload(benchmark):
         schemes=FIG7B_SCHEMES,
     )
     specs = build_specs(config)
-    service = BatchDesignService(config.num_cores, scheme_names=FIG7B_SCHEMES)
+    # The column screen is the python tier's partitioner.
+    service = BatchDesignService(
+        config.num_cores, scheme_names=FIG7B_SCHEMES, kernel="python"
+    )
     sink = {}
     benchmark.pedantic(
         lambda: service.evaluate_specs(specs, stats_sink=sink),

@@ -38,16 +38,21 @@
 #            (byte-identical replies, and `stats` then counts an answer-LRU
 #            hit), the same design query to a second daemon started with
 #            --kernel python (byte-identical reply), an infeasible
-#            admission (an answer, not an error), a query with a key the
-#            daemon has not seen that exceeds a tiny timeout budget, then
-#            SIGTERM and a clean (exit 0) drain of both daemons.
+#            admission (an answer, not an error, whose reason names the RT
+#            task that fits on no core) and a feasible one, both also sent
+#            to the --kernel python daemon (byte-identical replies: the
+#            compiled RT partitioner against the python one), a query
+#            with a key the daemon has not seen that exceeds a tiny
+#            timeout budget, then SIGTERM and a clean (exit 0) drain of
+#            both daemons.
 #            (c) a 4-core sweep under --kernel compiled and --kernel
 #            python must print byte-identical reports; then a 2-core
-#            sweep over HYDRA-C, HYDRA, HYDRA-TMax, GLOBAL-TMax and
-#            HYDRA-RF (every scheme with a one-call compiled path) must
+#            sweep over HYDRA-C, HYDRA, HYDRA-TMax, GLOBAL-TMax, HYDRA-RF
+#            (every scheme with a one-call compiled path) and HYDRA-C-FF /
+#            HYDRA-C-WF (first-fit and worst-fit RT partitioning) must
 #            print byte-identical reports AND write byte-identical
 #            checkpoints (the checkpoint carries every scheme's periods;
-#            the reports never print HYDRA-RF's).
+#            the reports never print HYDRA-RF's or the FF/WF variants').
 #            The default kernel tier is `auto`, so the tier comparisons
 #            in (a)-(c) are only meaningful where the compiled backend
 #            builds (the compiled-extra CI job); elsewhere every run is
@@ -194,13 +199,38 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     fi
 
     # An infeasible admission is an answer (ok:true, feasible:false), not
-    # an error -- the query CLI must exit 0 here.
-    infeasible_reply=$(query '{"op": "admit", "num_cores": 2,
+    # an error -- the query CLI must exit 0 here -- and its reason names
+    # the RT task that fits on no core.
+    infeasible_query='{"op": "admit", "num_cores": 2,
         "rt_tasks": [{"name": "rt0", "wcet": 9, "period": 10},
                      {"name": "rt1", "wcet": 9, "period": 10},
                      {"name": "rt2", "wcet": 9, "period": 10}],
-        "security_tasks": []}')
+        "security_tasks": []}'
+    infeasible_reply=$(query "$infeasible_query")
     grep -q '"feasible":false' <<<"$infeasible_reply"
+    grep -q "\"reason\":\"RT task 'rt2'" <<<"$infeasible_reply"
+    feasible_query='{"op": "admit", "num_cores": 2,
+        "rt_tasks": [{"name": "nav", "wcet": 240, "period": 500},
+                     {"name": "camera", "wcet": 1120, "period": 5000},
+                     {"name": "radio", "wcet": 90, "period": 400,
+                      "deadline": 300}],
+        "security_tasks": [{"name": "tripwire", "wcet": 534, "max_period": 10000},
+                           {"name": "kmod", "wcet": 223, "max_period": 10000}]}'
+    feasible_reply=$(query "$feasible_query")
+    grep -q '"feasible":true' <<<"$feasible_reply"
+
+    # Both admissions partition the RT tasks; the --kernel python daemon
+    # must answer the same bytes.
+    for admit in infeasible feasible; do
+        admit_query_var="${admit}_query"
+        admit_reply_var="${admit}_reply"
+        python_admit=$(python -m repro query --socket "$python_sock" "${!admit_query_var}")
+        if [[ "$python_admit" != "${!admit_reply_var}" ]]; then
+            echo "serve smoke FAILED: the --kernel python daemon answered the $admit admission differently" >&2
+            diff <(printf '%s\n' "${!admit_reply_var}") <(printf '%s\n' "$python_admit") >&2 || true
+            exit 1
+        fi
+    done
 
     # A query over its evaluation budget answers a timeout error (exit 1)
     # and the daemon keeps serving afterwards.  Its key is new to the
@@ -235,11 +265,11 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
         exit 1
     fi
 
-    echo "== kernel smoke: 2-core baseline sweep, compiled and python reports and checkpoints byte-identical =="
+    echo "== kernel smoke: 2-core baseline and first-/worst-fit sweep, compiled and python reports and checkpoints byte-identical =="
     kernel_dir=$(mktemp -d)
     trap 'rm -rf "$kernel_dir"' EXIT
     baseline_args=(--cores 2 --tasksets-per-group 2 --quiet
-                   --schemes HYDRA-C,HYDRA,HYDRA-TMax,GLOBAL-TMax,HYDRA-RF)
+                   --schemes HYDRA-C,HYDRA,HYDRA-TMax,GLOBAL-TMax,HYDRA-RF,HYDRA-C-FF,HYDRA-C-WF)
     for tier in compiled python; do
         python -m repro sweep "${baseline_args[@]}" --kernel "$tier" \
             --checkpoint "$kernel_dir/$tier.jsonl" > "$kernel_dir/$tier.txt"

@@ -36,10 +36,12 @@ stays byte-identical (``tests/rta/test_vectorized_screen.py`` pins both).
 
 On the compiled kernel tier :meth:`PeriodSelector.select` runs the whole
 of Algorithms 1-2 in one C call (``hydra_select_periods`` in
-:mod:`repro.rta.compiled`), keeping the seed ledger and the Line-8 chain
-reuse; the probe pins and certification stay python-tier layers.  Task
-sets whose operands fail the kernel's guards run the python selector
-below (``tests/rta/test_selector_differential.py`` pins the equality).
+:mod:`repro.rta.compiled`), keeping the seed ledger, the Line-8 chain
+reuse, the per-window RT workload memo and incumbent certification (its
+incumbent starts at the first solved carry-in set, not at the seeds);
+the probe pins and durable floors stay python-tier layers.  Task sets
+whose operands fail the kernel's guards run the python selector below
+(``tests/rta/test_selector_differential.py`` pins the equality).
 """
 
 from __future__ import annotations
@@ -275,9 +277,10 @@ class PeriodSelector:
             set_counts,
             self._search_mode is SearchMode.LINEAR,
         )
-        analysis_calls, solves, seeded = counters
+        analysis_calls, solves, seeded, certified = counters
         self._stats.compiled_solves += solves
         self._stats.seeded_solves += seeded
+        self._stats.dedup_certified_sets += certified
         names = [task.name for task in self._security]
         if status < 0:  # pragma: no cover - guarded by Algorithm 2
             raise UnschedulableError(

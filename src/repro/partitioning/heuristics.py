@@ -17,14 +17,18 @@ Three classic strategies are provided:
 Tasks are considered in decreasing-utilization order (the usual "-decreasing"
 variants), which both improves packing and makes the outcome deterministic.
 
-The fit predicate runs on the RTA kernel (:mod:`repro.rta`): each core is
-an incremental :class:`~repro.rta.CoreState`, a probe re-analyses only the
-candidate and the tasks below its priority position, and the accept-only
-Liu & Layland / Bini-bound shortcuts skip the exact fixed point where they
-already prove admissibility.  Placement decisions are identical to the
-frozen full-re-analysis predicate
-(:func:`repro.batch.reference.reference_partition_rt_tasks` pins this in
-``tests/rta/``).
+The fit predicate runs on the RTA kernel (:mod:`repro.rta`).  On the
+compiled kernel tier the whole packing of a task set is one C call
+(``hydra_partition_rt``): each probe inserts the candidate at its priority
+position and solves it and every task below it with the exact Eq. 1 fixed
+point.  On the python tier each core is an incremental
+:class:`~repro.rta.CoreState`, a probe re-analyses only the candidate and
+the tasks below its priority position, and the accept-only Liu & Layland
+/ Bini-bound shortcuts skip the exact fixed point where they already
+prove admissibility (flip-free, so both tiers reach the same verdicts).
+Placement decisions are identical to the frozen full-re-analysis
+predicate (:func:`repro.batch.reference.reference_partition_rt_tasks`
+pins this in ``tests/rta/`` and ``tests/partitioning/``).
 """
 
 from __future__ import annotations
@@ -32,13 +36,20 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import AllocationError
+from repro.errors import AllocationError, ConfigurationError
 from repro.model.platform import Platform
+from repro.model.tasks import RealTimeTask
 from repro.model.taskset import TaskSet
 from repro.partitioning.allocation import Allocation
 from repro.rta import Admission, CoreState, RtaContext, rt_task_view
+from repro.rta.compiled import UNSUPPORTED
 
-__all__ = ["FitStrategy", "partition_rt_tasks", "partition_utilizations"]
+__all__ = [
+    "FitStrategy",
+    "normalise_fit_strategy",
+    "partition_rt_tasks",
+    "partition_utilizations",
+]
 
 
 class FitStrategy(str, enum.Enum):
@@ -49,6 +60,29 @@ class FitStrategy(str, enum.Enum):
     WORST_FIT = "worst-fit"
 
 
+#: ``hydra_partition_rt``'s strategy codes.
+_STRATEGY_CODES = {
+    FitStrategy.FIRST_FIT: 0,
+    FitStrategy.BEST_FIT: 1,
+    FitStrategy.WORST_FIT: 2,
+}
+
+
+def normalise_fit_strategy(value) -> FitStrategy:
+    """Coerce a ``FitStrategy`` or its string value, with a one-line error.
+
+    Every packing entry point validates its strategy with this before the
+    first probe (mirrors :func:`repro.core.period_selection.normalise_search_mode`).
+    """
+    try:
+        return FitStrategy(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"unknown fit strategy {value!r}; expected one of "
+            f"{', '.join(strategy.value for strategy in FitStrategy)}"
+        )
+
+
 def _choose_core(
     feasible: List[int], utilizations: List[float], strategy: FitStrategy
 ) -> int:
@@ -57,9 +91,52 @@ def _choose_core(
         return feasible[0]
     if strategy is FitStrategy.BEST_FIT:
         return max(feasible, key=lambda core: (utilizations[core], -core))
-    if strategy is FitStrategy.WORST_FIT:
-        return min(feasible, key=lambda core: (utilizations[core], core))
-    raise ValueError(f"unknown strategy: {strategy!r}")
+    return min(feasible, key=lambda core: (utilizations[core], core))
+
+
+def _unplaceable(
+    task: RealTimeTask, num_cores: int, strategy: FitStrategy
+) -> AllocationError:
+    return AllocationError(
+        f"RT task {task.name!r} (U={task.utilization:.3f}) does not fit "
+        f"on any of the {num_cores} cores under {strategy.value} packing"
+    )
+
+
+def _partition_compiled(
+    taskset: TaskSet,
+    order: List[RealTimeTask],
+    num_cores: int,
+    strategy: FitStrategy,
+    context: RtaContext,
+):
+    """The packing loop below in one ``hydra_partition_rt`` call, or
+    UNSUPPORTED when an operand falls outside the kernel's guard.
+
+    Tasks are indexed in ``(priority, name)`` order, the core-local
+    priority of :func:`~repro.rta.rt_task_view`; the analysed task's
+    demand is ``wcet + B`` and the tasks above interfere with their raw
+    ``wcet``, as in :meth:`~repro.rta.core_state.CoreState._solve`.
+    """
+    tasks = sorted(taskset.rt_tasks, key=lambda t: (t.priority, t.name))
+    index_of = {task.name: index for index, task in enumerate(tasks)}
+    solved = context.compiled_kernel.partition_rt(
+        num_cores,
+        [task.wcet for task in tasks],
+        [task.period for task in tasks],
+        [task.deadline for task in tasks],
+        [task.wcet + context.blocking_of(task.name) for task in tasks],
+        [task.utilization for task in tasks],
+        [index_of[task.name] for task in order],
+        _STRATEGY_CODES[strategy],
+    )
+    if solved is UNSUPPORTED:
+        return UNSUPPORTED
+    status, cores, solves = solved
+    context.stats.compiled_solves += solves
+    if status < len(order):
+        raise _unplaceable(order[status], num_cores, strategy)
+    return Allocation({task.name: cores[index_of[task.name]] for task in order})
 
 
 def partition_rt_tasks(
@@ -73,9 +150,11 @@ def partition_rt_tasks(
     Tasks are placed in decreasing-utilization order; a placement is only
     admissible if the exact response-time analysis still passes for every
     task already on the core (and for the newcomer) -- answered
-    incrementally by the kernel :class:`~repro.rta.CoreState` per core.
+    incrementally by the kernel :class:`~repro.rta.CoreState` per core,
+    or by one ``hydra_partition_rt`` call on the compiled kernel tier.
     ``rta_context`` optionally supplies the task set's shared kernel
     context (the batch service threads one through all phases).
+    ``strategy`` may be a :class:`FitStrategy` or its string value.
 
     Raises
     ------
@@ -83,7 +162,10 @@ def partition_rt_tasks(
         If some task cannot be placed on any core.  In the paper's
         experiments such task sets are discarded as "trivially
         unschedulable" (Section 5.2.1).
+    ConfigurationError
+        If ``strategy`` names no :class:`FitStrategy` (before any probe).
     """
+    strategy = normalise_fit_strategy(strategy)
     if not taskset.rt_tasks:
         return Allocation.empty()
 
@@ -92,6 +174,12 @@ def partition_rt_tasks(
     order = sorted(
         taskset.rt_tasks, key=lambda t: (-t.utilization, t.name)
     )
+    if context.compiled_kernel is not None:
+        allocation = _partition_compiled(
+            taskset, order, platform.num_cores, strategy, context
+        )
+        if allocation is not UNSUPPORTED:
+            return allocation
     states: List[CoreState] = [
         context.core_state() for _ in range(platform.num_cores)
     ]
@@ -110,11 +198,7 @@ def partition_rt_tasks(
             if admission.admitted
         ]
         if not feasible:
-            raise AllocationError(
-                f"RT task {task.name!r} (U={task.utilization:.3f}) does not fit "
-                f"on any of the {platform.num_cores} cores under "
-                f"{strategy.value} packing"
-            )
+            raise _unplaceable(task, platform.num_cores, strategy)
         chosen = _choose_core(feasible, utilizations, strategy)
         states[chosen] = admissions[chosen].state
         utilizations[chosen] += task.utilization
@@ -140,6 +224,7 @@ def partition_utilizations(
     AllocationError
         If an item does not fit in any bin.
     """
+    strategy = normalise_fit_strategy(strategy)
     if num_bins <= 0:
         raise ValueError("num_bins must be positive")
     if capacity <= 0:

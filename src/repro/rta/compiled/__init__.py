@@ -27,10 +27,15 @@ The backend is strictly optional and strictly behind the
 Dispatch is guarded: operands must fit the C kernels' integer-width
 preconditions (:data:`INT31_LIMIT`, ``wcet <= period`` -- see
 :func:`operands_fit` -- and :data:`MAX_COMPILED_SETS`), otherwise the work
-stays in Python.  Three analysis phases dispatch once per task set:
+stays in Python.  Four analysis phases dispatch once per task set:
 
+* RT partitioning (first-, best- or worst-fit decreasing with the exact
+  Eq. 1 admission), from
+  :func:`~repro.partitioning.heuristics.partition_rt_tasks` and, per task
+  set of a column, :func:`~repro.rta.vectorized.partition_column`;
 * HYDRA-C period selection (Algorithms 1-2 with every Eq. 6-8 solve
-  inside), from :meth:`~repro.core.period_selection.PeriodSelector.select`;
+  inside, the per-window RT workload memo and incumbent certification),
+  from :meth:`~repro.core.period_selection.PeriodSelector.select`;
 * HYDRA's per-core period assignment (CORE_AWARE and TMAX, shared by
   HYDRA, HYDRA-TMax and HYDRA-RF), from
   :meth:`~repro.baselines.hydra.Hydra._assign_periods`;
@@ -38,10 +43,11 @@ stays in Python.  Three analysis phases dispatch once per task set:
   :meth:`~repro.rta.global_fp.GlobalRtaEngine.taskset_schedulable`.
 
 Eq. 1 still dispatches per solve from
-:meth:`~repro.rta.core_state.CoreState._solve` (partitioning admits and
-the HYDRA allocation's probes).  Every one-call solve counts in
+:meth:`~repro.rta.core_state.CoreState._solve` (the HYDRA allocation's
+probes and the Eq. 1 RT check).  Every one-call solve counts in
 ``KernelStats.compiled_solves`` (the global ones in ``exact_solves`` too,
-as on the python tier).  The fourth one-call entry point is not an
+as on the python tier), and the selector's certified carry-in sets in
+``dedup_certified_sets``.  The fifth one-call entry point is not an
 analysis: :meth:`CompiledKernel.simulate_trials` runs the campaign's
 trace-free trial loop (:mod:`repro.sim.batched`) for a chunk of trials of
 one design, dispatched from
@@ -150,6 +156,54 @@ class CompiledKernel:
         )
         return None if result < 0 else int(result)
 
+    def partition_rt(
+        self,
+        num_cores: int,
+        wcets: Sequence[int],
+        periods: Sequence[int],
+        deadlines: Sequence[int],
+        demands: Sequence[int],
+        utilizations: Sequence[float],
+        order: Sequence[int],
+        strategy: int,
+    ):
+        """Fit-decreasing RT partition of one task set on ``num_cores`` cores.
+
+        Operands are per RT task in ``(priority, name)`` order; ``demands``
+        holds each task's ``wcet + blocking`` (the tasks above interfere
+        with their raw ``wcets``), ``order`` the placement order as indices
+        and ``strategy`` 0/1/2 for first/best/worst fit.  Returns
+        ``(status, cores, solves)`` where *status* is ``len(wcets)`` when
+        every task fits, else the placement step of the first task that
+        fits on no core, *cores* holds each task's core (``-1`` = not
+        placed) and *solves* counts the Eq. 1 fixed points run; or
+        UNSUPPORTED when an operand reaches :data:`INT31_LIMIT`.
+        """
+        for values in (wcets, periods, deadlines, demands):
+            for value in values:
+                if value >= INT31_LIMIT:
+                    return UNSUPPORTED
+        ffi = self._ffi
+        n = len(wcets)
+        cores = ffi.new("int64_t[]", max(n, 1))
+        counters = ffi.new("int64_t[1]")
+        status = self._lib.hydra_partition_rt(
+            num_cores,
+            n,
+            ffi.new("int64_t[]", wcets),
+            ffi.new("int64_t[]", periods),
+            ffi.new("int64_t[]", deadlines),
+            ffi.new("int64_t[]", demands),
+            ffi.new("double[]", utilizations),
+            ffi.new("int64_t[]", order),
+            strategy,
+            cores,
+            counters,
+        )
+        if status < 0:
+            raise MemoryError("compiled RT partitioning: out of memory")
+        return status, ffi.unpack(cores, n), counters[0]
+
     def select_periods(
         self,
         num_cores: int,
@@ -167,10 +221,10 @@ class CompiledKernel:
         range-checked by ``compiled_fit``); ``demands`` holds each task's
         ``wcet + blocking`` and ``set_counts`` its number of exact
         carry-in sets (``0`` = greedy bound).  Returns ``(status, periods,
-        responses, (analysis_calls, solves, seeded_solves))`` where
-        *status* is ``len(demands)`` when schedulable, else the index of
-        the first task unschedulable at ``T^max`` (``responses`` valid
-        before it).
+        responses, (analysis_calls, solves, seeded_solves,
+        certified_sets))`` where *status* is ``len(demands)`` when
+        schedulable, else the index of the first task unschedulable at
+        ``T^max`` (``responses`` valid before it).
         """
         ffi = self._ffi
         n_sec = len(demands)
@@ -184,7 +238,7 @@ class CompiledKernel:
             rt = [ffi.NULL] * 3
         periods = ffi.new("int64_t[]", max(n_sec, 1))
         responses = ffi.new("int64_t[]", max(n_sec, 1))
-        counters = ffi.new("int64_t[3]")
+        counters = ffi.new("int64_t[4]")
         status = self._lib.hydra_select_periods(
             num_cores,
             len(rt_wcets),
@@ -206,7 +260,7 @@ class CompiledKernel:
             status,
             ffi.unpack(periods, n_sec),
             ffi.unpack(responses, n_sec),
-            tuple(ffi.unpack(counters, 3)),
+            tuple(ffi.unpack(counters, 4)),
         )
 
     def partitioned_periods(

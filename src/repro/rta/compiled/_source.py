@@ -1,12 +1,19 @@
 """C source of the compiled kernels (cffi API mode).
 
-Four exported functions cover every integer fixed point the kernel tier
-dispatches, and a fifth runs the campaign's trace-free trial loop (see
+Five exported functions cover every integer fixed point the kernel tier
+dispatches, and a sixth runs the campaign's trace-free trial loop (see
 :mod:`repro.rta.compiled`):
 
 * ``hydra_eq1_solve`` -- the Eq. 1 demand iteration behind
   :meth:`~repro.rta.core_state.CoreState._solve` (prefix and
   appended-at-the-bottom demand), dispatched per solve;
+* ``hydra_partition_rt`` -- the whole best-, first- or worst-fit-decreasing
+  RT partition of one task set
+  (:func:`~repro.partitioning.heuristics.partition_rt_tasks`): each probe
+  is the verdict of :meth:`~repro.rta.core_state.CoreState.admit` -- the
+  candidate inserted at its priority position, then it and every task
+  below it solved by ``hydra_eq1_solve`` -- and the core is chosen by the
+  strategy's ``(load, core)`` order over the per-core utilization sums;
 * ``hydra_partitioned_periods`` -- HYDRA's per-core period assignment for
   every core of a task set: per core one Eq. 1 operand buffer holds the
   RT tasks followed by the security tasks at their current trial periods
@@ -24,13 +31,17 @@ dispatches, and a fifth runs the campaign's trace-free trial loop (see
   search, with the warm-start seed ledger of
   :class:`~repro.core.period_selection.PeriodSelector` kept per
   ``(task, carry-in set)``.  Each response is the static Eq. 6-8 solver
-  ``hydra_eq7_solve``: clamped per-core RT workloads (Eq. 2-3), clamped
+  ``hydra_eq7_solve``: clamped per-core RT workloads (Eq. 2-3, the
+  per-core sums memoised per window like
+  :class:`~repro.rta.migrating.RtWorkloadCache`), clamped
   non-carry-in/carry-in security terms (Eq. 4-5, the arithmetic of
   :mod:`repro.rta.terms` inlined), greedy top-k carry-in selection or
   exact carry-in-set enumeration -- in exactly the order of
   :func:`repro.schedulability.carry_in.enumerate_carry_in_sets`, so ledger
-  slots line up with the python tier's seed keys -- and the Eq. 7
-  iteration ``x = floor(Omega(x)/M) + C_s`` per set;
+  slots line up with the python tier's seed keys, with the sets that
+  cannot raise the Eq. 8 maximum certified against the incumbent instead
+  of solved -- and the Eq. 7 iteration ``x = floor(Omega(x)/M) + C_s``
+  per set;
 * ``hydra_simulate_trials`` -- the batch simulation backend's event loop
   (:meth:`repro.sim.batched._TrialEngine.run`) for every trial of one
   design: releases, the priority-indexed scheduler round with affinity
@@ -42,8 +53,10 @@ The iterates are the same integers the pure-python kernels produce (the
 Python callers guard every operand below ``2**31`` and per-task
 ``wcet <= period`` where the argument needs it; accumulations that could
 exceed 63 bits run in ``__int128``), so results are byte-equal -- pinned
-by the differential suites in ``tests/rta/`` and, for the trial loop,
-``tests/sim/test_batched_engine.py``.
+by the differential suites in ``tests/rta/``, ``tests/partitioning/``
+and, for the trial loop, ``tests/sim/test_batched_engine.py``.  Every
+entry point works in one heap workspace per call, freed on every path:
+no fixed-size arrays and no ``static`` state (cffi releases the GIL).
 """
 
 from __future__ import annotations
@@ -54,6 +67,11 @@ __all__ = ["CDEF", "C_SOURCE"]
 CDEF = """
 int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
                         const int64_t *periods, const int64_t *wcets);
+int64_t hydra_partition_rt(int64_t num_cores, int64_t n,
+                           const int64_t *wcets, const int64_t *periods,
+                           const int64_t *deadlines, const int64_t *demands,
+                           const double *utilizations, const int64_t *order,
+                           int strategy, int64_t *cores, int64_t *counters);
 int64_t hydra_select_periods(int64_t num_cores,
                              int64_t n_rt, const int64_t *rt_cores,
                              const int64_t *rt_wcets,
@@ -118,6 +136,124 @@ int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
     }
 }
 
+/* ---- RT partitioning: first/best/worst-fit decreasing over Eq. 1 ------ */
+
+enum { HYDRA_FIRST_FIT = 0, HYDRA_BEST_FIT = 1, HYDRA_WORST_FIT = 2 };
+
+/* One task set's RT tasks, indexed in priority order, and the packing so
+ * far (assigned[i] = core of task i, -1 = not placed yet). */
+typedef struct {
+    int64_t n;
+    const int64_t *wcets, *periods, *deadlines, *demands;
+    int64_t *assigned, *members, *buf_periods, *buf_wcets;
+    int64_t solves;
+} hydra_partition;
+
+/* Does task t fit on core c?  The verdict of CoreState.admit: t is
+ * inserted at its priority position among the core's tasks, and t and
+ * every task below it must pass -- demand (wcet + blocking) within the
+ * deadline, then the Eq. 1 fixed point over the tasks above it (raw
+ * wcets) within the deadline.  The tasks above t keep their verdicts. */
+static int hydra_rt_admits(hydra_partition *p, int64_t t, int64_t c)
+{
+    int64_t m = 0, position = 0, i, q;
+    for (i = 0; i < p->n; i++) {
+        if (i == t)
+            position = m;
+        else if (p->assigned[i] != c)
+            continue;
+        p->buf_periods[m] = p->periods[i];
+        p->buf_wcets[m] = p->wcets[i];
+        p->members[m++] = i;
+    }
+    for (q = position; q < m; q++) {
+        int64_t k = p->members[q];
+        if (p->demands[k] > p->deadlines[k])
+            return 0;
+        p->solves++;
+        if (hydra_eq1_solve(p->demands[k], p->deadlines[k], q,
+                            p->buf_periods, p->buf_wcets) < 0)
+            return 0;
+    }
+    return 1;
+}
+
+/* Places the n RT tasks (indexed in priority order) in the placement
+ * order order[0..n-1] on num_cores cores.  Each task goes to the first
+ * core it fits on in the strategy's preference order -- first-fit: by
+ * index; best-fit: by load descending, then index; worst-fit: by load
+ * ascending, then index -- which is the strategy's pick among all the
+ * cores it fits on.  A core's load is the sum of its tasks' utilizations
+ * in placement order, the python loop's float sum.  cores[i] receives
+ * task i's core (-1 = not placed) and counters[0] the Eq. 1 fixed points
+ * run.  Returns n when every task fits, the placement step of the first
+ * task that fits on no core, or -1 when out of memory. */
+int64_t hydra_partition_rt(int64_t num_cores, int64_t n,
+                           const int64_t *wcets, const int64_t *periods,
+                           const int64_t *deadlines, const int64_t *demands,
+                           const double *utilizations, const int64_t *order,
+                           int strategy, int64_t *cores, int64_t *counters)
+{
+    hydra_partition p;
+    double *loads;
+    int64_t *rank;
+    int64_t step, i, result = n;
+    void *block = malloc((size_t)num_cores * (sizeof(double) + sizeof(int64_t))
+                         + (size_t)(4 * n + 1) * sizeof(int64_t));
+
+    if (!block)
+        return -1;
+    loads = (double *)block;
+    rank = (int64_t *)(loads + num_cores);
+    p.n = n;
+    p.wcets = wcets;
+    p.periods = periods;
+    p.deadlines = deadlines;
+    p.demands = demands;
+    p.assigned = rank + num_cores;
+    p.members = p.assigned + n;
+    p.buf_periods = p.members + n + 1;
+    p.buf_wcets = p.buf_periods + n;
+    p.solves = 0;
+    for (i = 0; i < num_cores; i++)
+        loads[i] = 0.0;
+    for (i = 0; i < n; i++)
+        p.assigned[i] = -1;
+
+    for (step = 0; step < n; step++) {
+        int64_t t = order[step], chosen = -1;
+        /* rank the cores in preference order (insertion sort, stable) */
+        for (i = 0; i < num_cores; i++) {
+            int64_t j = i;
+            while (j > 0
+                   && ((strategy == HYDRA_BEST_FIT
+                        && loads[i] > loads[rank[j - 1]])
+                       || (strategy == HYDRA_WORST_FIT
+                           && loads[i] < loads[rank[j - 1]]))) {
+                rank[j] = rank[j - 1];
+                j--;
+            }
+            rank[j] = i;
+        }
+        for (i = 0; i < num_cores; i++)
+            if (hydra_rt_admits(&p, t, rank[i])) {
+                chosen = rank[i];
+                break;
+            }
+        if (chosen < 0) {
+            result = step;
+            break;
+        }
+        p.assigned[t] = chosen;
+        loads[chosen] += utilizations[t];
+    }
+    for (i = 0; i < n; i++)
+        cores[i] = p.assigned[i];
+    counters[0] = p.solves;
+    free(block);
+    return result;
+}
+
 /* ---- Eq. 6: Omega(x) for one window --------------------------------- */
 
 /* Eq. 2 synchronous-release workload of one task in window x (x >= 0). */
@@ -127,14 +263,41 @@ static inline int64_t hydra_workload(int64_t x, int64_t c, int64_t t)
     return (x / t) * c + (rem < c ? rem : c);
 }
 
-/* Clamped per-core RT interference summed over cores (first Eq. 6 term),
- * plus the hp base (sum of clamped NC terms) and per-task CI-NC deltas
- * written to delta_scratch.  Returns base = rt + sum(nc). */
+/* Direct-mapped slots of the per-window RT workload memo: Table-3 windows
+ * (<= 3000 ticks) never collide, larger ones just recompute. */
+#define HYDRA_RT_MEMO_SLOTS 4096
+
+/* The partitioned RT tasks of one period selection (n_cores = the
+ * partition's core count) and their per-core unclamped Eq. 2 workload
+ * sums, memoised by window: slot window % HYDRA_RT_MEMO_SLOTS holds the
+ * n_cores sums of the window tagged on it (-1 = empty). */
+typedef struct {
+    int64_t n_rt, n_cores;
+    const int64_t *cores, *wcets, *periods;
+    int64_t *tags, *sums;
+} hydra_rt;
+
+static const int64_t *hydra_rt_workloads(hydra_rt *rt, int64_t window)
+{
+    int64_t slot = window & (HYDRA_RT_MEMO_SLOTS - 1), i;
+    int64_t *sums = rt->sums + slot * rt->n_cores;
+    if (rt->tags[slot] == window)
+        return sums;
+    rt->tags[slot] = window;
+    for (i = 0; i < rt->n_cores; i++)
+        sums[i] = 0;
+    for (i = 0; i < rt->n_rt; i++)
+        sums[rt->cores[i]] +=
+            hydra_workload(window, rt->wcets[i], rt->periods[i]);
+    return sums;
+}
+
+/* Clamped per-core RT interference summed over cores (first Eq. 6 term;
+ * none when rt is NULL), plus the hp base (sum of clamped NC terms) and
+ * per-task CI-NC deltas written to delta_scratch.  Returns base = rt +
+ * sum(nc). */
 static int64_t hydra_omega_base(
-    int64_t window, int64_t security_wcet,
-    int64_t n_rt, const int64_t *rt_cores,
-    const int64_t *rt_wcets, const int64_t *rt_periods,
-    int64_t n_partition_cores, int64_t *core_scratch,
+    int64_t window, int64_t security_wcet, hydra_rt *rt,
     int64_t n_hp, const int64_t *hp_wcets,
     const int64_t *hp_periods, const int64_t *hp_shifts,
     int64_t *delta_scratch)
@@ -143,14 +306,10 @@ static int64_t hydra_omega_base(
     int64_t base = 0;
     int64_t i;
 
-    if (cap > 0 && n_rt > 0) {
-        for (i = 0; i < n_partition_cores; i++)
-            core_scratch[i] = 0;
-        for (i = 0; i < n_rt; i++)
-            core_scratch[rt_cores[i]] +=
-                hydra_workload(window, rt_wcets[i], rt_periods[i]);
-        for (i = 0; i < n_partition_cores; i++)
-            base += core_scratch[i] < cap ? core_scratch[i] : cap;
+    if (cap > 0 && rt != NULL && rt->n_rt > 0) {
+        const int64_t *sums = hydra_rt_workloads(rt, window);
+        for (i = 0; i < rt->n_cores; i++)
+            base += sums[i] < cap ? sums[i] : cap;
     }
 
     if (n_hp > 0) {
@@ -215,9 +374,7 @@ static int64_t hydra_greedy_positive(const int64_t *deltas, int64_t n,
 static int64_t hydra_fixed_point(
     int64_t security_wcet, int64_t limit, int64_t num_cores, int64_t seed,
     const int64_t *set_indices, int64_t set_len, int64_t max_carry_in,
-    int64_t n_rt, const int64_t *rt_cores,
-    const int64_t *rt_wcets, const int64_t *rt_periods,
-    int64_t n_partition_cores, int64_t *core_scratch,
+    hydra_rt *rt,
     int64_t n_hp, const int64_t *hp_wcets,
     const int64_t *hp_periods, const int64_t *hp_shifts,
     int64_t *delta_scratch, int64_t *topk_scratch)
@@ -227,9 +384,7 @@ static int64_t hydra_fixed_point(
         window = seed;
     for (;;) {
         int64_t total = hydra_omega_base(
-            window, security_wcet,
-            n_rt, rt_cores, rt_wcets, rt_periods,
-            n_partition_cores, core_scratch,
+            window, security_wcet, rt,
             n_hp, hp_wcets, hp_periods, hp_shifts, delta_scratch);
         int64_t candidate, i;
         if (set_len < 0)
@@ -247,90 +402,106 @@ static int64_t hydra_fixed_point(
     }
 }
 
-/* Eq. 8: the worst per-set fixed point (-1 once any set exceeds limit).
- * seeds[i] > 0 warm-starts set i; sink[i] receives each solved set's fixed
- * point (seeds and sink may alias: every slot is read before written). */
-static int64_t hydra_eq7_solve(
-    int64_t security_wcet, int64_t limit, int64_t num_cores,
-    int64_t n_rt, const int64_t *rt_cores,
-    const int64_t *rt_wcets, const int64_t *rt_periods,
-    int64_t n_partition_cores, int64_t *core_scratch,
-    int64_t n_hp, const int64_t *hp_wcets,
-    const int64_t *hp_periods, const int64_t *hp_shifts,
-    int64_t *delta_scratch, int64_t *topk_scratch,
-    int64_t max_carry_in, int use_greedy,
-    const int64_t *seeds, int64_t *sink, int64_t *set_scratch)
-{
-    int64_t worst = 0;
-    int64_t set_index = 0;
-    int64_t k, kmax;
-
-    if (use_greedy) {
-        int64_t fp = hydra_fixed_point(
-            security_wcet, limit, num_cores, seeds[0],
-            (const int64_t *)0, -1, max_carry_in,
-            n_rt, rt_cores, rt_wcets, rt_periods,
-            n_partition_cores, core_scratch,
-            n_hp, hp_wcets, hp_periods, hp_shifts,
-            delta_scratch, topk_scratch);
-        if (fp >= 0)
-            sink[0] = fp;
-        return fp;
-    }
-
-    /* Exact Eq. 8: enumerate carry-in sets by size then lexicographically,
-     * matching enumerate_carry_in_sets() so seed/sink indices align. */
-    kmax = max_carry_in < n_hp ? max_carry_in : n_hp;
-    for (k = 0; k <= kmax; k++) {
-        int64_t i;
-        int more = 1;
-        for (i = 0; i < k; i++)
-            set_scratch[i] = i;
-        while (more) {
-            int64_t fp = hydra_fixed_point(
-                security_wcet, limit, num_cores, seeds[set_index],
-                set_scratch, k, max_carry_in,
-                n_rt, rt_cores, rt_wcets, rt_periods,
-                n_partition_cores, core_scratch,
-                n_hp, hp_wcets, hp_periods, hp_shifts,
-                delta_scratch, topk_scratch);
-            if (fp < 0)
-                return -1;
-            sink[set_index] = fp;
-            if (fp > worst)
-                worst = fp;
-            set_index++;
-            /* next lexicographic combination of size k */
-            i = k - 1;
-            while (i >= 0 && set_scratch[i] == n_hp - k + i)
-                i--;
-            if (i < 0) {
-                more = 0;
-            } else {
-                int64_t j;
-                set_scratch[i]++;
-                for (j = i + 1; j < k; j++)
-                    set_scratch[j] = set_scratch[j - 1] + 1;
-            }
-        }
-    }
-    return worst;
-}
-
 /* ---- Algorithms 1-2: period selection for a whole task set ------------ */
 
 /* Security tasks are indexed in priority order.  Task j has j higher-
  * priority security tasks; its per-set ledger slots start at offsets[j]
  * (set_counts[j] exact carry-in sets, or one greedy slot when 0). */
 typedef struct {
-    int64_t num_cores, n_rt, n_partition_cores, n_sec;
-    const int64_t *rt_cores, *rt_wcets, *rt_periods;
+    int64_t num_cores, n_sec;
+    hydra_rt rt;
     const int64_t *demands, *wcets, *max_periods, *set_counts;
     int64_t *periods, *responses;
     int64_t *offsets, *shifts, *trial, *chosen, *ledger, *probe_sink;
-    int64_t *core_scratch, *delta_scratch, *topk_scratch, *set_scratch;
-    int64_t calls, solves, seeded;
+    int64_t *delta_scratch, *cert_scratch, *topk_scratch, *set_scratch;
+    int64_t calls, solves, seeded, certified;
 } hydra_selector;
+
+/* Eq. 8 for task j against the current periods[] and the Eq. 4 shifts of
+ * tasks 0..j-1: the worst per-set fixed point, -1 once a set exceeds
+ * T^max.  seeds[i] > 0 warm-starts set i and sink[i] receives its fixed
+ * point (seeds and sink may alias: every slot is read before written).
+ * Exact sets are enumerated by size, then lexicographically, as
+ * enumerate_carry_in_sets() does.  From the second set on, the incumbent
+ * (the largest fixed point so far) certifies sets: the solve map
+ * h(x) = Omega(x)/M + C is monotone, so h(worst) <= worst bounds the set's
+ * least fixed point by worst -- it can neither raise the maximum nor
+ * exceed T^max -- and the set is not solved.  Its sink slot receives its
+ * own seed, a sound lower bound, so the ledger merge leaves it as it is.
+ * The checks share one Omega materialised at worst, re-materialised when
+ * worst rises. */
+static int64_t hydra_eq7_solve(hydra_selector *s, int64_t j,
+                               const int64_t *seeds, int64_t *sink)
+{
+    int64_t demand = s->demands[j], limit = s->max_periods[j];
+    int64_t m = s->num_cores, max_carry_in = s->num_cores - 1;
+    int64_t worst = 0, set_index = 0, cert_window = -1;
+    int64_t cert_base = 0, cert_budget = 0, k, kmax;
+
+    if (s->set_counts[j] == 0) {
+        int64_t fp = hydra_fixed_point(
+            demand, limit, m, seeds[0], (const int64_t *)0, -1,
+            max_carry_in, &s->rt, j, s->wcets, s->periods, s->shifts,
+            s->delta_scratch, s->topk_scratch);
+        if (fp >= 0)
+            sink[0] = fp;
+        return fp;
+    }
+
+    kmax = max_carry_in < j ? max_carry_in : j;
+    for (k = 0; k <= kmax; k++) {
+        int64_t i;
+        int more = 1;
+        for (i = 0; i < k; i++)
+            s->set_scratch[i] = i;
+        while (more) {
+            int certified = 0;
+            if (set_index > 0) {
+                /* h(worst) <= worst  <=>  Omega(worst) < M (worst - C + 1) */
+                int64_t total;
+                if (cert_window != worst) {
+                    cert_base = hydra_omega_base(
+                        worst, demand, &s->rt, j, s->wcets, s->periods,
+                        s->shifts, s->cert_scratch);
+                    cert_budget = (worst - demand + 1) * m;
+                    cert_window = worst;
+                }
+                total = cert_base;
+                for (i = 0; i < k; i++)
+                    total += s->cert_scratch[s->set_scratch[i]];
+                certified = total < cert_budget;
+            }
+            if (certified) {
+                sink[set_index] = seeds[set_index];
+                s->certified++;
+            } else {
+                int64_t fp = hydra_fixed_point(
+                    demand, limit, m, seeds[set_index], s->set_scratch, k,
+                    max_carry_in, &s->rt, j, s->wcets, s->periods,
+                    s->shifts, s->delta_scratch, s->topk_scratch);
+                if (fp < 0)
+                    return -1;
+                sink[set_index] = fp;
+                if (fp > worst)
+                    worst = fp;
+            }
+            set_index++;
+            /* next lexicographic combination of size k */
+            i = k - 1;
+            while (i >= 0 && s->set_scratch[i] == j - k + i)
+                i--;
+            if (i < 0) {
+                more = 0;
+            } else {
+                int64_t next;
+                s->set_scratch[i]++;
+                for (next = i + 1; next < k; next++)
+                    s->set_scratch[next] = s->set_scratch[next - 1] + 1;
+            }
+        }
+    }
+    return worst;
+}
 
 /* WCRT of task j (-1 above its T^max) against the current periods[] and
  * the Eq. 4 shifts of tasks 0..j-1.  Blocking is already folded into
@@ -348,14 +519,7 @@ static int64_t hydra_task_response(hydra_selector *s, int64_t j,
             s->seeded++;
             break;
         }
-    return hydra_eq7_solve(
-        s->demands[j], s->max_periods[j], s->num_cores,
-        s->n_rt, s->rt_cores, s->rt_wcets, s->rt_periods,
-        s->n_partition_cores, s->core_scratch,
-        j, s->wcets, s->periods, s->shifts,
-        s->delta_scratch, s->topk_scratch,
-        s->num_cores - 1, s->set_counts[j] == 0,
-        seeds, sink, s->set_scratch);
+    return hydra_eq7_solve(s, j, seeds, sink);
 }
 
 /* Algorithm 2 feasibility: with T_index = candidate, is every lower task
@@ -388,7 +552,8 @@ static int hydra_probe(hydra_selector *s, int64_t index, int64_t candidate)
  * index of the first task unschedulable at T^max (responses[] filled
  * before it), -1 when out of memory, or -2 if a lower task failed the
  * Line-8 refresh (impossible after a feasible Algorithm 2 search).
- * counters[] receives (analysis calls, Eq. 6-8 solves, seeded solves). */
+ * counters[] receives (analysis calls, Eq. 6-8 solves, seeded solves,
+ * certified carry-in sets). */
 int64_t hydra_select_periods(int64_t num_cores,
                              int64_t n_rt, const int64_t *rt_cores,
                              const int64_t *rt_wcets,
@@ -403,23 +568,25 @@ int64_t hydra_select_periods(int64_t num_cores,
 {
     hydra_selector s;
     int64_t total = 0, width = num_cores > 1 ? num_cores - 1 : 1;
+    int64_t memo = n_rt > 0 ? HYDRA_RT_MEMO_SLOTS : 0;
     int64_t index, j, result = n_sec;
     int64_t *block;
 
     for (j = 0; j < n_sec; j++)
         total += set_counts[j] > 0 ? set_counts[j] : 1;
     block = (int64_t *)calloc(
-        (size_t)(5 * n_sec + 2 + 2 * total + n_partition_cores + 2 * width),
+        (size_t)(6 * n_sec + 3 + 2 * total + 2 * width
+                 + memo * (1 + n_partition_cores)),
         sizeof(int64_t));
     if (!block)
         return -1;
     s.num_cores = num_cores;
-    s.n_rt = n_rt;
-    s.n_partition_cores = n_partition_cores;
     s.n_sec = n_sec;
-    s.rt_cores = rt_cores;
-    s.rt_wcets = rt_wcets;
-    s.rt_periods = rt_periods;
+    s.rt.n_rt = n_rt;
+    s.rt.n_cores = n_partition_cores;
+    s.rt.cores = rt_cores;
+    s.rt.wcets = rt_wcets;
+    s.rt.periods = rt_periods;
     s.demands = demands;
     s.wcets = wcets;
     s.max_periods = max_periods;
@@ -431,12 +598,16 @@ int64_t hydra_select_periods(int64_t num_cores,
     s.trial = s.shifts + n_sec;
     s.chosen = s.trial + n_sec;
     s.delta_scratch = s.chosen + n_sec;
-    s.ledger = s.delta_scratch + n_sec + 1;
+    s.cert_scratch = s.delta_scratch + n_sec + 1;
+    s.ledger = s.cert_scratch + n_sec + 1;
     s.probe_sink = s.ledger + total;
-    s.core_scratch = s.probe_sink + total;
-    s.topk_scratch = s.core_scratch + n_partition_cores;
+    s.topk_scratch = s.probe_sink + total;
     s.set_scratch = s.topk_scratch + width;
-    s.calls = s.solves = s.seeded = 0;
+    s.rt.tags = s.set_scratch + width;
+    s.rt.sums = s.rt.tags + memo;
+    for (j = 0; j < memo; j++)
+        s.rt.tags[j] = -1;
+    s.calls = s.solves = s.seeded = s.certified = 0;
     for (j = 0; j < n_sec; j++)
         s.offsets[j + 1] =
             s.offsets[j] + (set_counts[j] > 0 ? set_counts[j] : 1);
@@ -507,6 +678,7 @@ done:
     counters[0] = s.calls;
     counters[1] = s.solves;
     counters[2] = s.seeded;
+    counters[3] = s.certified;
     free(block);
     return result;
 }
@@ -652,8 +824,7 @@ int64_t hydra_global_rta(int64_t num_cores, int64_t n, const int64_t *wcets,
         solves++;
         r = hydra_fixed_point(
             wcets[j], limits[j], num_cores, 0, (const int64_t *)0, -1,
-            num_cores - 1, 0, (const int64_t *)0, (const int64_t *)0,
-            (const int64_t *)0, 0, (int64_t *)0,
+            num_cores - 1, (hydra_rt *)0,
             j, wcets, periods, shifts, deltas, topk);
         if (r < 0) {
             result = j;

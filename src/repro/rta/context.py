@@ -192,7 +192,8 @@ class RtaContext:
         self.kernel_name = normalise_kernel(kernel)
         #: The loaded compiled backend, or ``None`` on the pure-python tier
         #: (requested, unavailable, or fallback).  ``CoreState`` dispatches
-        #: Eq. 1 on this per solve; ``PeriodSelector.select`` (HYDRA-C's
+        #: Eq. 1 on this per solve; ``partition_rt_tasks`` (RT
+        #: partitioning), ``PeriodSelector.select`` (HYDRA-C's
         #: Algorithms 1-2), ``Hydra._assign_periods`` (HYDRA's per-core
         #: periods) and ``GlobalRtaEngine.taskset_schedulable``
         #: (GLOBAL-TMax) each run in one call on it per task set.

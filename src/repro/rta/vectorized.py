@@ -1,11 +1,15 @@
 """Vectorized column screening over whole batches of task sets.
 
 The synthetic sweeps evaluate thousands of task sets per utilization
-column.  :func:`partition_column` amortizes the *decidable* part of the
-generation-time RT partitioning across the column: it packs a whole
-column of task sets in lockstep, and each placement step gathers the
-active probes into one ``(task set, core)`` matrix and applies three
-*provably flip-free* probe filters as single array passes:
+column.  :func:`partition_column` partitions the generation-time RT tasks
+of a whole column.  On the compiled kernel tier each task set is one
+``hydra_partition_rt`` call (via
+:func:`~repro.partitioning.heuristics.partition_rt_tasks`).  On the python
+tier the column screen below is the partitioner: it amortizes the
+*decidable* part of the packing across the column, packing every task
+set in lockstep, and each placement step gathers the active probes into
+one ``(task set, core)`` matrix and applies three *provably flip-free*
+probe filters as single array passes:
 
 * the Liu & Layland whole-core accept and the Bini per-task upper-bound
   accept (both proven unable to flip a verdict in
@@ -40,7 +44,11 @@ from repro.errors import AllocationError
 from repro.model.platform import Platform
 from repro.model.taskset import TaskSet
 from repro.partitioning.allocation import Allocation
-from repro.partitioning.heuristics import FitStrategy, _choose_core
+from repro.partitioning.heuristics import (
+    FitStrategy,
+    _choose_core,
+    normalise_fit_strategy,
+)
 from repro.rta.context import RtaContext, rt_task_view
 from repro.rta.core_state import CoreState
 
@@ -100,29 +108,35 @@ def partition_column(
     contexts: Sequence[RtaContext],
     strategy: FitStrategy = FitStrategy.BEST_FIT,
 ) -> List[Optional[Allocation]]:
-    """Partition a whole column of task sets in lockstep.
+    """Partition a whole column of task sets.
 
     Returns one :class:`Allocation` per task set, or ``None`` where the
     RT tasks do not fit (the scalar loop's ``AllocationError``).  Byte
     identical to calling
-    :func:`repro.partitioning.heuristics.partition_rt_tasks` per task set:
-    every probe is decided either by a flip-free vectorized filter or by
-    the exact incremental kernel, and the per-core utilization
-    accumulation (the best-fit tie-break) uses the same float summation
-    order.
+    :func:`repro.partitioning.heuristics.partition_rt_tasks` per task set,
+    which is what a compiled-tier context gets (one C call per set).  The
+    python-tier sets are packed in lockstep: every probe is decided either
+    by a flip-free vectorized filter or by the exact incremental kernel,
+    and the per-core utilization accumulation (the best-fit tie-break)
+    uses the same float summation order.
     """
-    # Resource-protocol blocking terms are outside the vectorized filters'
-    # model (the LL/Bini/utilization screens are blocking-blind).  Only the
-    # task sets whose *RT tasks* actually carry a non-zero term need the
-    # scalar kernel path (whose exact solves fold the terms in); the rest
-    # of the column -- protocol `none`, claim-free sets, or sets whose
-    # claims all sit on security tasks -- keeps the vectorized screen.
+    strategy = normalise_fit_strategy(strategy)
+    # Compiled-tier contexts pack each set in one C call.  Resource-protocol
+    # blocking terms are outside the vectorized filters' model (the
+    # LL/Bini/utilization screens are blocking-blind), so python-tier sets
+    # whose *RT tasks* actually carry a non-zero term take the scalar
+    # kernel path too (its exact solves fold the terms in); the rest of
+    # the column -- protocol `none`, claim-free sets, or sets whose claims
+    # all sit on security tasks -- keeps the vectorized screen.
     for taskset, context in zip(tasksets, contexts):
         if hasattr(context, "prime_blocking"):
             context.prime_blocking(taskset)
     needs_scalar = [
-        getattr(context, "has_blocking", False)
-        and any(context.blocking_of(task.name) for task in taskset.rt_tasks)
+        getattr(context, "compiled_kernel", None) is not None
+        or (
+            getattr(context, "has_blocking", False)
+            and any(context.blocking_of(task.name) for task in taskset.rt_tasks)
+        )
         for taskset, context in zip(tasksets, contexts)
     ]
     if any(needs_scalar):

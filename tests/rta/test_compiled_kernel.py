@@ -281,8 +281,9 @@ class TestSolveSkipping:
             schemes=("HYDRA-C",),
         )
         specs = build_specs(config)[:6]
-        # The layers are python-tier only; the default tier would take the
-        # one-call compiled selector where the backend builds.
+        # Pinning and the refresh-reuse count are python-tier only; the
+        # default tier would take the one-call compiled selector where the
+        # backend builds.
         service = BatchDesignService(
             2, scheme_names=("HYDRA-C",), kernel="python"
         )

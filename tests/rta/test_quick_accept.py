@@ -102,7 +102,9 @@ class TestShortcutsNeverFlipAdmission:
         generator = TasksetGenerator(
             TasksetGenerationConfig(num_cores=2), seed=99
         )
-        context = RtaContext(2)
+        # The shortcuts are python-tier layers: the compiled tier packs a
+        # task set in one exact C call.
+        context = RtaContext(2, kernel="python")
         platform = Platform.dual_core()
         fired_sets = 0
         for normalized in (0.2, 0.35, 0.5, 0.65):
@@ -211,8 +213,11 @@ class TestBlockingAwareShortcuts:
         the quick-accepts (RT terms are provably zero)."""
         taskset = rover_taskset()
         platform = Platform.dual_core()
+        # The shortcuts are python-tier layers (see above).
         context = RtaContext(
-            platform, platform_model=PlatformModel.parse("rm", "pip", "zero")
+            platform,
+            kernel="python",
+            platform_model=PlatformModel.parse("rm", "pip", "zero"),
         )
         context.prime_blocking(taskset)
         assert context.has_blocking  # pip really is in play...
@@ -258,7 +263,12 @@ class TestBlockingAwareShortcuts:
         platform = Platform.dual_core()
         pip = PlatformModel.parse("rm", "pip", "zero")
         tasksets = [claimed, clean, claimed]
-        contexts = [RtaContext(platform, platform_model=pip) for _ in tasksets]
+        # The routing is the python tier's (compiled-tier contexts pack
+        # every set in one C call).
+        contexts = [
+            RtaContext(platform, platform_model=pip, kernel="python")
+            for _ in tasksets
+        ]
         lockstep = partition_column(tasksets, platform, contexts)
         for taskset, result in zip(tasksets, lockstep):
             scalar_context = RtaContext(platform, platform_model=pip)
@@ -346,7 +356,10 @@ class TestPartitioningDecisionsUnchanged:
                         taskset,
                         platform,
                         strategy=strategy,
-                        rta_context=RtaContext(platform, quick_accept=quick),
+                        # The shortcuts are python-tier layers.
+                        rta_context=RtaContext(
+                            platform, quick_accept=quick, kernel="python"
+                        ),
                     )
                     outcomes.append(allocation.mapping)
                 except AllocationError:

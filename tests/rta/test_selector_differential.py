@@ -8,7 +8,9 @@ cores -- under every carry-in strategy, both search modes and the
 blocking terms of claim-annotated sets under PIP/PCP, the two tiers must
 agree on every result field, the order of the result dicts included.
 Blocking-free selections must also equal the frozen
-:func:`~repro.batch.reference.reference_select_periods`.
+:func:`~repro.batch.reference.reference_select_periods`.  A scaled-up
+variant drives busy windows past the C selector's per-window RT workload
+memo slot count, so windows share memo slots.
 
 Where the backend is unavailable the compiled tier is the warned python
 fallback, so the suite runs (trivially equal) on any machine.
@@ -47,12 +49,15 @@ def claims(draw, wcet):
 
 
 @st.composite
-def selections(draw):
-    """A platform, a task set with a random RT allocation, a protocol."""
+def selections(draw, scale=1):
+    """A platform, a task set with a random RT allocation, a protocol.
+
+    ``scale`` multiplies every time bound (periods, wcets, ``T^max``).
+    """
     num_cores = draw(st.integers(min_value=1, max_value=4))
     rt_tasks = []
     for index in range(draw(st.integers(min_value=0, max_value=8))):
-        period = draw(st.integers(min_value=6, max_value=80))
+        period = draw(st.integers(min_value=6, max_value=80 * scale))
         wcet = draw(st.integers(min_value=1, max_value=period))
         rt_tasks.append(
             RealTimeTask(
@@ -66,12 +71,14 @@ def selections(draw):
     # Up to 8 tasks, so AUTO's switch to the greedy bound (more than 32
     # exact carry-in sets: task index >= 6 on 4 cores) is exercised too.
     for index in range(draw(st.integers(min_value=1, max_value=8))):
-        wcet = draw(st.integers(min_value=1, max_value=12))
+        wcet = draw(st.integers(min_value=1, max_value=12 * scale))
         security_tasks.append(
             SecurityTask(
                 name=f"sec{index}",
                 wcet=wcet,
-                max_period=draw(st.integers(min_value=wcet, max_value=400)),
+                max_period=draw(
+                    st.integers(min_value=wcet, max_value=400 * scale)
+                ),
                 claims=draw(claims(wcet)),
             )
         )
@@ -111,6 +118,25 @@ def _fields(result):
     )
 
 
+def _assert_tiers_agree(data, strategy, mode):
+    platform, taskset, allocation, protocol = data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        compiled, context = _select(
+            "compiled", platform, taskset, allocation, strategy, mode, protocol
+        )
+    python, _ = _select(
+        "python", platform, taskset, allocation, strategy, mode, protocol
+    )
+    assert _fields(compiled) == _fields(python)
+    if protocol == "none":
+        frozen = reference_select_periods(
+            taskset, allocation, platform, strategy=strategy
+        )
+        assert _fields(compiled) == _fields(frozen)
+    return compiled, context
+
+
 class TestSelectorDifferential:
     @given(
         selections(),
@@ -119,21 +145,39 @@ class TestSelectorDifferential:
     )
     @settings(max_examples=300, deadline=None)
     def test_compiled_equals_python_equals_frozen(self, data, strategy, mode):
-        platform, taskset, allocation, protocol = data
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            compiled, _ = _select(
-                "compiled", platform, taskset, allocation, strategy, mode, protocol
-            )
-        python, _ = _select(
-            "python", platform, taskset, allocation, strategy, mode, protocol
+        _assert_tiers_agree(data, strategy, mode)
+
+    @given(selections(scale=40), st.sampled_from(list(CarryInStrategy)))
+    @settings(max_examples=60, deadline=None)
+    def test_windows_beyond_the_memo_slots(self, data, strategy):
+        """``T^max`` up to 16000 ticks: the busy windows of one selection
+        span several multiples of the RT workload memo's 4096 slots."""
+        _assert_tiers_agree(data, strategy, SearchMode.BINARY)
+
+    def test_exact_certification_fires_on_four_cores(self):
+        platform = Platform(num_cores=4)
+        taskset = TaskSet.create(
+            [
+                RealTimeTask(name="rt0", wcet=30, period=100),
+                RealTimeTask(name="rt1", wcet=45, period=150),
+                RealTimeTask(name="rt2", wcet=20, period=120),
+            ],
+            [
+                SecurityTask(name=f"sec{index}", wcet=wcet, max_period=max_period)
+                for index, (wcet, max_period) in enumerate(
+                    ((12, 300), (25, 600), (9, 500), (40, 1500), (15, 2000))
+                )
+            ],
         )
-        assert _fields(compiled) == _fields(python)
-        if protocol == "none":
-            frozen = reference_select_periods(
-                taskset, allocation, platform, strategy=strategy
-            )
-            assert _fields(compiled) == _fields(frozen)
+        allocation = {"rt0": 0, "rt1": 1, "rt2": 2}
+        data = (platform, taskset, allocation, "none")
+        compiled, context = _assert_tiers_agree(
+            data, CarryInStrategy.EXACT, SearchMode.BINARY
+        )
+        assert compiled.schedulable
+        if compiled_pkg.kernel_available():
+            assert context.stats.compiled_solves > 0
+            assert context.stats.dedup_certified_sets > 0
 
 
 # ---------------------------------------------------------------------------

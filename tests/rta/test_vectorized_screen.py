@@ -87,7 +87,9 @@ class TestColumnScreenDifferential:
     @settings(max_examples=100, deadline=None)
     def test_partition_column_equals_scalar_packing(self, data):
         platform, tasksets = data
-        contexts = [RtaContext(platform) for _ in tasksets]
+        # The lockstep screen is the python tier's partitioner; the scalar
+        # side runs on the default tier.
+        contexts = [RtaContext(platform, kernel="python") for _ in tasksets]
         lockstep = partition_column(tasksets, platform, contexts)
         for taskset, result in zip(tasksets, lockstep):
             try:
@@ -113,7 +115,8 @@ class TestColumnScreenDifferential:
             ],
             [],
         )
-        context = RtaContext(platform)
+        # The column screen is the python tier's partitioner.
+        context = RtaContext(platform, kernel="python")
         assert partition_column([taskset], platform, [context]) == [None]
         assert context.stats.column_util_rejects == 1
         assert context.stats.exact_solves == 0
@@ -214,8 +217,9 @@ class TestColumnPipeline:
         assert service.evaluate_specs([spec]) == [service.evaluate_spec(spec)]
 
     def test_column_stats_are_populated(self, config):
+        # The column screen is the python tier's partitioner.
         service = BatchDesignService(
-            config.num_cores, scheme_names=config.schemes
+            config.num_cores, scheme_names=config.schemes, kernel="python"
         )
         sink = {}
         service.evaluate_specs(build_specs(config), stats_sink=sink)
