@@ -7,11 +7,14 @@
 #   tier1 -- the fast tier-1 suite (unit/property/integration, benchmarks
 #            excluded).  Runs the RTA-kernel-vs-frozen-reference
 #            differential smoke first so an analysis regression fails
-#            fast with a labelled gate, then replays the RTA differential
-#            suite and the trial-batched simulation differential suite
-#            under REPRO_DISABLE_COMPILED=1 so the pure-python fallback
-#            paths -- the python kernels and the python trial loop -- can
-#            never silently regress on machines where the compiled
+#            fast with a labelled gate, then replays the RTA, RT
+#            partitioning, HYDRA/GLOBAL-TMax baseline, generation and
+#            model suites and the trial-batched simulation differential
+#            suite under REPRO_DISABLE_COMPILED=1 so the pure-python
+#            fallback paths -- the python kernels, the python RT
+#            partitioner and its Eq. 1 check, HYDRA's python security
+#            allocation, the task-copy paths and the python trial loop --
+#            can never silently regress on machines where the compiled
 #            backend normally takes over (it is the default `auto` tier
 #            wherever it builds, so there every other run of this stage
 #            is on it).  Deterministic; always blocking.
@@ -102,8 +105,9 @@ esac
 if [[ "$stage" == "tier1" || "$stage" == "all" ]]; then
     echo "== tier 1a: RTA kernel vs frozen reference (differential smoke) =="
     python -m pytest -x -q tests/rta
-    echo "== tier 1b: RTA and trial-loop differentials under forced pure-python fallback =="
-    REPRO_DISABLE_COMPILED=1 python -m pytest -x -q tests/rta tests/sim/test_batched_engine.py
+    echo "== tier 1b: RTA, partitioning, baseline, generation, model and trial-loop suites under forced pure-python fallback =="
+    REPRO_DISABLE_COMPILED=1 python -m pytest -x -q tests/rta tests/partitioning \
+        tests/baselines tests/generation tests/model tests/sim/test_batched_engine.py
     echo "== tier 1c: platform models, fast-vs-tick differential (smoke) =="
     python -m pytest -x -q tests/platform
     echo "== tier 1d: pytest -m 'not bench' =="

@@ -340,21 +340,31 @@ class Hydra:
 
         ``rt_by_core`` must group the RT tasks exactly as
         :func:`repro.schedulability.partitioned.rt_tasks_by_core` does (one
-        entry per platform core, tasks in priority order).  The placement
-        loop keeps one kernel :class:`~repro.rta.SecurityPacker` alive, so
-        successive probes against an unchanged core share their per-window
-        interference arithmetic; ``rta_context`` optionally supplies the
-        task set's shared kernel context.
+        entry per platform core, tasks in priority order).  On the compiled
+        kernel tier the whole non-greedy allocation is one call
+        (:meth:`_allocate_security_compiled`).  Otherwise -- GREEDY_MIN,
+        the python tier, operands outside the kernel's guard -- the
+        placement loop keeps one kernel :class:`~repro.rta.SecurityPacker`
+        alive, so successive probes against an unchanged core share their
+        per-window interference arithmetic.  ``rta_context`` optionally
+        supplies the task set's shared kernel context.
         """
         context = (
             rta_context
             if rta_context is not None
             else RtaContext(self._platform.num_cores)
         )
+        greedy = self._period_policy is PeriodPolicy.GREEDY_MIN
+        if context.compiled_kernel is not None and not greedy:
+            allocation = self._allocate_security_compiled(
+                taskset, rt_by_core, context
+            )
+            if allocation is not None:
+                return allocation
+
         packer = SecurityPacker(context, rt_by_core, self._platform.num_cores)
         mapping: Dict[str, int] = {}
         responses: Dict[str, Optional[int]] = {}
-        greedy = self._period_policy is PeriodPolicy.GREEDY_MIN
 
         for task in taskset.security_by_priority():
             choice = choose_best_fit_core(packer.feasible_cores(task))
@@ -378,6 +388,46 @@ class Hydra:
         return SecurityAllocation(
             mapping=mapping, response_times=responses, greedy=greedy
         )
+
+    def _allocate_security_compiled(
+        self,
+        taskset: TaskSet,
+        rt_by_core: Mapping[int, Sequence[RealTimeTask]],
+        context: RtaContext,
+    ) -> Optional[SecurityAllocation]:
+        """The non-greedy placement loop above in one compiled call: the
+        same probes, Eq. 1 solves and best-fit choices.  ``None`` when an
+        operand falls outside the kernel's guard."""
+        rt_offsets, rt_wcets, rt_periods = [0], [], []
+        for core_index in range(self._platform.num_cores):
+            for task in rt_by_core.get(core_index, ()):
+                rt_wcets.append(task.wcet)
+                rt_periods.append(task.period)
+            rt_offsets.append(len(rt_wcets))
+        tasks = taskset.security_by_priority()
+        solved = context.compiled_kernel.allocate_security(
+            rt_offsets,
+            rt_wcets,
+            rt_periods,
+            [task.wcet + context.blocking_of(task.name) for task in tasks],
+            [task.wcet for task in tasks],
+            [task.max_period for task in tasks],
+        )
+        if solved is UNSUPPORTED:
+            return None
+        status, cores, responses, solves = solved
+        context.stats.compiled_solves += solves
+        names = [task.name for task in tasks]
+        mapping = dict(zip(names, cores))
+        response_times: Dict[str, Optional[int]] = dict(zip(names, responses))
+        if status < len(tasks):
+            response_times[names[status]] = None
+            return SecurityAllocation(
+                mapping=mapping,
+                response_times=response_times,
+                failed_task=names[status],
+            )
+        return SecurityAllocation(mapping=mapping, response_times=response_times)
 
     # -- period assignment phase -------------------------------------------------------
 

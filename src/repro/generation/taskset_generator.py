@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.generation.periods import log_uniform_periods
-from repro.generation.randfixedsum import randfixedsum
+from repro.generation.randfixedsum import randfixedsum_vector
 from repro.model.tasks import RealTimeTask, SecurityTask
 from repro.model.taskset import TaskSet
 
@@ -196,10 +196,10 @@ class TasksetGenerator:
 
     # -- internals ---------------------------------------------------------------
 
-    def _draw_utilizations(self, count: int, total: float) -> np.ndarray:
+    def _draw_utilizations(self, count: int, total: float) -> List[float]:
         """Per-task utilizations summing to *total*, each in (0, 1]."""
         total = min(total, float(count))
-        return randfixedsum(count, total, num_sets=1, rng=self._rng)[0]
+        return randfixedsum_vector(count, total, rng=self._rng)
 
     def _generate_rt_tasks(self, count: int, total_utilization: float) -> List[RealTimeTask]:
         scale = self._config.ticks_per_ms

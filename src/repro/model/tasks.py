@@ -22,7 +22,7 @@ objects and derives new task sets rather than mutating tasks in place (e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = ["ResourceClaim", "Task", "RealTimeTask", "SecurityTask", "Job"]
@@ -144,7 +144,22 @@ class Task:
 
     def with_priority(self, priority: int) -> "Task":
         """Return a copy of this task with ``priority`` set."""
-        return replace(self, priority=priority)
+        if priority is not None:
+            _require_non_negative_int(priority, "priority")
+        return self._copy_with("priority", priority)
+
+    def _copy_with(self, name: str, value) -> "Task":
+        """A copy with one field changed, without re-validating the others.
+
+        Equal to :func:`dataclasses.replace` for an already validated task
+        whose new *value* the caller has validated: ``__post_init__`` would
+        only re-check the unchanged fields (and re-sort sorted claims).
+        """
+        clone = object.__new__(type(self))
+        state = clone.__dict__
+        state.update(self.__dict__)
+        state[name] = value
+        return clone
 
 
 @dataclass(frozen=True)
@@ -232,17 +247,21 @@ class SecurityTask(Task):
                 f"security task {self.name!r}: no feasible period exists"
             )
         if self.period is not None:
-            _require_positive_int(self.period, "period")
-            if self.period > self.max_period:
-                raise ValueError(
-                    f"period={self.period} exceeds max_period={self.max_period} "
-                    f"for security task {self.name!r}"
-                )
-            if self.period < self.wcet:
-                raise ValueError(
-                    f"period={self.period} is smaller than wcet={self.wcet} for "
-                    f"security task {self.name!r}"
-                )
+            self._check_period(self.period)
+
+    def _check_period(self, period: int) -> None:
+        """Validate *period* as this task's assigned period."""
+        _require_positive_int(period, "period")
+        if period > self.max_period:
+            raise ValueError(
+                f"period={period} exceeds max_period={self.max_period} "
+                f"for security task {self.name!r}"
+            )
+        if period < self.wcet:
+            raise ValueError(
+                f"period={period} is smaller than wcet={self.wcet} for "
+                f"security task {self.name!r}"
+            )
 
     # -- derived quantities -------------------------------------------------
 
@@ -278,15 +297,17 @@ class SecurityTask(Task):
 
     def with_period(self, period: int) -> "SecurityTask":
         """Return a copy of this task with ``period`` assigned."""
-        return replace(self, period=period)
+        if period is not None:
+            self._check_period(period)
+        return self._copy_with("period", period)
 
     def without_period(self) -> "SecurityTask":
         """Return a copy of this task with its period cleared."""
-        return replace(self, period=None)
+        return self._copy_with("period", None)
 
     def at_max_period(self) -> "SecurityTask":
         """Return a copy running at ``T^max_s`` (no period adaptation)."""
-        return replace(self, period=self.max_period)
+        return self._copy_with("period", self.max_period)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -63,9 +63,27 @@ class TaskSet:
         sec = assign_security_priorities_by_index(list(security_tasks))
         return cls(rt_tasks=tuple(rt), security_tasks=tuple(sec))
 
+    @classmethod
+    def _trusted(
+        cls,
+        rt_tasks: Tuple[RealTimeTask, ...],
+        security_tasks: Tuple[SecurityTask, ...],
+    ) -> "TaskSet":
+        """A task set built without :meth:`_validate`, for transformations
+        of a valid task set that keep every name and priority."""
+        taskset = object.__new__(cls)
+        state = taskset.__dict__
+        state["rt_tasks"] = rt_tasks
+        state["security_tasks"] = security_tasks
+        return taskset
+
     def _validate(self) -> None:
-        names = [task.name for task in self.all_tasks]
-        duplicates = {name for name in names if names.count(name) > 1}
+        seen = set()
+        duplicates = set()
+        for task in self.all_tasks:
+            if task.name in seen:
+                duplicates.add(task.name)
+            seen.add(task.name)
         if duplicates:
             raise ValueError(f"duplicate task names: {sorted(duplicates)}")
 
@@ -210,7 +228,7 @@ class TaskSet:
             task.with_period(periods[task.name]) if task.name in periods else task
             for task in self.security_tasks
         )
-        return TaskSet(rt_tasks=self.rt_tasks, security_tasks=new_security)
+        return TaskSet._trusted(self.rt_tasks, new_security)
 
     def with_security_at_max_period(self) -> "TaskSet":
         """Return a new task set with every security period pinned to ``T^max``.
@@ -219,12 +237,12 @@ class TaskSet:
         baselines (paper Section 5.2.3).
         """
         new_security = tuple(task.at_max_period() for task in self.security_tasks)
-        return TaskSet(rt_tasks=self.rt_tasks, security_tasks=new_security)
+        return TaskSet._trusted(self.rt_tasks, new_security)
 
     def without_security_periods(self) -> "TaskSet":
         """Return a new task set with all security periods cleared."""
         new_security = tuple(task.without_period() for task in self.security_tasks)
-        return TaskSet(rt_tasks=self.rt_tasks, security_tasks=new_security)
+        return TaskSet._trusted(self.rt_tasks, new_security)
 
     def security_period_vector(self) -> Dict[str, Optional[int]]:
         """Mapping security-task name -> assigned period (or None)."""

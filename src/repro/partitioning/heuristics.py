@@ -116,7 +116,9 @@ def _partition_compiled(
     Tasks are indexed in ``(priority, name)`` order, the core-local
     priority of :func:`~repro.rta.rt_task_view`; the analysed task's
     demand is ``wcet + B`` and the tasks above interfere with their raw
-    ``wcet``, as in :meth:`~repro.rta.core_state.CoreState._solve`.
+    ``wcet``, as in :meth:`~repro.rta.core_state.CoreState._solve`.  The
+    final Eq. 1 responses are recorded on *context* for
+    :func:`~repro.rta.partitioned.partitioned_rt_check`.
     """
     tasks = sorted(taskset.rt_tasks, key=lambda t: (t.priority, t.name))
     index_of = {task.name: index for index, task in enumerate(tasks)}
@@ -132,11 +134,19 @@ def _partition_compiled(
     )
     if solved is UNSUPPORTED:
         return UNSUPPORTED
-    status, cores, solves = solved
+    status, cores, responses, solves = solved
     context.stats.compiled_solves += solves
     if status < len(order):
         raise _unplaceable(order[status], num_cores, strategy)
-    return Allocation({task.name: cores[index_of[task.name]] for task in order})
+    allocation = Allocation(
+        {task.name: cores[index_of[task.name]] for task in order}
+    )
+    context.record_rt_responses(
+        taskset,
+        allocation.mapping,
+        {task.name: response for task, response in zip(tasks, responses)},
+    )
+    return allocation
 
 
 def partition_rt_tasks(

@@ -27,12 +27,17 @@ The backend is strictly optional and strictly behind the
 Dispatch is guarded: operands must fit the C kernels' integer-width
 preconditions (:data:`INT31_LIMIT`, ``wcet <= period`` -- see
 :func:`operands_fit` -- and :data:`MAX_COMPILED_SETS`), otherwise the work
-stays in Python.  Four analysis phases dispatch once per task set:
+stays in Python.  Five analysis phases dispatch once per task set:
 
 * RT partitioning (first-, best- or worst-fit decreasing with the exact
   Eq. 1 admission), from
   :func:`~repro.partitioning.heuristics.partition_rt_tasks` and, per task
-  set of a column, :func:`~repro.rta.vectorized.partition_column`;
+  set of a column, :func:`~repro.rta.vectorized.partition_column`; it also
+  returns every RT task's final Eq. 1 response, which the Eq. 1 check
+  (:func:`~repro.rta.partitioned.partitioned_rt_check`) reads instead of
+  solving the partition again;
+* HYDRA's max-period best-fit security allocation (HYDRA and HYDRA-TMax),
+  from :meth:`~repro.baselines.hydra.Hydra.allocate_security`;
 * HYDRA-C period selection (Algorithms 1-2 with every Eq. 6-8 solve
   inside, the per-window RT workload memo and incumbent certification),
   from :meth:`~repro.core.period_selection.PeriodSelector.select`;
@@ -43,12 +48,15 @@ stays in Python.  Four analysis phases dispatch once per task set:
   :meth:`~repro.rta.global_fp.GlobalRtaEngine.taskset_schedulable`.
 
 Eq. 1 still dispatches per solve from
-:meth:`~repro.rta.core_state.CoreState._solve` (the HYDRA allocation's
-probes and the Eq. 1 RT check).  Every one-call solve counts in
-``KernelStats.compiled_solves`` (the global ones in ``exact_solves`` too,
-as on the python tier), and the selector's certified carry-in sets in
-``dedup_certified_sets``.  The fifth one-call entry point is not an
-analysis: :meth:`CompiledKernel.simulate_trials` runs the campaign's
+:meth:`~repro.rta.core_state.CoreState._solve` for what stays in Python:
+HYDRA-RF's random-fit allocation (its pick is interleaved with the
+per-task hash), the GREEDY_MIN ablation, the Eq. 1 check of a partition
+the compiled partitioner did not make, and guard fallbacks.  Every
+one-call solve counts in ``KernelStats.compiled_solves`` (the global ones
+in ``exact_solves`` too, as on the python tier), and the selector's
+certified carry-in sets in ``dedup_certified_sets``.  The sixth one-call
+entry point is not an analysis: :meth:`CompiledKernel.simulate_trials`
+runs the campaign's
 trace-free trial loop (:mod:`repro.sim.batched`) for a chunk of trials of
 one design, dispatched from
 :func:`~repro.sim.batched.simulate_trials_batched` on the default tier
@@ -173,11 +181,14 @@ class CompiledKernel:
         holds each task's ``wcet + blocking`` (the tasks above interfere
         with their raw ``wcets``), ``order`` the placement order as indices
         and ``strategy`` 0/1/2 for first/best/worst fit.  Returns
-        ``(status, cores, solves)`` where *status* is ``len(wcets)`` when
-        every task fits, else the placement step of the first task that
-        fits on no core, *cores* holds each task's core (``-1`` = not
-        placed) and *solves* counts the Eq. 1 fixed points run; or
-        UNSUPPORTED when an operand reaches :data:`INT31_LIMIT`.
+        ``(status, cores, responses, solves)`` where *status* is
+        ``len(wcets)`` when every task fits, else the placement step of
+        the first task that fits on no core, *cores* holds each task's
+        core and *responses* its Eq. 1 response there (``-1`` = not
+        placed; a placed task's response is its last solve, which saw its
+        final higher-priority set) and *solves* counts the Eq. 1 fixed
+        points run; or UNSUPPORTED when an operand reaches
+        :data:`INT31_LIMIT`.
         """
         for values in (wcets, periods, deadlines, demands):
             for value in values:
@@ -186,6 +197,7 @@ class CompiledKernel:
         ffi = self._ffi
         n = len(wcets)
         cores = ffi.new("int64_t[]", max(n, 1))
+        responses = ffi.new("int64_t[]", max(n, 1))
         counters = ffi.new("int64_t[1]")
         status = self._lib.hydra_partition_rt(
             num_cores,
@@ -198,11 +210,65 @@ class CompiledKernel:
             ffi.new("int64_t[]", order),
             strategy,
             cores,
+            responses,
             counters,
         )
         if status < 0:
             raise MemoryError("compiled RT partitioning: out of memory")
-        return status, ffi.unpack(cores, n), counters[0]
+        return status, ffi.unpack(cores, n), ffi.unpack(responses, n), counters[0]
+
+    def allocate_security(
+        self,
+        rt_offsets: Sequence[int],
+        rt_wcets: Sequence[int],
+        rt_periods: Sequence[int],
+        demands: Sequence[int],
+        wcets: Sequence[int],
+        max_periods: Sequence[int],
+    ):
+        """HYDRA's max-period best-fit security allocation of one task set.
+
+        Core ``c`` holds the RT tasks ``rt_offsets[c]:rt_offsets[c + 1]``
+        of ``rt_wcets``/``rt_periods`` in its priority order; the
+        security operands are per task in priority order, ``demands``
+        holding each task's ``wcet + blocking``.  Returns ``(status,
+        cores, responses, solves)`` where *status* is ``len(demands)``
+        when every task is placed, else the index of the first task that
+        fits on no core, *cores*/*responses* hold the placed tasks' cores
+        and Eq. 1 responses (``status`` entries) and *solves* counts the
+        Eq. 1 fixed points run; or UNSUPPORTED when an operand reaches
+        :data:`INT31_LIMIT`.
+        """
+        for values in (rt_wcets, rt_periods, demands, wcets, max_periods):
+            for value in values:
+                if value >= INT31_LIMIT:
+                    return UNSUPPORTED
+        ffi = self._ffi
+        n = len(demands)
+        cores = ffi.new("int64_t[]", max(n, 1))
+        responses = ffi.new("int64_t[]", max(n, 1))
+        counters = ffi.new("int64_t[1]")
+        status = self._lib.hydra_allocate_security(
+            len(rt_offsets) - 1,
+            ffi.new("int64_t[]", rt_offsets),
+            ffi.new("int64_t[]", rt_wcets),
+            ffi.new("int64_t[]", rt_periods),
+            n,
+            ffi.new("int64_t[]", demands),
+            ffi.new("int64_t[]", wcets),
+            ffi.new("int64_t[]", max_periods),
+            cores,
+            responses,
+            counters,
+        )
+        if status < 0:
+            raise MemoryError("compiled HYDRA security allocation: out of memory")
+        return (
+            status,
+            ffi.unpack(cores, status),
+            ffi.unpack(responses, status),
+            counters[0],
+        )
 
     def select_periods(
         self,

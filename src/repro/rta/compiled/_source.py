@@ -1,7 +1,7 @@
 """C source of the compiled kernels (cffi API mode).
 
-Five exported functions cover every integer fixed point the kernel tier
-dispatches, and a sixth runs the campaign's trace-free trial loop (see
+Six exported functions cover every integer fixed point the kernel tier
+dispatches, and a seventh runs the campaign's trace-free trial loop (see
 :mod:`repro.rta.compiled`):
 
 * ``hydra_eq1_solve`` -- the Eq. 1 demand iteration behind
@@ -14,6 +14,14 @@ dispatches, and a sixth runs the campaign's trace-free trial loop (see
   candidate inserted at its priority position, then it and every task
   below it solved by ``hydra_eq1_solve`` -- and the core is chosen by the
   strategy's ``(load, core)`` order over the per-core utilization sums;
+  the admitting probes' solves are every task's final Eq. 1 response,
+  returned for the Eq. 1 check;
+* ``hydra_allocate_security`` -- HYDRA's max-period best-fit security
+  allocation of one task set
+  (:meth:`~repro.baselines.hydra.Hydra.allocate_security`): each task, in
+  priority order, probes every core with ``hydra_eq1_solve`` below the
+  core's RT and already placed security tasks, takes the minimum of
+  ``(-load, response, core)`` and occupies that core at ``T^max``;
 * ``hydra_partitioned_periods`` -- HYDRA's per-core period assignment for
   every core of a task set: per core one Eq. 1 operand buffer holds the
   RT tasks followed by the security tasks at their current trial periods
@@ -53,8 +61,11 @@ The iterates are the same integers the pure-python kernels produce (the
 Python callers guard every operand below ``2**31`` and per-task
 ``wcet <= period`` where the argument needs it; accumulations that could
 exceed 63 bits run in ``__int128``), so results are byte-equal -- pinned
-by the differential suites in ``tests/rta/``, ``tests/partitioning/``
-and, for the trial loop, ``tests/sim/test_batched_engine.py``.  Every
+by the differential suites in ``tests/rta/``, ``tests/partitioning/``,
+``tests/baselines/`` and, for the trial loop,
+``tests/sim/test_batched_engine.py``; the partitioner's and the
+allocation's per-core loads are the python float sums, accumulated in the
+python order.  Every
 entry point works in one heap workspace per call, freed on every path:
 no fixed-size arrays and no ``static`` state (cffi releases the GIL).
 """
@@ -71,7 +82,8 @@ int64_t hydra_partition_rt(int64_t num_cores, int64_t n,
                            const int64_t *wcets, const int64_t *periods,
                            const int64_t *deadlines, const int64_t *demands,
                            const double *utilizations, const int64_t *order,
-                           int strategy, int64_t *cores, int64_t *counters);
+                           int strategy, int64_t *cores, int64_t *responses,
+                           int64_t *counters);
 int64_t hydra_select_periods(int64_t num_cores,
                              int64_t n_rt, const int64_t *rt_cores,
                              const int64_t *rt_wcets,
@@ -91,6 +103,13 @@ int64_t hydra_partitioned_periods(int64_t num_cores,
                                   const int64_t *sec_wcets,
                                   const int64_t *max_periods, int core_aware,
                                   int64_t *periods, int64_t *responses);
+int64_t hydra_allocate_security(int64_t num_cores,
+                                const int64_t *rt_offsets,
+                                const int64_t *rt_wcets,
+                                const int64_t *rt_periods, int64_t n_sec,
+                                const int64_t *demands, const int64_t *wcets,
+                                const int64_t *max_periods, int64_t *cores,
+                                int64_t *responses, int64_t *counters);
 int64_t hydra_global_rta(int64_t num_cores, int64_t n, const int64_t *wcets,
                          const int64_t *periods, const int64_t *limits,
                          int64_t *responses, int64_t *counters);
@@ -141,11 +160,13 @@ int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
 enum { HYDRA_FIRST_FIT = 0, HYDRA_BEST_FIT = 1, HYDRA_WORST_FIT = 2 };
 
 /* One task set's RT tasks, indexed in priority order, and the packing so
- * far (assigned[i] = core of task i, -1 = not placed yet). */
+ * far (assigned[i] = core of task i, -1 = not placed yet; responses[i] =
+ * task i's Eq. 1 response on it). */
 typedef struct {
     int64_t n;
     const int64_t *wcets, *periods, *deadlines, *demands;
-    int64_t *assigned, *members, *buf_periods, *buf_wcets;
+    int64_t *assigned, *responses, *members, *probe, *buf_periods,
+        *buf_wcets;
     int64_t solves;
 } hydra_partition;
 
@@ -153,7 +174,11 @@ typedef struct {
  * inserted at its priority position among the core's tasks, and t and
  * every task below it must pass -- demand (wcet + blocking) within the
  * deadline, then the Eq. 1 fixed point over the tasks above it (raw
- * wcets) within the deadline.  The tasks above t keep their verdicts. */
+ * wcets) within the deadline.  The tasks above t keep their verdicts.
+ * An admitting probe is always the placement (the caller stops at the
+ * first core that admits), so its solves become the responses of t and
+ * the tasks below it; a failing probe's solves are discarded.  Each
+ * task's last solve thus saw its final higher-priority set. */
 static int hydra_rt_admits(hydra_partition *p, int64_t t, int64_t c)
 {
     int64_t m = 0, position = 0, i, q;
@@ -171,10 +196,13 @@ static int hydra_rt_admits(hydra_partition *p, int64_t t, int64_t c)
         if (p->demands[k] > p->deadlines[k])
             return 0;
         p->solves++;
-        if (hydra_eq1_solve(p->demands[k], p->deadlines[k], q,
-                            p->buf_periods, p->buf_wcets) < 0)
+        p->probe[q] = hydra_eq1_solve(p->demands[k], p->deadlines[k], q,
+                                      p->buf_periods, p->buf_wcets);
+        if (p->probe[q] < 0)
             return 0;
     }
+    for (q = position; q < m; q++)
+        p->responses[p->members[q]] = p->probe[q];
     return 1;
 }
 
@@ -185,21 +213,23 @@ static int hydra_rt_admits(hydra_partition *p, int64_t t, int64_t c)
  * ascending, then index -- which is the strategy's pick among all the
  * cores it fits on.  A core's load is the sum of its tasks' utilizations
  * in placement order, the python loop's float sum.  cores[i] receives
- * task i's core (-1 = not placed) and counters[0] the Eq. 1 fixed points
+ * task i's core (-1 = not placed), responses[i] its Eq. 1 response on
+ * that core (-1 = not placed) and counters[0] the Eq. 1 fixed points
  * run.  Returns n when every task fits, the placement step of the first
  * task that fits on no core, or -1 when out of memory. */
 int64_t hydra_partition_rt(int64_t num_cores, int64_t n,
                            const int64_t *wcets, const int64_t *periods,
                            const int64_t *deadlines, const int64_t *demands,
                            const double *utilizations, const int64_t *order,
-                           int strategy, int64_t *cores, int64_t *counters)
+                           int strategy, int64_t *cores, int64_t *responses,
+                           int64_t *counters)
 {
     hydra_partition p;
     double *loads;
     int64_t *rank;
     int64_t step, i, result = n;
     void *block = malloc((size_t)num_cores * (sizeof(double) + sizeof(int64_t))
-                         + (size_t)(4 * n + 1) * sizeof(int64_t));
+                         + (size_t)(5 * n + 1) * sizeof(int64_t));
 
     if (!block)
         return -1;
@@ -211,14 +241,18 @@ int64_t hydra_partition_rt(int64_t num_cores, int64_t n,
     p.deadlines = deadlines;
     p.demands = demands;
     p.assigned = rank + num_cores;
+    p.responses = responses;
     p.members = p.assigned + n;
-    p.buf_periods = p.members + n + 1;
+    p.probe = p.members + n + 1;
+    p.buf_periods = p.probe + n;
     p.buf_wcets = p.buf_periods + n;
     p.solves = 0;
     for (i = 0; i < num_cores; i++)
         loads[i] = 0.0;
-    for (i = 0; i < n; i++)
+    for (i = 0; i < n; i++) {
         p.assigned[i] = -1;
+        responses[i] = -1;
+    }
 
     for (step = 0; step < n; step++) {
         int64_t t = order[step], chosen = -1;
@@ -679,6 +713,93 @@ done:
     counters[1] = s.solves;
     counters[2] = s.seeded;
     counters[3] = s.certified;
+    free(block);
+    return result;
+}
+
+/* ---- HYDRA: max-period best-fit security allocation ------------------ */
+
+/* Core c holds RT tasks rt_offsets[c]..rt_offsets[c+1]-1 (its priority
+ * order); the n_sec security tasks are indexed in priority order.  Each
+ * task probes every core in index order: the Eq. 1 fixed point of its
+ * demand (wcet + blocking) below the core's tasks, limit T^max -- the
+ * SecurityPacker probe.  Among the cores where it fits it takes the
+ * minimum of (-load, response, core) (choose_best_fit_core), and then
+ * occupies that core at T^max with its raw wcet.  A core's load is the
+ * python float sum: 0.0, plus each RT task's wcet/period in order, plus
+ * wcet/T^max per placement.  cores[j]/responses[j] receive task j's core
+ * and response, and counters[0] the Eq. 1 fixed points run.  Returns
+ * n_sec when every task is placed, the index of the first task that fits
+ * on no core, or -1 when out of memory. */
+int64_t hydra_allocate_security(int64_t num_cores,
+                                const int64_t *rt_offsets,
+                                const int64_t *rt_wcets,
+                                const int64_t *rt_periods, int64_t n_sec,
+                                const int64_t *demands, const int64_t *wcets,
+                                const int64_t *max_periods, int64_t *cores,
+                                int64_t *responses, int64_t *counters)
+{
+    /* per core: its load, the start of its operand buffer (room for its
+     * RT tasks and every security task) and its task count */
+    double *loads;
+    int64_t *base, *count, *buf_periods, *buf_wcets;
+    int64_t width = rt_offsets[num_cores] + num_cores * n_sec;
+    int64_t solves = 0, result = n_sec, c, i, j;
+    void *block = malloc((size_t)num_cores * (sizeof(double)
+                                              + 2 * sizeof(int64_t))
+                         + (size_t)(2 * width) * sizeof(int64_t));
+
+    if (!block)
+        return -1;
+    loads = (double *)block;
+    base = (int64_t *)(loads + num_cores);
+    count = base + num_cores;
+    buf_periods = count + num_cores;
+    buf_wcets = buf_periods + width;
+    for (c = 0; c < num_cores; c++) {
+        base[c] = rt_offsets[c] + c * n_sec;
+        count[c] = rt_offsets[c + 1] - rt_offsets[c];
+        loads[c] = 0.0;
+        for (i = 0; i < count[c]; i++) {
+            int64_t k = rt_offsets[c] + i;
+            buf_periods[base[c] + i] = rt_periods[k];
+            buf_wcets[base[c] + i] = rt_wcets[k];
+            loads[c] += (double)rt_wcets[k] / (double)rt_periods[k];
+        }
+    }
+
+    for (j = 0; j < n_sec; j++) {
+        int64_t chosen = -1, best = 0;
+        cores[j] = -1;
+        responses[j] = -1;
+        if (demands[j] <= max_periods[j]) {
+            for (c = 0; c < num_cores; c++) {
+                int64_t response;
+                solves++;
+                response = hydra_eq1_solve(demands[j], max_periods[j],
+                                           count[c], buf_periods + base[c],
+                                           buf_wcets + base[c]);
+                if (response < 0)
+                    continue;
+                if (chosen < 0 || loads[c] > loads[chosen]
+                    || (loads[c] == loads[chosen] && response < best)) {
+                    chosen = c;
+                    best = response;
+                }
+            }
+        }
+        if (chosen < 0) {
+            result = j;
+            break;
+        }
+        cores[j] = chosen;
+        responses[j] = best;
+        buf_periods[base[chosen] + count[chosen]] = max_periods[j];
+        buf_wcets[base[chosen] + count[chosen]] = wcets[j];
+        count[chosen]++;
+        loads[chosen] += (double)wcets[j] / (double)max_periods[j];
+    }
+    counters[0] = solves;
     free(block);
     return result;
 }

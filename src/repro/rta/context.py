@@ -20,7 +20,9 @@ task set:
   (:class:`~repro.rta.global_fp.GlobalRtaEngine`);
 * the ``quick_accept`` switch for the accept-only admission shortcuts and
   a :class:`KernelStats` counter block making their activity observable
-  (benchmarks report it; tests assert the shortcuts actually fire).
+  (benchmarks report it; tests assert the shortcuts actually fire);
+* the Eq. 1 responses of the last compiled RT partition, which the Eq. 1
+  check of that same partition reads instead of solving again.
 
 Contexts are cheap (a handful of dicts); create one per task set.  The
 batch service does exactly that and passes it to every shared phase; see
@@ -30,7 +32,7 @@ batch service does exactly that and passes it to every shared phase; see
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.model.platform import Platform
 from repro.model.tasks import RealTimeTask
@@ -191,15 +193,24 @@ class RtaContext:
         self._blocking: Dict[str, int] = {}
         self.kernel_name = normalise_kernel(kernel)
         #: The loaded compiled backend, or ``None`` on the pure-python tier
-        #: (requested, unavailable, or fallback).  ``CoreState`` dispatches
-        #: Eq. 1 on this per solve; ``partition_rt_tasks`` (RT
-        #: partitioning), ``PeriodSelector.select`` (HYDRA-C's
-        #: Algorithms 1-2), ``Hydra._assign_periods`` (HYDRA's per-core
-        #: periods) and ``GlobalRtaEngine.taskset_schedulable``
-        #: (GLOBAL-TMax) each run in one call on it per task set.
+        #: (requested, unavailable, or fallback).  ``partition_rt_tasks``
+        #: (RT partitioning, whose responses also answer the Eq. 1 check),
+        #: ``Hydra.allocate_security`` (HYDRA's best-fit allocation),
+        #: ``PeriodSelector.select`` (HYDRA-C's Algorithms 1-2),
+        #: ``Hydra._assign_periods`` (HYDRA's per-core periods) and
+        #: ``GlobalRtaEngine.taskset_schedulable`` (GLOBAL-TMax) each run
+        #: in one call on it per task set.  ``CoreState`` dispatches Eq. 1
+        #: on it per solve for what stays in Python: HYDRA-RF's allocation,
+        #: the GREEDY_MIN ablation, the Eq. 1 check of a partition the
+        #: compiled partitioner did not make, and guard fallbacks.
         self.compiled_kernel = resolve_kernel(self.kernel_name)
         self.stats = KernelStats()
         self._rt_caches: Dict[object, RtWorkloadCache] = {}
+        #: ``(task set, partition, responses)`` of the last compiled RT
+        #: partition (see :meth:`record_rt_responses`).
+        self._rt_responses: Optional[
+            Tuple[object, Mapping[str, int], Dict[str, int]]
+        ] = None
 
     # -- blocking terms (resource protocols) -----------------------------------
 
@@ -231,6 +242,27 @@ class RtaContext:
         from repro.platform.blocking import blocking_terms
 
         self._blocking = blocking_terms(taskset, protocol)
+
+    # -- RT partition responses ------------------------------------------------
+
+    def record_rt_responses(
+        self, taskset, mapping: Mapping[str, int], responses: Dict[str, int]
+    ) -> None:
+        """Keep the Eq. 1 response of every RT task of *taskset* under the
+        partition *mapping*, as the compiled partitioner admitted it (the
+        last admission solve of each task saw its final higher-priority
+        set, so it is the response the Eq. 1 check would compute)."""
+        self._rt_responses = (taskset, mapping, responses)
+
+    def rt_responses(
+        self, taskset, mapping: Mapping[str, int]
+    ) -> Optional[Dict[str, int]]:
+        """The responses recorded for this very task set object and an
+        equal partition, else ``None`` (the caller solves)."""
+        recorded = self._rt_responses
+        if recorded is None or recorded[0] is not taskset or recorded[1] != mapping:
+            return None
+        return recorded[2]
 
     # -- factories -------------------------------------------------------------
 

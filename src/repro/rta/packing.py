@@ -15,10 +15,17 @@ core they pick, exactly as
 :func:`repro.baselines.hydra.feasible_cores_for_security_task` documents.
 The returned ``(core_index, response_time, utilization)`` triples match
 the frozen predicate bit for bit, including the left-to-right float
-utilization accumulation that downstream tie-breaks compare.  On the
-compiled kernel tier each probe's Eq. 1 solve runs in C (per solve, from
-:meth:`CoreState._solve`), and :class:`CorePeriodAssigner` is only the
-python tier of HYDRA's period phase.
+utilization accumulation that downstream tie-breaks compare.
+
+On the compiled kernel tier HYDRA's best-fit allocation and its period
+phase each run in one C call per task set
+(:meth:`~repro.baselines.hydra.Hydra.allocate_security`,
+:meth:`~repro.baselines.hydra.Hydra._assign_periods`), so both classes
+here are the python tier of those phases.  :class:`SecurityPacker` still
+serves HYDRA-RF's random-fit allocation, the GREEDY_MIN ablation and
+operands outside the kernel's guard; there each probe's Eq. 1 solve is
+dispatched to C per solve (from :meth:`CoreState._solve`) where the
+operands fit.
 """
 
 from __future__ import annotations

@@ -10,7 +10,14 @@ arithmetic is shared with the packing layers analysing the same task set.
 
 Exact response times are always materialised here -- the result's
 ``response_times`` feed :class:`~repro.core.framework.SystemDesign`
-reports -- so the accept-only shortcuts do not apply to this phase.
+reports -- so the accept-only shortcuts do not apply to this phase.  On
+the compiled kernel tier they usually exist already: the one-call RT
+partitioner records every task's final Eq. 1 response on the context
+(:meth:`~repro.rta.context.RtaContext.record_rt_responses`), and the check
+reads them when it is asked about that very task set and an equal
+partition.  Any other task set or partition -- a caller-supplied one, an
+earlier regeneration candidate, the python tier, a guard fallback -- is
+solved here.
 """
 
 from __future__ import annotations
@@ -38,13 +45,25 @@ def partitioned_rt_check(
 
     Frozen-equal to
     :func:`repro.schedulability.partitioned.partitioned_rt_schedulable`
-    (the differential suite pins the equality); the kernel variant exists
+    (the differential suites pin the equality); the kernel variant exists
     so the batch service can run the phase through the task set's shared
-    context.
+    context, and read the responses the compiled partitioner recorded
+    there.  ``response_times`` lists the tasks in (core, priority) order.
     """
     context = rta_context if rta_context is not None else RtaContext(platform)
     context.prime_blocking(taskset)
     groups = rt_tasks_by_core(taskset, allocation, platform)
+    admitted = context.rt_responses(taskset, allocation)
+    if admitted is not None:
+        return PartitionedAnalysisResult(
+            schedulable=True,
+            response_times={
+                task.name: admitted[task.name]
+                for tasks in groups.values()
+                for task in tasks
+            },
+            unschedulable_tasks=(),
+        )
     response_times: Dict[str, Optional[int]] = {}
     for _core_index, tasks in groups.items():
         state = context.core_state()

@@ -1,8 +1,10 @@
 """Unit tests for the task value objects."""
 
+import dataclasses
+
 import pytest
 
-from repro.model.tasks import Job, RealTimeTask, SecurityTask
+from repro.model.tasks import Job, RealTimeTask, ResourceClaim, SecurityTask
 
 
 class TestRealTimeTask:
@@ -115,6 +117,87 @@ class TestSecurityTask:
     def test_coverage_units_must_be_positive(self):
         with pytest.raises(ValueError):
             SecurityTask(name="ids", wcet=5, max_period=100, coverage_units=0)
+
+
+def _same_error(copy, rebuild):
+    """Both callables raise the same exception type and message."""
+    with pytest.raises(Exception) as copied:
+        copy()
+    with pytest.raises(Exception) as rebuilt:
+        rebuild()
+    assert type(copied.value) is type(rebuilt.value)
+    assert str(copied.value) == str(rebuilt.value)
+
+
+class TestCopies:
+    """``with_priority``/``with_period``/``at_max_period`` copy without
+    re-validating the unchanged fields; the result must equal
+    :func:`dataclasses.replace`, and bad values must fail the same way."""
+
+    claims = (ResourceClaim("bus", 3, 2), ResourceClaim("can", 0, 1))
+
+    def tasks(self):
+        return [
+            RealTimeTask(name="rt", wcet=6, period=40, deadline=30),
+            RealTimeTask(name="rt-locks", wcet=6, period=40, claims=self.claims),
+            SecurityTask(name="ids", wcet=5, max_period=100, coverage_units=7),
+            SecurityTask(
+                name="ids-set", wcet=5, max_period=100, period=60, priority=7,
+                claims=self.claims,
+            ),
+        ]
+
+    @staticmethod
+    def assert_same(copy, rebuilt):
+        assert copy == rebuilt
+        assert hash(copy) == hash(rebuilt)
+        assert type(copy) is type(rebuilt)
+        assert vars(copy) == vars(rebuilt)
+
+    def test_with_priority_equals_replace(self):
+        for task in self.tasks():
+            for priority in (0, 3, 1_000_007, None):
+                self.assert_same(
+                    task.with_priority(priority),
+                    dataclasses.replace(task, priority=priority),
+                )
+
+    def test_with_period_and_at_max_period_equal_replace(self):
+        for task in self.tasks()[2:]:
+            for period in (5, 60, 100, None):
+                self.assert_same(
+                    task.with_period(period),
+                    dataclasses.replace(task, period=period),
+                )
+            self.assert_same(
+                task.at_max_period(),
+                dataclasses.replace(task, period=task.max_period),
+            )
+            self.assert_same(
+                task.without_period(), dataclasses.replace(task, period=None)
+            )
+
+    def test_copies_leave_the_original_alone(self):
+        task = SecurityTask(name="ids", wcet=5, max_period=100, priority=2)
+        task.with_period(50)
+        task.with_priority(9)
+        assert task.period is None and task.priority == 2
+
+    @pytest.mark.parametrize("priority", [-1, 1.5, "1", True])
+    def test_bad_priority_fails_like_replace(self, priority):
+        for task in self.tasks():
+            _same_error(
+                lambda: task.with_priority(priority),
+                lambda: dataclasses.replace(task, priority=priority),
+            )
+
+    @pytest.mark.parametrize("period", [0, -3, 4, 101, 60.0, False])
+    def test_bad_period_fails_like_replace(self, period):
+        for task in self.tasks()[2:]:
+            _same_error(
+                lambda: task.with_period(period),
+                lambda: dataclasses.replace(task, period=period),
+            )
 
 
 class TestJob:

@@ -42,6 +42,28 @@ class TestConstruction:
                 [RealTimeTask(name="x", wcet=1, period=10)],
                 [SecurityTask(name="x", wcet=1, max_period=20)],
             )
+        # A duplicate inside one population, with the raw constructor (the
+        # priority helpers behind ``create`` reject it first).
+        rt = tuple(
+            RealTimeTask(name=name, wcet=1, period=10, priority=priority)
+            for priority, name in enumerate(["a", "b", "a"])
+        )
+        with pytest.raises(ValueError, match=r"duplicate task names: \['a'\]$"):
+            TaskSet(rt_tasks=rt)
+        # A triple duplicate across both populations is reported once, and
+        # every duplicated name appears, sorted.
+        rt = tuple(
+            RealTimeTask(name=name, wcet=1, period=10, priority=priority)
+            for priority, name in enumerate(["z", "z", "m", "c"])
+        )
+        sec = tuple(
+            SecurityTask(name=name, wcet=1, max_period=20, priority=100 + index)
+            for index, name in enumerate(["z", "m", "d"])
+        )
+        with pytest.raises(
+            ValueError, match=r"duplicate task names: \['m', 'z'\]$"
+        ):
+            TaskSet(rt_tasks=rt, security_tasks=sec)
 
     def test_missing_priority_rejected_by_raw_constructor(self):
         with pytest.raises(ValueError, match="no priority"):
@@ -135,6 +157,20 @@ class TestTransformations:
     def test_with_security_periods_unknown_task(self):
         with pytest.raises(KeyError):
             make_taskset().with_security_periods({"ghost": 10})
+
+    def test_transformations_equal_validated_construction(self):
+        taskset = make_taskset()
+        for derived in (
+            taskset.with_security_periods({"ids-a": 20}),
+            taskset.with_security_at_max_period(),
+            taskset.without_security_periods(),
+        ):
+            rebuilt = TaskSet(
+                rt_tasks=derived.rt_tasks, security_tasks=derived.security_tasks
+            )
+            assert derived == rebuilt
+            assert hash(derived) == hash(rebuilt)
+            assert type(derived) is TaskSet
 
     def test_with_security_at_max_period(self):
         pinned = make_taskset().with_security_at_max_period()

@@ -35,8 +35,9 @@ from repro.partitioning.heuristics import (
     partition_utilizations,
 )
 from repro.platform.models import PlatformModel
-from repro.rta import RtaContext
+from repro.rta import RtaContext, partitioned_rt_check
 from repro.rta import compiled as compiled_pkg
+from repro.schedulability.partitioned import partitioned_rt_schedulable
 from repro.rta.vectorized import partition_column
 
 RESOURCES = ("bus", "disk")
@@ -255,6 +256,106 @@ class TestEvaluateSpecsTiers:
             "column_undecided",
         ):
             assert sink[name] == 0, name
+
+
+# ---------------------------------------------------------------------------
+# The Eq. 1 check reads the compiled partitioner's responses
+# ---------------------------------------------------------------------------
+
+
+def _check_items(result):
+    return (
+        result.schedulable,
+        list(result.response_times.items()),
+        result.unschedulable_tasks,
+    )
+
+
+class TestEq1CheckFromPartitioner:
+    @given(packings(), st.sampled_from(list(FitStrategy)))
+    @settings(max_examples=200, deadline=None)
+    def test_check_equals_frozen_on_both_tiers(self, data, strategy):
+        platform, taskset, protocol = data
+        for kernel in ("compiled", "python"):
+            context = _context(kernel, platform, protocol)
+            try:
+                allocation = partition_rt_tasks(taskset, platform, strategy, context)
+            except AllocationError:
+                return
+            before = context.stats.as_dict()
+            check = _check_items(
+                partitioned_rt_check(taskset, allocation.mapping, platform, context)
+            )
+            # A fresh python context always solves every task.
+            solved = partitioned_rt_check(
+                taskset,
+                allocation.mapping,
+                platform,
+                _context("python", platform, protocol),
+            )
+            assert check == _check_items(solved), kernel
+            if protocol == "none":
+                frozen = partitioned_rt_schedulable(
+                    taskset, allocation.mapping, platform
+                )
+                assert check == _check_items(frozen), kernel
+            if kernel == "compiled" and compiled_pkg.kernel_available():
+                # The partitioner's responses were read, not re-solved.
+                assert context.stats.as_dict() == before
+
+    @pytest.mark.parametrize("kernel", ["compiled", "python"])
+    def test_failed_probe_leaves_no_response_behind(self, kernel):
+        """``t`` probes core 0 first: it and ``x`` pass there (``x`` at an
+        inflated 8), ``y`` fails, so ``t`` lands on core 1.  Nothing is
+        placed above ``x`` afterwards, so its response stays 6."""
+        platform = Platform(num_cores=2)
+        taskset = TaskSet.create(
+            [
+                RealTimeTask(name="y", wcet=21, period=40),
+                RealTimeTask(name="x", wcet=6, period=20),
+                RealTimeTask(name="t", wcet=2, period=10),
+            ],
+            [],
+        )
+        context = _context(kernel, platform)
+        allocation = partition_rt_tasks(taskset, platform, rta_context=context)
+        assert dict(allocation.mapping) == {"y": 0, "x": 0, "t": 1}
+        check = partitioned_rt_check(taskset, allocation.mapping, platform, context)
+        assert list(check.response_times.items()) == [
+            ("x", 6), ("y", 33), ("t", 2)
+        ]
+
+    @requires_backend
+    def test_other_candidate_or_mapping_solves_again(self):
+        platform = Platform(num_cores=2)
+        context = _context("compiled", platform)
+        first = _strategy_taskset()
+        first_allocation = partition_rt_tasks(first, platform, rta_context=context)
+        # A regeneration retry packs another candidate on the same context.
+        retry = TaskSet.create(
+            [
+                RealTimeTask(name=task.name, wcet=task.wcet + 1, period=task.period)
+                for task in first.rt_tasks
+            ],
+            [],
+        )
+        retry_allocation = partition_rt_tasks(retry, platform, rta_context=context)
+        moved = dict(retry_allocation.mapping)
+        moved["d"] = 1 - moved["d"]
+        equal_copy = TaskSet.create(list(retry.rt_tasks), [])
+        for taskset, mapping, solves in (
+            (first, first_allocation.mapping, True),
+            (retry, moved, True),
+            (equal_copy, retry_allocation.mapping, True),
+            (retry, retry_allocation.mapping, False),
+            (retry, dict(retry_allocation.mapping), False),
+        ):
+            before = context.stats.exact_solves
+            check = partitioned_rt_check(taskset, mapping, platform, context)
+            assert (context.stats.exact_solves > before) is solves
+            assert _check_items(check) == _check_items(
+                partitioned_rt_schedulable(taskset, mapping, platform)
+            )
 
 
 # ---------------------------------------------------------------------------
