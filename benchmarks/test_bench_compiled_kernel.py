@@ -1,7 +1,7 @@
 """Benchmark: the compiled kernel tier vs. the frozen seed path.
 
 Performance gate on the Fig. 6 column (2 cores, HYDRA-C only -- the
-workload whose Eq. 6-8 fixed points dominate once the column screens have
+workload whose Eq. 6-8 fixed points dominate once RT partitioning has
 run), skipped where the compiled backend cannot build: the compiled tier
 -- cffi-compiled Eq. 1 fixed points and the one-call compiled period
 selector (Algorithms 1-2) -- must evaluate the task-set stream at least

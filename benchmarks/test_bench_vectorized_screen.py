@@ -9,12 +9,12 @@ cover:
 * the Fig. 7b columns (HYDRA-C + HYDRA: adds the shared max-period
   allocation and HYDRA's per-core period minimisation).
 
-The candidate is today's python tier -- column-lockstep generation with
-the vectorized flip-free screens, warm-seeded Eq. 7 fixed points and the
-exact solve-skipping layers (certification, pins, Line-8 reuse) -- timed
-best-of-``_TIMING_ROUNDS``.  The baseline is the frozen seed oracle
-(:func:`repro.batch.reference.reference_evaluate_one`), timed on the one
-pass each gate runs anyway to assert result identity.
+The candidate is today's python tier -- per-slot generation whose RT
+partitioning takes the flip-free LL/Bini quick-accepts, warm-seeded Eq. 7
+fixed points and the exact solve-skipping layers (certification, pins,
+Line-8 reuse) -- timed best-of-``_TIMING_ROUNDS``.  The baseline is the
+frozen seed oracle (:func:`repro.batch.reference.reference_evaluate_one`),
+timed on the one pass each gate runs anyway to assert result identity.
 
 The bars carry two retired gates over onto the frozen baseline.  Those
 gates compared against since-deleted profiles: the cold kernel without
@@ -126,7 +126,7 @@ def test_bench_vectorized_screen_fig7b_columns(benchmark, tasksets_per_group):
 
 
 def test_bench_screens_and_seeds_fire_on_the_bench_workload(benchmark):
-    """The column filters and warm seeds are load-bearing on this workload."""
+    """The quick-accepts and warm seeds are load-bearing on this workload."""
     config = ExperimentConfig(
         num_cores=2,
         tasksets_per_group=2,
@@ -134,7 +134,7 @@ def test_bench_screens_and_seeds_fire_on_the_bench_workload(benchmark):
         schemes=FIG7B_SCHEMES,
     )
     specs = build_specs(config)
-    # The column screen is the python tier's partitioner.
+    # The per-probe quick-accepts are python-tier layers.
     service = BatchDesignService(
         config.num_cores, scheme_names=FIG7B_SCHEMES, kernel="python"
     )
@@ -148,5 +148,5 @@ def test_bench_screens_and_seeds_fire_on_the_bench_workload(benchmark):
         key: value for key, value in sink.items() if value
     }
     assert sink["seeded_solves"] > 0
-    assert sink["column_ll_accepts"] + sink["column_bini_accepts"] > 0
-    assert sink["exact_solves"] > 0  # the screens decide, the kernel verifies
+    assert sink["ll_accepts"] + sink["bound_accepts"] > 0
+    assert sink["exact_solves"] > 0  # the shortcuts decide, the kernel verifies

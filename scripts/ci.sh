@@ -63,8 +63,10 @@
 #   bench -- the speedup gates: the batched pipeline must stay >= 2x
 #            faster than the frozen seed path (repro/batch/reference.py),
 #            the RTA kernel >= 2x on the allocation-heavy Fig. 7a columns,
-#            the python tier >= 22x / >= 15x over the frozen seed path on
-#            the period-selection-heavy Fig. 6 / Fig. 7b columns, the
+#            the python tier (per-slot generation, quick-accepts, warm
+#            seeds, solve-skipping) >= 22x / >= 15x over the frozen seed
+#            path on the period-selection-heavy Fig. 6 / Fig. 7b columns
+#            (benchmarks/test_bench_vectorized_screen.py), the
 #            event-compressed simulation backend >= 5x faster than
 #            the tick engine on the rover horizon, the campaign fast path
 #            (design dedup + trial-batched trace-free loop) >= 3x over the
@@ -291,7 +293,7 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
 fi
 
 if [[ "$stage" == "bench" || "$stage" == "all" ]]; then
-    echo "== bench gates: batch-service, RTA-kernel, vectorized-screen, fast-simulation, campaign-fast-path and serve-latency speedups =="
+    echo "== bench gates: batch-service, RTA-kernel, python-tier-vs-frozen-seed-path (Fig. 6 / Fig. 7b), fast-simulation, campaign-fast-path and serve-latency speedups =="
     python -m pytest -x -q benchmarks/test_bench_batch_service.py \
         benchmarks/test_bench_rta_kernel.py \
         benchmarks/test_bench_vectorized_screen.py \

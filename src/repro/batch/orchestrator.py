@@ -18,9 +18,7 @@ shipped to the workers as a few *slice* payloads -- the chunk's specs
 encoded into compact :class:`SpecBlock` arrays, one submit per worker slice
 -- rather than one pickled object per task set, so orchestration overhead
 no longer scales with chunk count; each worker evaluates its slice through
-the column pipeline (:meth:`~repro.batch.service.BatchDesignService.evaluate_specs`),
-which materialises one task-set arena per regeneration round and screens it
-vectorized.
+:meth:`~repro.batch.service.BatchDesignService.evaluate_specs`.
 
 Progress is reported through a callback after every chunk, so a CLI (or a
 service wrapping this orchestrator) can stream status without coupling the

@@ -66,7 +66,9 @@ def log_uniform_periods(
 
     samples = np.exp(rng.uniform(np.log(minimum), np.log(maximum), size=count))
     periods: List[int] = []
-    for sample in samples:
+    # Python floats round half to even like NumPy's and skip the per-element
+    # NumPy scalar arithmetic.
+    for sample in samples.tolist():
         period = int(round(sample / granularity)) * granularity
         period = max(minimum, min(maximum, period))
         periods.append(period)

@@ -18,12 +18,10 @@ One Eq. 1-5 engine shared by every layer of the design space:
   (Eq. 6-8; re-exported by :mod:`repro.core.analysis` for the historical
   API), with sound fixed-point warm starts for monotone re-solves and the
   exact solve-skipping layers (incumbent certification, sandwich pins);
-* :mod:`repro.rta.vectorized` -- the column layer:
-  :func:`~repro.rta.vectorized.partition_column` partitions a whole
-  column of task sets -- one compiled call per set on the compiled tier;
-  on the python tier in lockstep, deciding placement probes with
-  flip-free vectorized screens and reserving the exact kernel for the
-  undecided residue.
+* :mod:`repro.rta.vectorized` --
+  :func:`~repro.rta.vectorized.partition_column` partitions a column of
+  task sets, one RT partition per set on its own context (``None`` where
+  a set fits nowhere).
 
 The frozen oracles -- :mod:`repro.schedulability` and
 :mod:`repro.batch.reference` -- are deliberately *not* built on this

@@ -2,8 +2,8 @@
 campaign's trial loop).
 
 The PR 5 profile of the synthetic sweeps is dominated by the *scalar*
-integer fixed points that survive the vectorized column screens: the
-Eq. 1 demand iteration and the Eq. 6-8 migrating-security-task busy
+integer fixed points that no shortcut decides: the Eq. 1 demand
+iteration and the Eq. 6-8 migrating-security-task busy
 window.  NumPy loses to memoised scalar Python at the paper's tick scales
 (measured in PR 5), so the next speed tier is compilation.  This package
 provides it as a cffi API-mode extension compiled with the system C
@@ -31,9 +31,9 @@ stays in Python.  Five analysis phases dispatch once per task set:
 
 * RT partitioning (first-, best- or worst-fit decreasing with the exact
   Eq. 1 admission), from
-  :func:`~repro.partitioning.heuristics.partition_rt_tasks` and, per task
-  set of a column, :func:`~repro.rta.vectorized.partition_column`; it also
-  returns every RT task's final Eq. 1 response, which the Eq. 1 check
+  :func:`~repro.partitioning.heuristics.partition_rt_tasks` (the sweep's
+  generation-time partition included); it also returns every RT task's
+  final Eq. 1 response, which the Eq. 1 check
   (:func:`~repro.rta.partitioned.partitioned_rt_check`) reads instead of
   solving the partition again;
 * HYDRA's max-period best-fit security allocation (HYDRA and HYDRA-TMax),

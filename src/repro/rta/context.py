@@ -48,12 +48,10 @@ __all__ = ["KernelStats", "RtaContext", "rt_task_view"]
 class KernelStats:
     """Counters of kernel activity, reset per context (= per task set).
 
-    The first block counts the per-probe kernel shortcuts; the
-    ``column_*`` block counts the vectorized column-screen filters of
-    :mod:`repro.rta.vectorized` (per-filter hits plus the undecided
-    residue that fell through to the exact kernel); the remaining counters
-    cover the warm-seeded period-selection solves, compiled-kernel
-    dispatches and the exact solve-skipping layers (``dedup_*``).
+    The first block counts exact solves and the per-probe kernel
+    shortcuts; the remaining counters cover the warm-seeded
+    period-selection solves, compiled-kernel dispatches and the exact
+    solve-skipping layers (``dedup_*``).
     ``hydra-c sweep --stats`` (and the fig6/7a/7b variants) print the
     aggregate over every evaluated task set.  ``merge`` reads fields with
     ``.get(name, 0)``, so sinks lacking a field still aggregate cleanly.
@@ -62,10 +60,6 @@ class KernelStats:
     exact_solves: int = 0
     ll_accepts: int = 0
     bound_accepts: int = 0
-    column_ll_accepts: int = 0
-    column_bini_accepts: int = 0
-    column_util_rejects: int = 0
-    column_undecided: int = 0
     seeded_solves: int = 0
     compiled_solves: int = 0
     #: Per-carry-in-set fixed points pinned by a seed/upper-bound sandwich
@@ -110,10 +104,6 @@ class KernelStats:
             f"kernel: {self.exact_solves} exact solves, "
             f"{self.seeded_solves} warm-seeded, "
             f"quick-accepts {self.ll_accepts} LL / {self.bound_accepts} Bini, "
-            f"column screens {self.column_ll_accepts} LL / "
-            f"{self.column_bini_accepts} Bini accepts, "
-            f"{self.column_util_rejects} util rejects, "
-            f"{self.column_undecided} undecided, "
             f"{self.compiled_solves} compiled solves, "
             f"dedup {self.dedup_pinned_sets} pinned / "
             f"{self.dedup_certified_sets} certified sets, "

@@ -139,9 +139,9 @@ class TestBlockingAwareShortcuts:
     """The shortcut disable keys on the blocking terms actually in play.
 
     A lock-using protocol over a claim-annotated task set used to disable
-    the LL/Bini quick-accepts and the vectorized screen wholesale.  The
-    disable now keys on each task's *own* term being non-zero (plus, for
-    the whole-core LL accept, any term on the core), so the common cases
+    the LL/Bini quick-accepts wholesale.  The disable now keys on each
+    task's *own* term being non-zero (plus, for the whole-core LL accept,
+    any term on the core), so the common cases
     -- protocol ``none`` with claims, ``pip``/``pcp`` with claim-free task
     sets, and claims confined to security tasks -- keep the full fast
     path, while verdicts stay flip-free whenever terms really are in play.
@@ -238,8 +238,8 @@ class TestBlockingAwareShortcuts:
         assert not context.has_blocking
 
     def test_partition_column_splits_mixed_blocking_columns(self):
-        """A column mixing term-carrying and term-free task sets routes
-        each set to the right path and reproduces the scalar packing."""
+        """A python-tier column mixing term-carrying and term-free task
+        sets reproduces the default tier's per-set packing."""
         claimed = TaskSet.create(
             [
                 RealTimeTask(
@@ -263,14 +263,12 @@ class TestBlockingAwareShortcuts:
         platform = Platform.dual_core()
         pip = PlatformModel.parse("rm", "pip", "zero")
         tasksets = [claimed, clean, claimed]
-        # The routing is the python tier's (compiled-tier contexts pack
-        # every set in one C call).
         contexts = [
             RtaContext(platform, platform_model=pip, kernel="python")
             for _ in tasksets
         ]
-        lockstep = partition_column(tasksets, platform, contexts)
-        for taskset, result in zip(tasksets, lockstep):
+        column = partition_column(tasksets, platform, contexts)
+        for taskset, result in zip(tasksets, column):
             scalar_context = RtaContext(platform, platform_model=pip)
             scalar_context.prime_blocking(taskset)
             try:

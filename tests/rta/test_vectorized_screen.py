@@ -1,11 +1,13 @@
-"""Differential suite for the vectorized column layer and its execution.
+"""Differential suite for the sweep's column path and its execution.
 
 Three families of guarantees, all pinned against frozen oracles:
 
-* the column screens are flip-free -- on random columns (including
+* column partitioning is per-set packing -- on random columns (including
   zero-slack tasks, overloaded cores and degenerate single-task-set
-  columns) the lockstep :func:`~repro.rta.vectorized.partition_column`
-  reproduces the scalar packing loop byte for byte;
+  columns) :func:`~repro.rta.vectorized.partition_column` on the python
+  tier reproduces the default tier's per-set packing byte for byte, and
+  the whole column pipeline equals ``reference_evaluate_one`` on both
+  tiers;
 * the warm-seeded, solve-skipping period selection returns results
   byte-equal to the cold loop of ``repro.batch.reference`` with no more
   ``analysis_calls``;
@@ -17,7 +19,7 @@ Three families of guarantees, all pinned against frozen oracles:
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.batch.orchestrator import SweepOrchestrator, build_specs
@@ -32,7 +34,7 @@ from repro.exec import PersistentPool, slice_evenly
 from repro.experiments.config import ExperimentConfig
 from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
 from repro.partitioning.heuristics import partition_rt_tasks
-from repro.rta import RtaContext
+from repro.rta import DEFAULT_KERNEL, RtaContext
 from repro.rta.vectorized import partition_column
 
 # ---------------------------------------------------------------------------
@@ -78,20 +80,29 @@ def taskset_columns(draw):
 
 
 # ---------------------------------------------------------------------------
-# Column screens inside the lockstep partitioner
+# Column partitioning
 # ---------------------------------------------------------------------------
+
+
+def _overloaded_taskset():
+    """Three RT tasks at utilization 0.9: more than two cores can hold."""
+    return TaskSet.create(
+        [RealTimeTask(name=f"rt{index}", wcet=9, period=10) for index in range(3)],
+        [],
+    )
 
 
 class TestColumnScreenDifferential:
     @given(taskset_columns())
+    @example((Platform(num_cores=2), [_overloaded_taskset()]))
     @settings(max_examples=100, deadline=None)
     def test_partition_column_equals_scalar_packing(self, data):
         platform, tasksets = data
-        # The lockstep screen is the python tier's partitioner; the scalar
-        # side runs on the default tier.
+        # The column runs on the python tier, the per-set packing on the
+        # default tier.
         contexts = [RtaContext(platform, kernel="python") for _ in tasksets]
-        lockstep = partition_column(tasksets, platform, contexts)
-        for taskset, result in zip(tasksets, lockstep):
+        column = partition_column(tasksets, platform, contexts)
+        for taskset, result in zip(tasksets, column):
             try:
                 scalar = partition_rt_tasks(
                     taskset, platform, rta_context=RtaContext(platform)
@@ -104,22 +115,35 @@ class TestColumnScreenDifferential:
                 assert result is not None
                 assert result.mapping == scalar.mapping
 
-    def test_screen_rejects_overloaded_single_set_column(self):
+    @pytest.mark.parametrize("kernel", ["python", DEFAULT_KERNEL])
+    def test_screen_rejects_overloaded_single_set_column(self, kernel):
         """Degenerate one-set column whose total RT utilization exceeds the
-        core count: rejected before any probe, counted once."""
+        core count: the set fits nowhere, so its verdict is ``None`` (the
+        differential above also runs this column)."""
+        platform = Platform(num_cores=2)
+        context = RtaContext(platform, kernel=kernel)
+        assert partition_column([_overloaded_taskset()], platform, [context]) == [
+            None
+        ]
+
+    @pytest.mark.parametrize("kernel", ["python", DEFAULT_KERNEL])
+    def test_contexts_must_pair_with_tasksets(self, kernel):
+        """One context per task set: a shorter or longer list is a one-line
+        error naming both lengths, not a silently dropped verdict."""
         platform = Platform(num_cores=2)
         taskset = TaskSet.create(
-            [
-                RealTimeTask(name=f"rt{index}", wcet=9, period=10)
-                for index in range(3)
-            ],
-            [],
+            [RealTimeTask(name="rt0", wcet=1, period=10)], []
         )
-        # The column screen is the python tier's partitioner.
-        context = RtaContext(platform, kernel="python")
-        assert partition_column([taskset], platform, [context]) == [None]
-        assert context.stats.column_util_rejects == 1
-        assert context.stats.exact_solves == 0
+        with pytest.raises(ValueError, match="2 task sets and 1 contexts"):
+            partition_column(
+                [taskset, taskset], platform, [RtaContext(platform, kernel=kernel)]
+            )
+        with pytest.raises(ValueError, match="1 task sets and 2 contexts"):
+            partition_column(
+                [taskset],
+                platform,
+                [RtaContext(platform, kernel=kernel) for _ in range(2)],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +214,10 @@ class TestColumnPipeline:
             schemes=("HYDRA-C", "HYDRA"),
         )
 
-    def test_column_equals_per_spec_and_frozen_reference(self, config):
+    @pytest.mark.parametrize("kernel", ["python", DEFAULT_KERNEL])
+    def test_column_equals_per_spec_and_frozen_reference(self, config, kernel):
         service = BatchDesignService(
-            config.num_cores, scheme_names=config.schemes
+            config.num_cores, scheme_names=config.schemes, kernel=kernel
         )
         specs = build_specs(config)
         column = service.evaluate_specs(specs)
@@ -217,7 +242,7 @@ class TestColumnPipeline:
         assert service.evaluate_specs([spec]) == [service.evaluate_spec(spec)]
 
     def test_column_stats_are_populated(self, config):
-        # The column screen is the python tier's partitioner.
+        # The per-probe quick-accepts are python-tier layers.
         service = BatchDesignService(
             config.num_cores, scheme_names=config.schemes, kernel="python"
         )
@@ -225,12 +250,7 @@ class TestColumnPipeline:
         service.evaluate_specs(build_specs(config), stats_sink=sink)
         assert sink["exact_solves"] > 0
         assert sink["seeded_solves"] > 0
-        screen_activity = (
-            sink["column_ll_accepts"]
-            + sink["column_bini_accepts"]
-            + sink["column_undecided"]
-        )
-        assert screen_activity > 0
+        assert sink["ll_accepts"] + sink["bound_accepts"] > 0
 
 
 # ---------------------------------------------------------------------------
