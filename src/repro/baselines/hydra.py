@@ -490,6 +490,12 @@ class Hydra:
     ) -> Optional[Tuple[Dict[str, int], Dict[str, Optional[int]]]]:
         """CORE_AWARE/TMAX for every core in one compiled call: the same
         Eq. 1 solves, in the same order, as :meth:`_assign_periods_on_core`.
+        The C search starts each solve of a task from its response in the
+        last feasible probe, not from ``wcet``; iterating from that lower
+        bound reaches the same least fixed point, so periods, responses and
+        the solve count are the cold python assigner's, and a solve that
+        goes backwards raises
+        :class:`~repro.rta.compiled.KernelContractError`.
         ``None`` when an operand falls outside the kernel's guards."""
         solved = context.compiled_kernel.partitioned_periods(
             [

@@ -16,8 +16,10 @@ Emberson's Python port; it draws any number of vectors at once.
 generator makes per task population: the same algorithm in Python
 scalars, where NumPy would spend most of its time on 1-element arrays.
 It consumes the generator exactly like ``randfixedsum(..., num_sets=1)``
-and returns bit-identical floats: the transition table and the walk
-repeat NumPy's operations in NumPy's order, and each step's
+and returns bit-identical floats.  The ``w`` recurrence and the walk
+repeat NumPy's operations in NumPy's order; of the transition table the
+walk reads one entry per row, so only those entries are computed, when
+the walk reaches them, by the table's own operations.  Each step's
 ``sx = r ** (1 / i)`` is still NumPy's own ``**`` on a 1-element slice,
 because libm ``pow`` (and a vectorised power call, which NumPy routes
 through ``sqrt`` for the ``i = 2`` step) rounds differently.
@@ -169,37 +171,26 @@ def randfixedsum_vector(
     if n == 1:
         return [float(total)]
 
-    # --- the transition-probability table, row by row ----------------------------
-    # Row i - 2 of randfixedsum's ``t`` (and ``w``) for i = 2..n, padded to
-    # the full width: the walk may index it with a negative column, which
-    # wraps around exactly as NumPy's fancy indexing does.
+    # --- the w recurrence, row by row ------------------------------------------
+    # Rows 0..n-2 of randfixedsum's ``w``: row i - 1 of its transition table
+    # ``t`` (built at i + 1) blends rows i - 1 and i, and the walk reads only
+    # one entry of each table row, so it computes that entry when it needs it.
     k = min(max(math.floor(total), 0), n - 1)
     s = float(total)
     s1 = [s - float(k - j) for j in range(n)]
     s2 = [float(k + n - j) - s for j in range(n)]
     w_prev = [0.0] * (n + 1)
     w_prev[1] = _HUGE
-    table: List[List[float]] = []
-    for i in range(2, n + 1):
+    w_rows = [w_prev]
+    for i in range(2, n):
         fi = float(i)
         offset = n - i
         w_row = [0.0] * (n + 1)
-        t_row = [0.0] * n
         for j in range(i):
-            s1j = s1[j]
-            s2j = s2[offset + j]
-            tmp1 = w_prev[j + 1] * s1j / fi
-            tmp2 = w_prev[j] * s2j / fi
-            w = tmp1 + tmp2
-            w_row[j + 1] = w
-            tmp3 = w + _TINY
-            # NumPy blends both branches with 0/1 weights, so a non-finite
-            # value in the unselected branch still poisons the entry.
-            if s2j > s1j:
-                t_row[j] = tmp2 / tmp3 + (1 - tmp1 / tmp3) * 0.0
-            else:
-                t_row[j] = (tmp2 / tmp3) * 0.0 + (1 - tmp1 / tmp3)
-        table.append(t_row)
+            w_row[j + 1] = (
+                w_prev[j + 1] * s1[j] / fi + w_prev[j] * s2[offset + j] / fi
+            )
+        w_rows.append(w_row)
         w_prev = w_row
 
     # --- walk the table ----------------------------------------------------------
@@ -212,7 +203,29 @@ def randfixedsum_vector(
     pr = 1.0
     for i in range(n - 1, 0, -1):
         step = n - i - 1
-        e = 1 if rt[step] <= table[i - 1][j - 1] else 0
+        # t[i - 1][j - 1]: the row has n columns, filled for 0..i.  A
+        # negative column wraps around as NumPy's fancy indexing does, and
+        # an unfilled one reads 0.0.
+        column = j - 1
+        if column < 0:
+            column += n
+        if column <= i:
+            fi = float(i + 1)
+            s1j = s1[column]
+            s2j = s2[step + column]
+            w_prev = w_rows[i - 1]
+            tmp1 = w_prev[column + 1] * s1j / fi
+            tmp2 = w_prev[column] * s2j / fi
+            tmp3 = tmp1 + tmp2 + _TINY
+            # NumPy blends both branches with 0/1 weights, so a non-finite
+            # value in the unselected branch still poisons the entry.
+            if s2j > s1j:
+                threshold = tmp2 / tmp3 + (1 - tmp1 / tmp3) * 0.0
+            else:
+                threshold = (tmp2 / tmp3) * 0.0 + (1 - tmp1 / tmp3)
+        else:
+            threshold = 0.0
+        e = 1 if rt[step] <= threshold else 0
         sx = (rs[step : step + 1] ** (1.0 / i)).item()
         sm = sm + (1.0 - sx) * pr * s_val / (i + 1)
         pr = sx * pr

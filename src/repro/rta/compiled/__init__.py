@@ -42,7 +42,8 @@ stays in Python.  Five analysis phases dispatch once per task set:
   inside, the per-window RT workload memo and incumbent certification),
   from :meth:`~repro.core.period_selection.PeriodSelector.select`;
 * HYDRA's per-core period assignment (CORE_AWARE and TMAX, shared by
-  HYDRA, HYDRA-TMax and HYDRA-RF), from
+  HYDRA, HYDRA-TMax and HYDRA-RF; each Eq. 1 solve warm-started from the
+  task's response in the last feasible probe), from
   :meth:`~repro.baselines.hydra.Hydra._assign_periods`;
 * GLOBAL-TMax's priority-ordered global RTA, from
   :meth:`~repro.rta.global_fp.GlobalRtaEngine.taskset_schedulable`.
@@ -81,6 +82,8 @@ __all__ = [
     "DEFAULT_KERNEL",
     "INT31_LIMIT",
     "UNSUPPORTED",
+    "CONTRACT_VIOLATION",
+    "KernelContractError",
     "CompiledKernel",
     "operands_fit",
     "normalise_kernel",
@@ -111,6 +114,17 @@ UNSUPPORTED = object()
 #: stays in Python; AUTO caps enumeration at 32 sets, so only an explicit
 #: EXACT request on a large higher-priority set can exceed it.
 MAX_COMPILED_SETS = 4096
+
+#: ``HYDRA_CONTRACT_VIOLATION`` of the C source: a seeded Eq. 1 iteration
+#: whose iterate fell below its predecessor.
+CONTRACT_VIOLATION = -2
+
+
+class KernelContractError(RuntimeError):
+    """A compiled kernel broke its own contract -- a bug in the kernel,
+    never a property of the input.  Deliberately not a
+    :class:`~repro.errors.ReproError`: the CLI and ``hydra-c serve``
+    report it as an internal failure, not as a user error."""
 
 
 def normalise_kernel(value) -> str:
@@ -342,7 +356,9 @@ class CompiledKernel:
         (CORE_AWARE), otherwise they stay at ``T^max`` (TMAX).  Returns
         ``(periods, responses, solves)`` over the security tasks in core
         order (``None`` = response above ``T^max``), or UNSUPPORTED when an
-        operand fails :func:`operands_fit`.
+        operand fails :func:`operands_fit`.  Raises
+        :class:`KernelContractError`, naming the core and its operands,
+        when a warm-started Eq. 1 iteration went backwards.
         """
         rt_offsets, rt_wcets, rt_periods = [0], [], []
         sec_offsets, sec_wcets, max_periods = [0], [], []
@@ -376,6 +392,19 @@ class CompiledKernel:
             periods,
             responses,
         )
+        if solves == CONTRACT_VIOLATION:
+            failed = ffi.unpack(responses, n_sec).index(CONTRACT_VIOLATION)
+            core = next(
+                index for index in range(len(cores))
+                if failed < sec_offsets[index + 1]
+            )
+            rt, security = cores[core]
+            raise KernelContractError(
+                "hydra_partitioned_periods: an Eq. 1 iterate fell below its "
+                f"predecessor on core {core} (security task "
+                f"{failed - sec_offsets[core]}; RT (wcet, period) {list(rt)}, "
+                f"security (wcet, T^max) {list(security)})"
+            )
         if solves < 0:
             raise MemoryError("compiled HYDRA period assignment: out of memory")
         return (

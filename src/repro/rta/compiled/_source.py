@@ -27,8 +27,13 @@ dispatches, and a seventh runs the campaign's trace-free trial loop (see
   RT tasks followed by the security tasks at their current trial periods
   (both contribute identical ``ceil(x/T) * C`` terms), and CORE_AWARE
   runs :meth:`~repro.baselines.hydra.Hydra._core_aware_minimum_period`'s
-  binary search over it solve for solve, each solve by
-  ``hydra_eq1_solve``;
+  binary search over it solve for solve.  Each solve runs the Eq. 1 loop
+  of ``hydra_eq1_solve``, warm-started from a per-task seed: the task's
+  response in the last feasible probe -- a least fixed point under no
+  more interference, so a lower bound that reaches the cold solve's fixed
+  point (the seed ledger of ``hydra_select_periods``, on Eq. 1).  An
+  iterate below its predecessor returns a contract-violation code instead
+  of a response;
 * ``hydra_global_rta`` -- GLOBAL-TMax's whole priority-ordered global RTA
   (:meth:`~repro.rta.global_fp.GlobalRtaEngine.taskset_schedulable`):
   the static Eq. 7 iteration ``hydra_fixed_point`` with no RT term, the
@@ -68,6 +73,10 @@ allocation's per-core loads are the python float sums, accumulated in the
 python order.  Every
 entry point works in one heap workspace per call, freed on every path:
 no fixed-size arrays and no ``static`` state (cffi releases the GIL).
+The one Eq. 1 loop checks its own progress: a seeded iterate that falls
+below its predecessor means the seed was above the least fixed point,
+and the loop returns ``HYDRA_CONTRACT_VIOLATION`` (raised in Python as
+:class:`~repro.rta.compiled.KernelContractError`) instead of a response.
 """
 
 from __future__ import annotations
@@ -136,10 +145,22 @@ C_SOURCE = r"""
 
 /* ---- Eq. 1: x = C + sum_i ceil(x / T_i) * C_i ------------------------- */
 
-int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
-                        const int64_t *periods, const int64_t *wcets)
+/* Returned by an Eq. 1 iteration whose iterate fell below its
+ * predecessor, and by hydra_partitioned_periods when one of its solves
+ * did: a kernel bug, never a property of the operands. */
+#define HYDRA_CONTRACT_VIOLATION (-2)
+
+/* The least fixed point of Eq. 1 (-1 once an iterate exceeds threshold),
+ * iterated from start: wcet for a cold solve, else a proven lower bound
+ * on the least fixed point.  Every x in [wcet, lfp) maps strictly above
+ * itself, so from such a start the iterates rise to the same least fixed
+ * point as from wcet; an iterate below its predecessor means start was
+ * above it, and is reported as HYDRA_CONTRACT_VIOLATION. */
+static int64_t hydra_eq1_from(int64_t start, int64_t wcet, int64_t threshold,
+                              int64_t n, const int64_t *periods,
+                              const int64_t *wcets)
 {
-    int64_t response = wcet;
+    int64_t response = start;
     for (;;) {
         __int128 total = wcet;
         int64_t i;
@@ -151,8 +172,16 @@ int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
         }
         if ((int64_t)total == response)
             return response;
+        if ((int64_t)total < response)
+            return HYDRA_CONTRACT_VIOLATION;
         response = (int64_t)total;
     }
+}
+
+int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
+                        const int64_t *periods, const int64_t *wcets)
+{
+    return hydra_eq1_from(wcet, wcet, threshold, n, periods, wcets);
 }
 
 /* ---- RT partitioning: first/best/worst-fit decreasing over Eq. 1 ------ */
@@ -807,16 +836,17 @@ int64_t hydra_allocate_security(int64_t num_cores,
 /* ---- HYDRA: per-core period adaptation for a whole task set ----------- */
 
 /* Eq. 1 response of a task below the first n_hp operands of a core's
- * buffer (-1 above limit); every fixed point run is counted in *solves. */
+ * buffer (-1 above limit), iterated from start (see hydra_eq1_from);
+ * every fixed point run is counted in *solves. */
 static int64_t hydra_core_response(const int64_t *periods,
                                    const int64_t *wcets, int64_t n_hp,
                                    int64_t wcet, int64_t limit,
-                                   int64_t *solves)
+                                   int64_t start, int64_t *solves)
 {
     if (wcet > limit)
         return -1;
     (*solves)++;
-    return hydra_eq1_solve(wcet, limit, n_hp, periods, wcets);
+    return hydra_eq1_from(start, wcet, limit, n_hp, periods, wcets);
 }
 
 /* Core c holds RT tasks rt_offsets[c]..rt_offsets[c+1]-1 and security
@@ -828,8 +858,24 @@ static int64_t hydra_core_response(const int64_t *periods,
  * [R, T^max] whose probe re-solves every lower-priority task of the core
  * and stops at the first one above its T^max.  Otherwise (TMAX) every
  * period stays T^max.  periods[]/responses[] receive the final periods
- * and responses (-1 = above T^max).  Returns the number of Eq. 1 solves,
- * or -1 when out of memory. */
+ * and responses (-1 = above T^max).
+ *
+ * Each security task of the core keeps a seed, its wcet at first, and
+ * every solve of it starts there.  A feasible probe's responses become
+ * the seeds of the tasks below the searched one.  Every later solve of
+ * such a task sees no larger periods -- the rest of the search probes
+ * below the feasible candidate, the searched task keeps a period no
+ * larger than it, and the tasks searched later only come down from T^max
+ * -- so its interference is no smaller, and the seed, a least fixed point
+ * under no more interference, is a lower bound on the new one.  Infeasible
+ * probes never seed: the candidates after them are larger.  Seeds move
+ * where an iteration starts, not which fixed points run, so the periods,
+ * the responses and the solve count are those of cold solves.
+ *
+ * Returns the number of Eq. 1 solves, -1 when out of memory, or
+ * HYDRA_CONTRACT_VIOLATION when a seeded solve went backwards (a seed
+ * above its least fixed point); responses[] then holds that code at the
+ * task whose solve it was. */
 int64_t hydra_partitioned_periods(int64_t num_cores,
                                   const int64_t *rt_offsets,
                                   const int64_t *rt_wcets,
@@ -840,7 +886,7 @@ int64_t hydra_partitioned_periods(int64_t num_cores,
                                   int64_t *periods, int64_t *responses)
 {
     int64_t width = 1, solves = 0, core;
-    int64_t *buf_periods, *buf_wcets;
+    int64_t *buf_periods, *buf_wcets, *seeds, *probe;
 
     for (core = 0; core < num_cores; core++) {
         int64_t size = rt_offsets[core + 1] - rt_offsets[core]
@@ -848,10 +894,12 @@ int64_t hydra_partitioned_periods(int64_t num_cores,
         if (size > width)
             width = size;
     }
-    buf_periods = (int64_t *)malloc((size_t)(2 * width) * sizeof(int64_t));
+    buf_periods = (int64_t *)malloc((size_t)(4 * width) * sizeof(int64_t));
     if (!buf_periods)
         return -1;
     buf_wcets = buf_periods + width;
+    seeds = buf_wcets + width;
+    probe = seeds + width;
 
     for (core = 0; core < num_cores; core++) {
         int64_t n_rt = rt_offsets[core + 1] - rt_offsets[core];
@@ -868,12 +916,18 @@ int64_t hydra_partitioned_periods(int64_t num_cores,
         for (p = 0; p < n_sec; p++) {
             sec_periods[p] = max_periods[first + p];
             buf_wcets[n_rt + p] = sec_wcets[first + p];
+            seeds[p] = sec_wcets[first + p];
         }
         for (p = 0; core_aware && p < n_sec; p++) {
             int64_t low, high, best;
             low = hydra_core_response(buf_periods, buf_wcets, n_rt + p,
                                       sec_wcets[first + p],
-                                      max_periods[first + p], &solves);
+                                      max_periods[first + p], seeds[p],
+                                      &solves);
+            if (low == HYDRA_CONTRACT_VIOLATION) {
+                responses[first + p] = low;
+                goto violated;
+            }
             if (low < 0)
                 continue; /* allocation guarantees a fit; keep T^max */
             if (p + 1 == n_sec) {
@@ -884,19 +938,23 @@ int64_t hydra_partitioned_periods(int64_t num_cores,
             best = high;
             while (low <= high) {
                 int64_t mid = (low + high) / 2;
-                int feasible = 1;
                 sec_periods[p] = mid;
-                for (q = p + 1; q < n_sec; q++)
-                    if (hydra_core_response(buf_periods, buf_wcets, n_rt + q,
-                                            sec_wcets[first + q],
-                                            max_periods[first + q],
-                                            &solves) < 0) {
-                        feasible = 0;
+                for (q = p + 1; q < n_sec; q++) {
+                    probe[q] = hydra_core_response(
+                        buf_periods, buf_wcets, n_rt + q,
+                        sec_wcets[first + q], max_periods[first + q],
+                        seeds[q], &solves);
+                    if (probe[q] < 0)
                         break;
-                    }
-                if (feasible) {
+                }
+                if (q == n_sec) {
+                    for (q = p + 1; q < n_sec; q++)
+                        seeds[q] = probe[q];
                     best = mid;
                     high = mid - 1;
+                } else if (probe[q] == HYDRA_CONTRACT_VIOLATION) {
+                    responses[first + q] = probe[q];
+                    goto violated;
                 } else {
                     low = mid + 1;
                 }
@@ -907,11 +965,17 @@ int64_t hydra_partitioned_periods(int64_t num_cores,
             periods[first + p] = sec_periods[p];
             responses[first + p] = hydra_core_response(
                 buf_periods, buf_wcets, n_rt + p, sec_wcets[first + p],
-                max_periods[first + p], &solves);
+                max_periods[first + p], seeds[p], &solves);
+            if (responses[first + p] == HYDRA_CONTRACT_VIOLATION)
+                goto violated;
         }
     }
     free(buf_periods);
     return solves;
+
+violated:
+    free(buf_periods);
+    return HYDRA_CONTRACT_VIOLATION;
 }
 
 /* ---- GLOBAL-TMax: global fixed-priority RTA of a whole task set ------- */

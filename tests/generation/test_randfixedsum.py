@@ -117,6 +117,26 @@ class TestSingleVectorDraw:
         assert values > 150_000
         assert differing == 0
 
+    @given(
+        n=st.integers(min_value=1, max_value=45),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hex_identical_to_numpy_draw(self, n, data, seed):
+        total = data.draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=n).map(float),
+                st.floats(min_value=0.0, max_value=float(n)),
+            ),
+            label="total",
+        )
+        expected = randfixedsum(n, total, 1, np.random.default_rng(seed))[0]
+        got = randfixedsum_vector(n, total, rng=np.random.default_rng(seed))
+        assert [value.hex() for value in got] == [
+            float(value).hex() for value in expected
+        ]
+
     def test_large_vectors_match(self):
         for n in (40, 80):
             for total in (0.3 * n, float(n // 2), 0.97 * n):

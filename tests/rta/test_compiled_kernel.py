@@ -1,6 +1,7 @@
-"""Kernel-selection plumbing, fallback behaviour and exact solve-skipping.
+"""Kernel-selection plumbing, fallback behaviour, the kernel contract and
+exact solve-skipping.
 
-Three concerns live here:
+Four concerns live here:
 
 * the ``kernel=`` knob -- one validator (`normalise_kernel`) behind
   :class:`~repro.rta.RtaContext`, :class:`~repro.batch.service.BatchDesignService`,
@@ -10,6 +11,9 @@ Three concerns live here:
 * forced fallback -- with the backend import-blocked (or disabled via
   ``REPRO_DISABLE_COMPILED``) the compiled tier must produce byte-equal
   results through the pure-python kernels;
+* the kernel contract -- a compiled entry point that reports a broken
+  invariant (a warm-started Eq. 1 iterate falling) raises
+  ``KernelContractError``, an internal failure rather than a user error;
 * the python tier's exact solve-skipping layers (carry-in certification,
   probe pinning, Line-8 refresh reuse) fire on a sweep slice and leave
   results equal to the frozen reference.
@@ -24,7 +28,7 @@ import warnings
 import pytest
 
 from repro.core.analysis import CarryInStrategy, SecurityTaskState
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.model import Platform, RealTimeTask
 from repro.rta import (
     RtaContext,
@@ -255,6 +259,38 @@ class TestCompiledTier:
         line = context.stats.summary_line()
         assert "compiled solves" in line
         assert "dedup" in line
+
+
+class _ContractViolatingLib:
+    """A stand-in for the C module whose HYDRA period search reports that
+    the seeded Eq. 1 solve of security task ``failed`` went backwards."""
+
+    def __init__(self, failed):
+        self.failed = failed
+
+    def hydra_partitioned_periods(self, *operands):
+        responses = operands[-1]
+        responses[self.failed] = compiled_pkg.CONTRACT_VIOLATION
+        return compiled_pkg.CONTRACT_VIOLATION
+
+
+class TestKernelContract:
+    def test_contract_violation_names_entry_point_and_core(self):
+        cffi = pytest.importorskip("cffi")
+        kernel = compiled_pkg.CompiledKernel(cffi.FFI(), _ContractViolatingLib(2))
+        cores = [([(2, 10)], [(4, 400)]), ([(3, 14)], [(3, 300), (5, 500)])]
+        with pytest.raises(compiled_pkg.KernelContractError) as caught:
+            kernel.partitioned_periods(cores, core_aware=True)
+        message = str(caught.value)
+        assert message.startswith("hydra_partitioned_periods: ")
+        assert "core 1 (security task 1;" in message
+        assert "[(3, 14)]" in message and "[(3, 300), (5, 500)]" in message
+
+    def test_contract_error_is_not_a_user_error(self):
+        """The CLI and serve answer ``ReproError`` as the user's mistake;
+        a kernel bug must surface as an internal failure instead."""
+        assert issubclass(compiled_pkg.KernelContractError, RuntimeError)
+        assert not issubclass(compiled_pkg.KernelContractError, ReproError)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ compiled backend of :mod:`repro.rta.compiled`.  On the compiled tier
 GLOBAL-TMax's whole priority-ordered sweep and HYDRA's per-core
 Algorithm 2 (CORE_AWARE and TMAX) each run in one C call per task set,
 with a guard-based fallback to the python path that the fallback cases
-below pin.  Where the backend is unavailable (no cffi, no compiler, or
+below pin; the C Algorithm 2 warm-starts its Eq. 1 solves, which the
+Table-3-scale cases hold to the cold python assigner solve for solve.  Where the backend is unavailable (no cffi, no compiler, or
 ``REPRO_DISABLE_COMPILED=1`` -- the CI forced-fallback stage) the
 ``compiled`` parametrization transparently exercises the fallback path,
 which must equal the frozen oracles all the same.  HYDRA-C's one-call
@@ -22,14 +23,16 @@ period selector (the Eq. 6-8 solves) has its own differential in
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.hydra import Hydra, PeriodPolicy
 from repro.batch.reference import (
+    _reference_allocate_security,
     reference_design_hydra,
     reference_security_response_time,
 )
@@ -422,6 +425,134 @@ class TestHydraPeriodsDifferential:
             policy, "compiled", platform, taskset, _FIXED_ALLOCATION
         )
         assert stats.compiled_solves == (solves if kernel_available() else 0)
+
+
+@st.composite
+def table3_hydra_cores(draw):
+    """HYDRA cores at the generator's scale: 4-8 security tasks on one or
+    two cores, ``T^max`` in Table 3's [1500, 3000] (about 11 binary-search
+    levels per task) and RT periods in its [10, 1000], so the compiled
+    search's feasible probes seed several lower-priority tasks of a core."""
+    num_cores = draw(st.integers(min_value=1, max_value=2))
+    rt_tasks = []
+    for index in range(draw(st.integers(min_value=0, max_value=4 * num_cores))):
+        period = draw(st.integers(min_value=10, max_value=1000))
+        wcet = draw(st.integers(min_value=1, max_value=max(1, period // 8)))
+        rt_tasks.append(RealTimeTask(name=f"rt{index}", wcet=wcet, period=period))
+    security_tasks = []
+    for index in range(draw(st.integers(min_value=4, max_value=8))):
+        max_period = draw(st.integers(min_value=1500, max_value=3000))
+        wcet = draw(st.integers(min_value=1, max_value=max_period // 16))
+        security_tasks.append(
+            SecurityTask(name=f"sec{index}", wcet=wcet, max_period=max_period)
+        )
+    taskset = TaskSet.create(rt_tasks, security_tasks)
+    allocation = {
+        task.name: draw(st.integers(min_value=0, max_value=num_cores - 1))
+        for task in taskset.rt_tasks
+    }
+    return Platform(num_cores=num_cores), taskset, allocation
+
+
+def _security_core(*operands):
+    """One core of security tasks ``(wcet, T^max)`` in priority order."""
+    security_tasks = [
+        SecurityTask(name=f"sec{index}", wcet=wcet, max_period=max_period)
+        for index, (wcet, max_period) in enumerate(operands)
+    ]
+    return Platform(num_cores=1), TaskSet.create([], security_tasks), {}
+
+
+#: Cores whose searches seed wrongly when infeasible probes also seed:
+#: the first makes a seeded iterate fall (the kernel raises
+#: ``KernelContractError``), the second starts a solve on a larger fixed
+#: point and so changes a period.
+SEED_ORDER_CORES = (
+    _security_core((1, 1500), (4, 1500), (5, 1500), (79, 1500)),
+    _security_core((1, 1500), (4, 1500), (1, 1500), (83, 1500)),
+)
+
+
+def _frozen_security_responses(platform, taskset, allocation, periods):
+    """Each security task's response under the frozen best-fit allocation
+    with the security tasks above it at ``periods`` (frozen Eq. 1)."""
+    rt_by_core = rt_tasks_by_core(taskset, allocation, platform)
+    mapping, _failed = _reference_allocate_security(platform, taskset, rt_by_core)
+    responses = {}
+    for core in range(platform.num_cores):
+        higher = [
+            UniprocessorTask(rt.name, rt.wcet, rt.period, rt.deadline)
+            for rt in rt_by_core.get(core, ())
+        ]
+        for task in taskset.security_by_priority():
+            if mapping.get(task.name) != core:
+                continue
+            responses[task.name] = uniprocessor_response_time(
+                task.wcet, higher, limit=task.max_period
+            )
+            period = periods[task.name]
+            higher.append(UniprocessorTask(task.name, task.wcet, period, period))
+    return responses
+
+
+class TestHydraPeriodsTable3Scale:
+    """The compiled CORE_AWARE search warm-starts each Eq. 1 solve from
+    the task's response in the last feasible probe; at Table-3 scale the
+    searches are deep enough for those seeds to matter, and every period,
+    response and solve count must still be the cold python assigner's."""
+
+    @given(table3_hydra_cores())
+    @example(SEED_ORDER_CORES[0])
+    @example(SEED_ORDER_CORES[1])
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_equals_python_equals_frozen(self, data):
+        platform, taskset, allocation = data
+        compiled, _ = _hydra_design(
+            Hydra, PeriodPolicy.CORE_AWARE, "compiled", platform, taskset, allocation
+        )
+        python, _ = _hydra_design(
+            Hydra, PeriodPolicy.CORE_AWARE, "python", platform, taskset, allocation
+        )
+        assert compiled == python
+        try:
+            frozen = reference_design_hydra(platform, taskset, allocation)
+        except UnschedulableError:
+            assert compiled is None
+            return
+        assert compiled[0] == frozen.schedulable
+        if not frozen.schedulable:
+            return
+        periods = frozen.security_periods()
+        assert compiled[1] == list(periods.items())
+        expected = _frozen_security_responses(platform, taskset, allocation, periods)
+        responses = dict(compiled[2])
+        assert {name: responses[name] for name in expected} == expected
+
+    @given(table3_hydra_cores())
+    @example(SEED_ORDER_CORES[0])
+    @example(SEED_ORDER_CORES[1])
+    @settings(max_examples=40, deadline=None)
+    def test_compiled_solves_count_every_eq1_solve(self, data):
+        platform, taskset, allocation = data
+        assume(partitioned_rt_schedulable(taskset, allocation, platform).schedulable)
+        python_solves = []
+        original = CorePeriodAssigner.response_time
+
+        def counting(assigner, wcet, limit, higher_security):
+            if wcet <= limit:
+                python_solves.append(wcet)
+            return original(assigner, wcet, limit, higher_security)
+
+        with mock.patch.object(CorePeriodAssigner, "response_time", counting):
+            _period_phase(
+                PeriodPolicy.CORE_AWARE, "python", platform, taskset, allocation
+            )
+        _design, stats = _period_phase(
+            PeriodPolicy.CORE_AWARE, "compiled", platform, taskset, allocation
+        )
+        assert stats.compiled_solves == (
+            len(python_solves) if kernel_available() else 0
+        )
 
 
 # ---------------------------------------------------------------------------
