@@ -60,6 +60,14 @@
 #            in (a)-(c) are only meaningful where the compiled backend
 #            builds (the compiled-extra CI job); elsewhere every run is
 #            the python tier and the diffs are trivially equal.
+#            (d) a resume drill through the CLI: a 2-core sweep
+#            checkpoint cut to its header, its first chunk and a torn
+#            fragment of the next record is resumed, and its checkpoint
+#            and report must equal the uninterrupted run's byte for
+#            byte; a campaign run with --trials 2 and then --trials 4 on
+#            one checkpoint must equal a direct --trials 4 run (checkpoint
+#            and report); and `--checkpoint sqlite:...` (a removed backend
+#            prefix) must exit 2 with one `error:` line, creating nothing.
 #   bench -- the speedup gates: the batched pipeline must stay >= 2x
 #            faster than the frozen seed path (repro/batch/reference.py),
 #            the RTA kernel >= 2x on the allocation-heavy Fig. 7a columns,
@@ -290,6 +298,66 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     trap - EXIT
     rm -rf "$kernel_dir"
     echo "kernel smoke OK"
+
+    echo "== checkpoint smoke: a torn sweep checkpoint and a grown campaign resume byte-identical; a removed backend prefix is refused =="
+    resume_dir=$(mktemp -d)
+    trap 'rm -rf "$resume_dir"' EXIT
+    # same_bytes LABEL A B: fail the stage unless files A and B are equal.
+    same_bytes() {
+        if ! cmp "$2" "$3"; then
+            echo "checkpoint smoke FAILED: $1" >&2
+            diff "$2" "$3" >&2 || true
+            exit 1
+        fi
+    }
+    resume_sweep=(python -m repro sweep --cores 2 --tasksets-per-group 2
+                  --chunk-size 5 --quiet)
+    "${resume_sweep[@]}" --checkpoint "$resume_dir/sweep-full.jsonl" \
+        > "$resume_dir/sweep-full.txt"
+    # What a kill mid-append leaves: the header, the first chunk and a
+    # torn fragment of the next record.
+    kept=$(head -n 6 "$resume_dir/sweep-full.jsonl" | wc -c)
+    head -c "$((kept + 40))" "$resume_dir/sweep-full.jsonl" \
+        > "$resume_dir/sweep-cut.jsonl"
+    "${resume_sweep[@]}" --checkpoint "$resume_dir/sweep-cut.jsonl" \
+        > "$resume_dir/sweep-cut.txt"
+    for suffix in jsonl txt; do
+        same_bytes "the resumed sweep differs from the uninterrupted one ($suffix)" \
+            "$resume_dir/sweep-full.$suffix" "$resume_dir/sweep-cut.$suffix"
+    done
+    # Trial seeds are prefix-stable: growing --trials on a checkpoint
+    # extends it to exactly what a direct run writes.
+    resume_campaign=(python -m repro campaign --horizon 9000
+                     --schemes HYDRA-C,HYDRA --jitter 50 --quiet)
+    "${resume_campaign[@]}" --trials 4 --checkpoint "$resume_dir/campaign-direct.jsonl" \
+        > "$resume_dir/campaign-direct.txt"
+    "${resume_campaign[@]}" --trials 2 --checkpoint "$resume_dir/campaign-grown.jsonl" \
+        > /dev/null
+    "${resume_campaign[@]}" --trials 4 --checkpoint "$resume_dir/campaign-grown.jsonl" \
+        > "$resume_dir/campaign-grown.txt"
+    for suffix in jsonl txt; do
+        same_bytes "the grown campaign differs from the direct one ($suffix)" \
+            "$resume_dir/campaign-direct.$suffix" "$resume_dir/campaign-grown.$suffix"
+    done
+    # refused ARGS...: a removed backend's URI is one error line and
+    # exit 2, not a new file named after it.
+    refused() {
+        local status=0
+        python -m repro "$@" --quiet --checkpoint "sqlite:$resume_dir/x.db" \
+            > /dev/null 2> "$resume_dir/prefix.err" || status=$?
+        if [[ $status -ne 2 || $(wc -l < "$resume_dir/prefix.err") -ne 1 ]] \
+                || ! grep -q '^error: ' "$resume_dir/prefix.err" \
+                || [[ -e "$resume_dir/x.db" || -e sqlite: ]]; then
+            echo "checkpoint smoke FAILED: $1 --checkpoint sqlite:... exited $status" >&2
+            cat "$resume_dir/prefix.err" >&2
+            exit 1
+        fi
+    }
+    refused sweep --tasksets-per-group 1
+    refused campaign --trials 1
+    trap - EXIT
+    rm -rf "$resume_dir"
+    echo "checkpoint smoke OK"
 fi
 
 if [[ "$stage" == "bench" || "$stage" == "all" ]]; then

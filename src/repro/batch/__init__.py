@@ -11,10 +11,9 @@ the library:
   capability-driven by each scheme's declared phases.
 * :mod:`repro.batch.orchestrator` -- :class:`SweepOrchestrator` runs whole
   sweeps in chunks, serially or across processes, with progress reporting.
-* :mod:`repro.batch.store` -- checkpoints each finished chunk (any
-  :mod:`repro.storage` backend, selected by ``--checkpoint`` URI) so a
-  killed sweep resumes where it stopped and reproduces the uninterrupted
-  result byte for byte.
+* :mod:`repro.batch.store` -- checkpoints each finished chunk to the
+  JSONL file at ``--checkpoint`` so a killed sweep resumes where it
+  stopped and reproduces the uninterrupted result byte for byte.
 * :mod:`repro.batch.results` -- the shared result records.
 * :mod:`repro.batch.reference` -- the frozen seed evaluation path, kept as
   the benchmark baseline and cross-validation oracle.
@@ -32,17 +31,11 @@ from repro.batch.service import (
     BatchDesignService,
     TasksetSpec,
 )
-from repro.batch.store import (
-    JsonlResultStore,
-    SweepRecordCodec,
-    config_fingerprint,
-    open_result_store,
-)
+from repro.batch.store import JsonlResultStore, config_fingerprint
 
 __all__ = [
     "BatchDesignService",
     "JsonlResultStore",
-    "SweepRecordCodec",
     "MAX_GENERATION_ATTEMPTS",
     "SCHEME_NAMES",
     "SweepOrchestrator",
@@ -52,6 +45,5 @@ __all__ = [
     "TasksetSpec",
     "build_specs",
     "config_fingerprint",
-    "open_result_store",
     "run_batch_sweep",
 ]

@@ -5,9 +5,8 @@ into a deterministic job list (one :class:`~repro.batch.service.TasksetSpec`
 per sweep slot, seeds derived exactly as the original sweep derived them),
 evaluates the jobs in chunks through :class:`~repro.batch.service.BatchDesignService`
 -- serially or across worker processes -- and checkpoints each finished
-chunk to a checkpoint store (any :mod:`repro.storage` backend, resolved
-from the ``--checkpoint`` URI by
-:func:`~repro.batch.store.open_result_store`).  A restarted sweep
+chunk to a :class:`~repro.batch.store.JsonlResultStore` (the JSONL file
+at ``--checkpoint``).  A restarted sweep
 loads the checkpoint, skips every already-evaluated slot and appends only
 the missing ones, reproducing the uninterrupted run byte for byte.
 
@@ -34,11 +33,10 @@ import numpy as np
 
 from repro.batch.results import SweepResult, TasksetEvaluation
 from repro.batch.service import BatchDesignService, TasksetSpec
-from repro.batch.store import open_result_store
+from repro.batch.store import JsonlResultStore
 from repro.exec import PersistentPool, slice_evenly
 from repro.platform import PlatformModel
 from repro.rta import DEFAULT_KERNEL, KernelStats
-from repro.storage import CheckpointStore
 
 if TYPE_CHECKING:  # avoid a runtime cycle: experiments.sweep imports batch
     from repro.experiments.config import ExperimentConfig
@@ -246,13 +244,13 @@ class SweepOrchestrator:
     def __init__(
         self,
         config: ExperimentConfig,
-        store: Optional[CheckpointStore] = None,
+        store: Optional[JsonlResultStore] = None,
         progress: Optional[ProgressCallback] = None,
         pool: Optional[PersistentPool] = None,
         collect_stats: bool = False,
     ) -> None:
         if store is None and config.checkpoint_path is not None:
-            store = open_result_store(config.checkpoint_path, config)
+            store = JsonlResultStore(config.checkpoint_path, config)
         self._config = config
         self._store = store
         self._progress = progress
@@ -348,7 +346,7 @@ class SweepOrchestrator:
 
 def run_batch_sweep(
     config: ExperimentConfig,
-    store: Optional[CheckpointStore] = None,
+    store: Optional[JsonlResultStore] = None,
     progress: Optional[ProgressCallback] = None,
     pool: Optional[PersistentPool] = None,
     stats_sink: Optional[Dict[str, int]] = None,

@@ -1,18 +1,12 @@
-"""Resumable checkpoint stores for sweep results.
+"""The resumable checkpoint store for sweep results.
 
-The persistence mechanics (fingerprint header, duplicate detection,
-deterministic resume) live in :mod:`repro.storage`; this module binds them
-to the sweep: one ``result`` record per completed sweep slot, keyed by job
-index, with :class:`~repro.batch.results.TasksetEvaluation` payloads.
-Slots whose task-set generation exhausted its retry budget are recorded as
-``null`` evaluations so a resumed run does not retry them.
-
-:class:`SweepRecordCodec` is the codec mixin the result-backend registry
-composes with any registered backend; :func:`open_result_store` turns a
-``--checkpoint`` path-or-URI (``run.jsonl``, ``sqlite:run.db``,
-``shards:run.d?writer=w3``) into the matching store.
-:class:`JsonlResultStore` remains the historical single-file class -- same
-name, same byte format.
+The persistence mechanics (fingerprint header, torn-line truncation,
+duplicate detection, byte-for-byte resume) live in
+:class:`repro.storage.JsonlCheckpointStore`; :class:`JsonlResultStore`
+binds them to the sweep: one ``result`` record per completed sweep slot,
+keyed by job index, with :class:`~repro.batch.results.TasksetEvaluation`
+payloads.  Slots whose task-set generation exhausted its retry budget are
+recorded as ``null`` evaluations so a resumed run does not retry them.
 """
 
 from __future__ import annotations
@@ -21,17 +15,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.batch.results import SCHEME_NAMES, TasksetEvaluation
-from repro.storage import CheckpointStore, JsonlCheckpointStore, open_store
+from repro.storage import JsonlCheckpointStore
 
 if TYPE_CHECKING:  # avoid a runtime cycle: experiments.sweep imports batch
     from repro.experiments.config import ExperimentConfig
 
-__all__ = [
-    "SweepRecordCodec",
-    "JsonlResultStore",
-    "open_result_store",
-    "config_fingerprint",
-]
+__all__ = ["JsonlResultStore", "config_fingerprint"]
 
 
 def config_fingerprint(config: "ExperimentConfig") -> Dict[str, object]:
@@ -65,35 +54,22 @@ def config_fingerprint(config: "ExperimentConfig") -> Dict[str, object]:
     }
 
 
-class SweepRecordCodec:
-    """Sweep record codec: per-slot evaluations keyed by job index."""
+class JsonlResultStore(JsonlCheckpointStore):
+    """Append-only JSONL store of per-slot evaluations, keyed by job index."""
 
     _fingerprint_field = "config"
     _noun = "sweep"
+    #: Checkpoints written before the scheme registry carry no scheme list
+    #: (they were always the canonical four), and pre-kernel ones no
+    #: ``search_mode`` (they were always the binary Algorithm 2 search).
+    _legacy_fingerprint = {
+        **JsonlCheckpointStore._legacy_fingerprint,
+        "schemes": list(SCHEME_NAMES),
+        "search_mode": "binary",
+    }
 
-    def _normalise_header_fingerprint(self, fingerprint: object) -> object:
-        if isinstance(fingerprint, dict):
-            if "schemes" not in fingerprint:
-                # Checkpoints written before the scheme registry existed
-                # carry no scheme list; they were always the canonical
-                # four, so treat them as such instead of rejecting an
-                # unchanged sweep.
-                fingerprint = {**fingerprint, "schemes": list(SCHEME_NAMES)}
-            if "search_mode" not in fingerprint:
-                # Pre-kernel checkpoints predate the --search-mode knob and
-                # were always produced by the binary Algorithm 2 search.
-                fingerprint = {**fingerprint, "search_mode": "binary"}
-            for axis, default in (
-                ("scheduler", "rm"),
-                ("protocol", "none"),
-                ("overheads", "zero"),
-            ):
-                if axis not in fingerprint:
-                    # Checkpoints written before the platform-model layer
-                    # existed were always analysed under the paper's
-                    # platform (rm/none/zero).
-                    fingerprint = {**fingerprint, axis: default}
-        return fingerprint
+    def __init__(self, path: Union[str, Path], config: "ExperimentConfig") -> None:
+        super().__init__(path, config_fingerprint(config))
 
     def _encode_result(
         self, entry: Tuple[int, Optional[TasksetEvaluation]]
@@ -112,15 +88,3 @@ class SweepRecordCodec:
         return int(record["job"]), (
             TasksetEvaluation.from_json(payload) if payload is not None else None
         )
-
-
-class JsonlResultStore(SweepRecordCodec, JsonlCheckpointStore):
-    """Append-only JSONL store of per-slot evaluations, keyed by job index."""
-
-    def __init__(self, path: Union[str, Path], config: "ExperimentConfig") -> None:
-        super().__init__(path, config_fingerprint(config))
-
-
-def open_result_store(uri, config: "ExperimentConfig") -> CheckpointStore:
-    """Build the sweep checkpoint store a ``--checkpoint`` URI describes."""
-    return open_store(uri, SweepRecordCodec, config_fingerprint(config))

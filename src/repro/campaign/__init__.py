@@ -32,11 +32,7 @@ from repro.campaign.spec import (
     TrialSpec,
     build_trial_specs,
 )
-from repro.campaign.store import (
-    CampaignRecordCodec,
-    CampaignResultStore,
-    open_campaign_store,
-)
+from repro.campaign.store import CampaignResultStore
 from repro.campaign.trial import (
     CampaignRunner,
     CampaignStats,
@@ -47,7 +43,6 @@ from repro.campaign.trial import (
 __all__ = [
     "CampaignOrchestrator",
     "CampaignProgress",
-    "CampaignRecordCodec",
     "CampaignResult",
     "CampaignResultStore",
     "CampaignRunner",
@@ -61,6 +56,5 @@ __all__ = [
     "TrialSpec",
     "build_trial_specs",
     "format_campaign",
-    "open_campaign_store",
     "run_campaign",
 ]

@@ -3,9 +3,8 @@
 The execution model mirrors :class:`repro.batch.orchestrator.SweepOrchestrator`
 -- a campaign's deterministic trial list is evaluated in chunks, serially or
 across worker processes, each finished chunk is checkpointed to a
-checkpoint store (any :mod:`repro.storage` backend, resolved from the
-``--checkpoint`` URI by :func:`~repro.campaign.store.open_campaign_store`),
-and a restarted
+:class:`~repro.campaign.store.CampaignResultStore` (the JSONL file at
+``--checkpoint``), and a restarted
 campaign skips every already-evaluated trial.  Because a trial is a pure
 function of ``(campaign seed, trial index)``, none of ``n_jobs``,
 ``chunk_size``, the resume point or the simulation backend can change the
@@ -24,7 +23,7 @@ import numpy as np
 
 from repro.campaign.aggregate import CampaignResult
 from repro.campaign.spec import CampaignSpec, TrialSpec, build_trial_specs
-from repro.campaign.store import open_campaign_store
+from repro.campaign.store import CampaignResultStore
 from repro.campaign.trial import (
     CampaignRunner,
     CampaignStats,
@@ -32,7 +31,6 @@ from repro.campaign.trial import (
     TrialRecord,
 )
 from repro.exec import PersistentPool, slice_evenly
-from repro.storage import CheckpointStore
 
 __all__ = [
     "CampaignProgress",
@@ -160,13 +158,13 @@ class CampaignOrchestrator:
     def __init__(
         self,
         spec: CampaignSpec,
-        store: Optional[CheckpointStore] = None,
+        store: Optional[CampaignResultStore] = None,
         progress: Optional[ProgressCallback] = None,
         pool: Optional[PersistentPool] = None,
         stats_sink: Optional[CampaignStats] = None,
     ) -> None:
         if store is None and spec.checkpoint_path is not None:
-            store = open_campaign_store(spec.checkpoint_path, spec)
+            store = CampaignResultStore(spec.checkpoint_path, spec)
         self._spec = spec
         self._store = store
         self._progress = progress
@@ -288,7 +286,7 @@ class CampaignOrchestrator:
 
 def run_campaign(
     spec: CampaignSpec,
-    store: Optional[CheckpointStore] = None,
+    store: Optional[CampaignResultStore] = None,
     progress: Optional[ProgressCallback] = None,
     pool: Optional[PersistentPool] = None,
     stats_sink: Optional[CampaignStats] = None,

@@ -134,7 +134,8 @@ class CampaignSpec:
     n_jobs / chunk_size / checkpoint_path:
         Execution knobs, exactly as on
         :class:`~repro.experiments.config.ExperimentConfig`; none of them
-        affects results.
+        affects results.  ``checkpoint_path`` is a plain path to the JSONL
+        checkpoint file (:class:`~repro.campaign.store.CampaignResultStore`).
     """
 
     schemes: Optional[Sequence[str]] = None

@@ -1,12 +1,8 @@
-"""Resumable checkpoint stores for campaign trial records.
+"""The resumable checkpoint store for campaign trial records.
 
-Same mechanics as the sweep's :mod:`repro.batch.store` (both ride the
-pluggable backends in :mod:`repro.storage`), with the trial record as the
-persisted unit, keyed by trial index.  :class:`CampaignRecordCodec` is the
-codec mixin the result-backend registry composes with any backend;
-:func:`open_campaign_store` resolves a ``--checkpoint`` path-or-URI;
-:class:`CampaignResultStore` remains the historical single-file JSONL
-class, byte format unchanged.
+Same mechanics as the sweep's :mod:`repro.batch.store` (both subclass
+:class:`repro.storage.JsonlCheckpointStore`), with the trial record as the
+persisted unit, keyed by trial index.
 
 The fingerprint deliberately excludes the execution knobs *including the
 simulation backend and design dedup*: the differential suites pin the
@@ -24,30 +20,19 @@ from typing import Dict, Tuple, Union
 
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.trial import TrialRecord
-from repro.storage import CheckpointStore, JsonlCheckpointStore, open_store
+from repro.storage import JsonlCheckpointStore
 
-__all__ = ["CampaignRecordCodec", "CampaignResultStore", "open_campaign_store"]
+__all__ = ["CampaignResultStore"]
 
 
-class CampaignRecordCodec:
-    """Campaign record codec: trial records keyed by trial index."""
+class CampaignResultStore(JsonlCheckpointStore):
+    """Append-only JSONL store of trial records, keyed by trial index."""
 
     _fingerprint_field = "campaign"
     _noun = "campaign"
 
-    def _normalise_header_fingerprint(self, fingerprint: object) -> object:
-        if isinstance(fingerprint, dict):
-            for axis, default in (
-                ("scheduler", "rm"),
-                ("protocol", "none"),
-                ("overheads", "zero"),
-            ):
-                if axis not in fingerprint:
-                    # Checkpoints written before the platform-model layer
-                    # existed were always simulated under the paper's
-                    # platform (rm/none/zero).
-                    fingerprint = {**fingerprint, axis: default}
-        return fingerprint
+    def __init__(self, path: Union[str, Path], spec: CampaignSpec) -> None:
+        super().__init__(path, spec.fingerprint())
 
     def _encode_result(self, entry: TrialRecord) -> Dict[str, object]:
         return {"kind": "result", "trial": entry.to_json()}
@@ -55,15 +40,3 @@ class CampaignRecordCodec:
     def _decode_result(self, record: Dict[str, object]) -> Tuple[int, TrialRecord]:
         trial = TrialRecord.from_json(record["trial"])
         return trial.trial_index, trial
-
-
-class CampaignResultStore(CampaignRecordCodec, JsonlCheckpointStore):
-    """Append-only JSONL store of trial records, keyed by trial index."""
-
-    def __init__(self, path: Union[str, Path], spec: CampaignSpec) -> None:
-        super().__init__(path, spec.fingerprint())
-
-
-def open_campaign_store(uri, spec: CampaignSpec) -> CheckpointStore:
-    """Build the campaign checkpoint store a ``--checkpoint`` URI describes."""
-    return open_store(uri, CampaignRecordCodec, spec.fingerprint())

@@ -30,9 +30,9 @@ disables the cross-scheme design dedup (a pure execution knob), and
 ``sweep`` runs the batched design-space sweep once and derives every
 synthetic figure from it; with ``--checkpoint`` the run is chunked into a
 resumable store and a rerun of the same command resumes where it stopped.
-``--checkpoint`` takes a plain path (single JSONL file), ``sqlite:PATH``
-(one SQLite database) or ``shards:DIR?writer=NAME`` (a directory of
-per-writer JSONL shards that N independent workers can grow in parallel).  The
+``--checkpoint`` takes a plain path to one JSONL file (a value starting
+with a former checkpoint-URI prefix, ``jsonl:``, ``sqlite:`` or
+``shards:``, is refused with a one-line error).  The
 synthetic sweeps accept ``--tasksets-per-group`` (paper value: 250),
 ``--jobs`` for parallel evaluation, ``--schemes`` to pick which
 registered schemes to evaluate (default: the paper's four; see
@@ -270,13 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--checkpoint",
         default=None,
-        metavar="URI",
+        metavar="PATH",
         help=(
-            "checkpoint store path or URI; rerunning the same command "
-            "resumes.  Plain paths mean a single JSONL file; "
-            "'sqlite:run.db' selects the SQLite backend and "
-            "'shards:run.d?writer=NAME' a directory of per-writer "
-            "JSONL shards"
+            "JSONL checkpoint file; rerunning the same command resumes "
+            "where it stopped"
         ),
     )
     campaign.add_argument(
@@ -384,13 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--checkpoint",
         default=None,
-        metavar="URI",
+        metavar="PATH",
         help=(
-            "checkpoint store path or URI; rerunning the same command "
-            "resumes.  Plain paths mean a single JSONL file; "
-            "'sqlite:run.db' selects the SQLite backend and "
-            "'shards:run.d?writer=NAME' a directory of per-writer "
-            "JSONL shards"
+            "JSONL checkpoint file; rerunning the same command resumes "
+            "where it stopped"
         ),
     )
     sweep.add_argument(

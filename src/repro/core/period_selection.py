@@ -282,11 +282,6 @@ class PeriodSelector:
         self._stats.seeded_solves += seeded
         self._stats.dedup_certified_sets += certified
         names = [task.name for task in self._security]
-        if status < 0:  # pragma: no cover - guarded by Algorithm 2
-            raise UnschedulableError(
-                "internal inconsistency: a lower-priority task became "
-                "unschedulable after a feasible period was selected"
-            )
         if status < len(names):
             reported: Dict[str, Optional[int]] = dict(
                 zip(names[:status], responses[:status])

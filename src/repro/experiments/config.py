@@ -66,8 +66,11 @@ class ExperimentConfig:
         chunk is the unit of checkpoint durability: a killed sweep resumes
         from the last completed chunk.
     checkpoint_path:
-        Optional path of the resumable JSONL result store.  ``None`` (the
-        default) runs the sweep uncheckpointed.  Neither this nor
+        Optional plain path of the resumable JSONL checkpoint file
+        (:class:`~repro.batch.store.JsonlResultStore`; a path starting
+        with a former checkpoint-URI prefix, ``jsonl:``, ``sqlite:`` or
+        ``shards:``, is refused).  ``None`` (the default) runs the sweep
+        uncheckpointed.  Neither this nor
         ``chunk_size`` nor ``n_jobs`` affects the sweep's results -- only
         how the work is executed and persisted.
     schemes:

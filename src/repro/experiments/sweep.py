@@ -37,8 +37,8 @@ from repro.batch.orchestrator import (
     run_batch_sweep,
 )
 from repro.batch.results import SCHEME_NAMES, SweepResult, TasksetEvaluation
+from repro.batch.store import JsonlResultStore
 from repro.experiments.config import ExperimentConfig
-from repro.storage import CheckpointStore
 
 __all__ = [
     "SCHEME_NAMES",
@@ -51,7 +51,7 @@ __all__ = [
 
 def run_sweep(
     config: ExperimentConfig,
-    store: Optional[CheckpointStore] = None,
+    store: Optional[JsonlResultStore] = None,
     progress: Optional[ProgressCallback] = None,
     pool=None,
     stats_sink: Optional[Dict[str, int]] = None,

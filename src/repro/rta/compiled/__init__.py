@@ -116,7 +116,8 @@ UNSUPPORTED = object()
 MAX_COMPILED_SETS = 4096
 
 #: ``HYDRA_CONTRACT_VIOLATION`` of the C source: a seeded Eq. 1 iteration
-#: whose iterate fell below its predecessor.
+#: whose iterate fell below its predecessor, or (``hydra_select_periods``)
+#: a lower-priority task failing the Line-8 refresh.
 CONTRACT_VIOLATION = -2
 
 
@@ -304,7 +305,10 @@ class CompiledKernel:
         responses, (analysis_calls, solves, seeded_solves,
         certified_sets))`` where *status* is ``len(demands)`` when
         schedulable, else the index of the first task unschedulable at
-        ``T^max`` (``responses`` valid before it).
+        ``T^max`` (``responses`` valid before it).  Raises
+        :class:`KernelContractError`, naming the core count, the demands
+        and the ``T^max`` values, when a lower-priority task fails the
+        Line-8 refresh after a feasible period was selected.
         """
         ffi = self._ffi
         n_sec = len(demands)
@@ -334,6 +338,13 @@ class CompiledKernel:
             responses,
             counters,
         )
+        if status == CONTRACT_VIOLATION:
+            raise KernelContractError(
+                "hydra_select_periods: a lower-priority task became "
+                "unschedulable in the Line-8 refresh after a feasible period "
+                f"was selected ({num_cores} cores; security demands "
+                f"(wcet + B) {list(demands)}, T^max {list(max_periods)})"
+            )
         if status == -1:
             raise MemoryError("compiled period selection: out of memory")
         return (

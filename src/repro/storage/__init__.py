@@ -1,47 +1,15 @@
-"""Shared persistence primitives: pluggable, resumable result backends.
+"""Checkpoint persistence for the resumable runs.
 
-Both resumable subsystems -- the design-space sweep (:mod:`repro.batch`)
-and the Monte Carlo attack campaign (:mod:`repro.campaign`) -- checkpoint
-their result streams through the same fingerprint-guarded contract
-(:class:`repro.storage.base.CheckpointStore`).  Three backends implement
-it, selectable per run from ``--checkpoint`` URIs
-(:mod:`repro.storage.registry`):
-
-* :class:`JsonlCheckpointStore` -- one JSONL file, byte-for-byte
-  resumable (the historical format, unchanged);
-* :class:`SqliteCheckpointStore` -- one SQLite database, row-for-row
-  resumable, multi-process writers serialised by SQLite;
-* :class:`ShardedCheckpointStore` -- a directory of per-writer JSONL
-  shards merged deterministically on load, so N independent workers can
-  grow one checkpoint without coordination.
-
-Each subsystem supplies its record codec as a mixin (see
-``repro.batch.store`` / ``repro.campaign.store``) and opens stores through
-:func:`open_store` / its own ``open_*_store`` wrapper.
+Both resumable runs -- the design-space sweep (:mod:`repro.batch`) and the
+Monte Carlo attack campaign (:mod:`repro.campaign`) -- checkpoint their
+result streams through :class:`JsonlCheckpointStore`: one JSONL file whose
+fingerprint header guards resumes and whose records a killed and resumed
+run reproduces byte for byte.  ``--checkpoint`` takes a plain path to that
+file; each subsystem subclasses the store with its record hooks
+(``repro.batch.store.JsonlResultStore``,
+``repro.campaign.store.CampaignResultStore``).
 """
 
-from repro.storage.base import CheckpointStore
 from repro.storage.jsonl import JsonlCheckpointStore
-from repro.storage.registry import (
-    StoreUri,
-    backend_names,
-    open_store,
-    parse_store_uri,
-    register_backend,
-    store_class,
-)
-from repro.storage.shards import ShardedCheckpointStore
-from repro.storage.sqlite import SqliteCheckpointStore
 
-__all__ = [
-    "CheckpointStore",
-    "JsonlCheckpointStore",
-    "SqliteCheckpointStore",
-    "ShardedCheckpointStore",
-    "StoreUri",
-    "parse_store_uri",
-    "register_backend",
-    "backend_names",
-    "store_class",
-    "open_store",
-]
+__all__ = ["JsonlCheckpointStore"]

@@ -1,5 +1,6 @@
 """Unit tests for the resumable JSONL checkpoint store."""
 
+import dataclasses
 import json
 
 import pytest
@@ -58,6 +59,26 @@ class TestLifecycle:
         before = store.path.read_bytes()
         store.append_chunk([])
         assert store.path.read_bytes() == before
+
+    def test_resume_reproduces_the_uninterrupted_file(self, tmp_path, config):
+        """Straight run vs killed-and-resumed run: identical bytes and
+        identical loads."""
+        first = [(0, make_evaluation()), (1, None)]
+        second = [(2, make_evaluation(1))]
+        straight = JsonlResultStore(tmp_path / "straight.jsonl", config)
+        straight.load()
+        straight.append_chunk(first)
+        straight.append_chunk(second)
+
+        path = tmp_path / "resumed.jsonl"
+        store = JsonlResultStore(path, config)
+        store.load()
+        store.append_chunk(first)
+        # "Kill": drop the store object, reopen, resume from the load.
+        store = JsonlResultStore(path, config)
+        assert store.load() == dict(first)
+        store.append_chunk(second)
+        assert path.read_bytes() == straight.path.read_bytes()
 
 
 class TestCorruptionHandling:
@@ -130,6 +151,62 @@ class TestCorruptionHandling:
             handle.write('{"kind":"mystery"}\n')
         with pytest.raises(ConfigurationError):
             store.load()
+
+    def test_duplicate_result_key_rejected(self, store):
+        """A stream holding the same result key twice is corrupt and must
+        fail loudly on load, not silently resume from whichever copy came
+        last."""
+        store.load()
+        store.append_chunk([(0, make_evaluation())])
+        store.append_chunk([(0, None)])  # same key, different payload
+        with pytest.raises(ConfigurationError, match="duplicate result key 0"):
+            store.load()
+
+    def test_binary_file_refused_and_left_intact(self, binary_file, config):
+        """A file that is not UTF-8 (a database, an image) is refused with
+        the one-line error, never a decode traceback, and left as found."""
+        before = binary_file.read_bytes()
+        with pytest.raises(
+            ConfigurationError,
+            match="is not a sweep checkpoint; refusing to overwrite it",
+        ):
+            JsonlResultStore(binary_file, config).load()
+        assert binary_file.read_bytes() == before
+
+    def test_undecodable_record_line_rejected_and_left_intact(self, store):
+        """Bytes that are not UTF-8 after a valid header are a corrupt
+        record; the file, torn tail included, stays as found."""
+        store.load()
+        store.append_chunk([(0, make_evaluation())])
+        with store.path.open("ab") as handle:
+            handle.write(b"\xff\xfe garbage\n")
+            handle.write(b'{"kind":"result","job":1,"eval')  # torn write
+        before = store.path.read_bytes()
+        with pytest.raises(ConfigurationError, match="non-JSON line"):
+            store.load()
+        assert store.path.read_bytes() == before
+
+
+class TestCheckpointPath:
+    @pytest.mark.parametrize("prefix", ["jsonl:", "sqlite:", "shards:"])
+    def test_former_backend_prefixes_rejected(
+        self, tmp_path, monkeypatch, config, prefix
+    ):
+        """The removed checkpoint backends' prefixes fail with the
+        one-line error naming the plain-path form, and create nothing."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError, match="plain path") as caught:
+            JsonlResultStore(f"{prefix}run.db", config)
+        assert f"'{prefix}' prefix is no longer accepted" in str(caught.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_other_colon_paths_are_plain_files(self, tmp_path, monkeypatch, config):
+        """Colons are legal in POSIX filenames: only the former backend
+        prefixes are refused."""
+        monkeypatch.chdir(tmp_path)
+        store = JsonlResultStore("backup:2024/sweep.jsonl", config)
+        assert store.load() == {}
+        assert (tmp_path / "backup:2024" / "sweep.jsonl").is_file()
 
 
 class TestConfigFingerprint:
@@ -229,3 +306,47 @@ class TestConfigFingerprint:
         )
         with pytest.raises(ConfigurationError, match="different sweep"):
             JsonlResultStore(path, reordered).load()
+
+
+class TestPlatformFingerprint:
+    """Checkpoints are platform-bound: the scheduler / protocol / overheads
+    axes are fingerprint-relevant, and headers from before the platform
+    layer normalise to the paper's platform."""
+
+    def test_resume_under_a_different_platform_rejected(self, store, config):
+        store.load()
+        store.append_chunk([(0, make_evaluation())])
+        for other in (
+            dataclasses.replace(config, scheduler="edf"),
+            dataclasses.replace(config, protocol="pip"),
+            dataclasses.replace(config, overheads="const:5"),
+        ):
+            with pytest.raises(ConfigurationError, match="different sweep"):
+                JsonlResultStore(store.path, other).load()
+
+    def test_equivalent_overhead_spellings_resume(self, tmp_path, config):
+        """``const:5`` and ``const:5,0`` are the same model and must share
+        a fingerprint."""
+        path = tmp_path / "sweep.jsonl"
+        store = JsonlResultStore(path, dataclasses.replace(config, overheads="const:5"))
+        store.load()
+        store.append_chunk([(0, make_evaluation())])
+        respelled = dataclasses.replace(config, overheads="const:5,0")
+        assert JsonlResultStore(path, respelled).load() == {0: make_evaluation()}
+
+    def test_legacy_header_normalises_to_the_default_platform(self, store, config):
+        """A pre-platform checkpoint (no scheduler/protocol/overheads keys)
+        was always analysed under the paper's platform: it resumes under
+        the defaults and stays rejected under anything else."""
+        store.load()
+        store.append_chunk([(0, make_evaluation())])
+        lines = store.path.read_text().splitlines()
+        header = json.loads(lines[0])
+        for axis in ("scheduler", "protocol", "overheads"):
+            del header["config"][axis]
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        store.path.write_text("".join(line + "\n" for line in lines))
+        assert JsonlResultStore(store.path, config).load() == {0: make_evaluation()}
+        pip = dataclasses.replace(config, protocol="pip")
+        with pytest.raises(ConfigurationError, match="different sweep"):
+            JsonlResultStore(store.path, pip).load()

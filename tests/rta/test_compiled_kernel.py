@@ -12,8 +12,9 @@ Four concerns live here:
   ``REPRO_DISABLE_COMPILED``) the compiled tier must produce byte-equal
   results through the pure-python kernels;
 * the kernel contract -- a compiled entry point that reports a broken
-  invariant (a warm-started Eq. 1 iterate falling) raises
-  ``KernelContractError``, an internal failure rather than a user error;
+  invariant (a warm-started Eq. 1 iterate falling, a lower task failing
+  the selector's Line-8 refresh) raises ``KernelContractError``, an
+  internal failure rather than a user error;
 * the python tier's exact solve-skipping layers (carry-in certification,
   probe pinning, Line-8 refresh reuse) fire on a sweep slice and leave
   results equal to the frozen reference.
@@ -263,7 +264,8 @@ class TestCompiledTier:
 
 class _ContractViolatingLib:
     """A stand-in for the C module whose HYDRA period search reports that
-    the seeded Eq. 1 solve of security task ``failed`` went backwards."""
+    the seeded Eq. 1 solve of security task ``failed`` went backwards, and
+    whose HYDRA-C selector reports a failed Line-8 refresh."""
 
     def __init__(self, failed):
         self.failed = failed
@@ -271,6 +273,9 @@ class _ContractViolatingLib:
     def hydra_partitioned_periods(self, *operands):
         responses = operands[-1]
         responses[self.failed] = compiled_pkg.CONTRACT_VIOLATION
+        return compiled_pkg.CONTRACT_VIOLATION
+
+    def hydra_select_periods(self, *operands):
         return compiled_pkg.CONTRACT_VIOLATION
 
 
@@ -285,6 +290,22 @@ class TestKernelContract:
         assert message.startswith("hydra_partitioned_periods: ")
         assert "core 1 (security task 1;" in message
         assert "[(3, 14)]" in message and "[(3, 300), (5, 500)]" in message
+
+    def test_selector_contract_violation_names_entry_point_and_operands(self):
+        """The C selector's Line-8 refresh failure is a kernel bug: it
+        surfaces as ``KernelContractError``, never as an unschedulable
+        verdict or a user error."""
+        cffi = pytest.importorskip("cffi")
+        kernel = compiled_pkg.CompiledKernel(cffi.FFI(), _ContractViolatingLib(0))
+        rt_arrays = ([], [], [], 2)
+        with pytest.raises(compiled_pkg.KernelContractError) as caught:
+            kernel.select_periods(
+                2, rt_arrays, [7, 9], [5, 9], [400, 900], [0, 1], False
+            )
+        message = str(caught.value)
+        assert message.startswith("hydra_select_periods: ")
+        assert "2 cores" in message
+        assert "[7, 9]" in message and "[400, 900]" in message
 
     def test_contract_error_is_not_a_user_error(self):
         """The CLI and serve answer ``ReproError`` as the user's mistake;

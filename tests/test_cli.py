@@ -477,3 +477,43 @@ class TestMain:
         assert main(argv) == 0
         assert capsys.readouterr().out == first_out
         assert checkpoint.read_bytes() == first_bytes
+
+    CHECKPOINT_COMMANDS = {
+        "sweep": ["sweep", "--tasksets-per-group", "1", "--quiet"],
+        "campaign": ["campaign", "--trials", "2", "--horizon", "6000",
+                     "--schemes", "HYDRA-C", "--quiet"],
+    }
+
+    @pytest.mark.parametrize("command", ["sweep", "campaign"])
+    @pytest.mark.parametrize("prefix", ["jsonl:", "sqlite:", "shards:"])
+    def test_former_checkpoint_prefix_is_a_clean_error(
+        self, capsys, tmp_path, monkeypatch, command, prefix
+    ):
+        """A checkpoint URI of the removed backends exits 2 with one
+        ``error:`` line naming the plain-path form, and creates nothing."""
+        monkeypatch.chdir(tmp_path)
+        argv = self.CHECKPOINT_COMMANDS[command] + ["--checkpoint", f"{prefix}run.db"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "plain path" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "campaign"])
+    def test_binary_checkpoint_is_a_clean_error(
+        self, capsys, binary_file, command
+    ):
+        """A checkpoint path holding a database or an image exits 2 with
+        the one-line refusal, not a decode traceback, and is left as
+        found."""
+        before = binary_file.read_bytes()
+        argv = self.CHECKPOINT_COMMANDS[command] + ["--checkpoint", str(binary_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: checkpoint {binary_file} exists but is not a {command} "
+            "checkpoint; refusing to overwrite it\n"
+        )
+        assert binary_file.read_bytes() == before
