@@ -8,13 +8,14 @@
 #            excluded).  Runs the RTA-kernel-vs-frozen-reference
 #            differential smoke first so an analysis regression fails
 #            fast with a labelled gate, then replays the RTA, RT
-#            partitioning, HYDRA/GLOBAL-TMax baseline, generation and
-#            model suites and the trial-batched simulation differential
-#            suite under REPRO_DISABLE_COMPILED=1 so the pure-python
-#            fallback paths -- the python kernels, the python RT
-#            partitioner and its Eq. 1 check, HYDRA's python security
-#            allocation, the task-copy paths and the python trial loop --
-#            can never silently regress on machines where the compiled
+#            partitioning, HYDRA/GLOBAL-TMax baseline, HYDRA-C period
+#            selection, scheme end-to-end, generation and model suites
+#            and the trial-batched simulation differential suite under
+#            REPRO_DISABLE_COMPILED=1 so the pure-python fallback paths
+#            -- the python kernels, the python RT partitioner and its
+#            Eq. 1 check, HYDRA's python security allocation, the python
+#            period selector, the task-copy paths and the python trial
+#            loop -- can never silently regress on machines where the compiled
 #            backend normally takes over (it is the default `auto` tier
 #            wherever it builds, so there every other run of this stage
 #            is on it).  Deterministic; always blocking.
@@ -50,8 +51,10 @@
 #            both daemons.
 #            (c) a 4-core sweep under --kernel compiled and --kernel
 #            python must print byte-identical reports; then a 2-core
-#            sweep over HYDRA-C, HYDRA, HYDRA-TMax, GLOBAL-TMax, HYDRA-RF
-#            (every scheme with a one-call compiled path) and HYDRA-C-FF /
+#            sweep over HYDRA-C, HYDRA, HYDRA-TMax, GLOBAL-TMax (every
+#            scheme whose phases are each one compiled call), HYDRA-RF
+#            (its allocation is the shared python placement loop on both
+#            tiers, its period phase one compiled call) and HYDRA-C-FF /
 #            HYDRA-C-WF (first-fit and worst-fit RT partitioning) must
 #            print byte-identical reports AND write byte-identical
 #            checkpoints (the checkpoint carries every scheme's periods;
@@ -115,9 +118,10 @@ esac
 if [[ "$stage" == "tier1" || "$stage" == "all" ]]; then
     echo "== tier 1a: RTA kernel vs frozen reference (differential smoke) =="
     python -m pytest -x -q tests/rta
-    echo "== tier 1b: RTA, partitioning, baseline, generation, model and trial-loop suites under forced pure-python fallback =="
+    echo "== tier 1b: RTA, partitioning, baseline, period-selection, scheme, generation, model and trial-loop suites under forced pure-python fallback =="
     REPRO_DISABLE_COMPILED=1 python -m pytest -x -q tests/rta tests/partitioning \
-        tests/baselines tests/generation tests/model tests/sim/test_batched_engine.py
+        tests/baselines tests/core tests/schemes tests/generation tests/model \
+        tests/sim/test_batched_engine.py
     echo "== tier 1c: platform models, fast-vs-tick differential (smoke) =="
     python -m pytest -x -q tests/platform
     echo "== tier 1d: pytest -m 'not bench' =="

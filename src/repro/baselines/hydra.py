@@ -9,36 +9,34 @@ bound to that core.  Periods are then adapted per core.
 
 The HYDRA-C paper describes HYDRA's period handling only qualitatively
 ("minimizes the periods of higher priority tasks first without considering
-the global state"), so this module implements two interpretations and makes
-the choice explicit:
-
-* :attr:`PeriodPolicy.CORE_AWARE` (default) -- after allocation, each core
-  runs a per-core analogue of HYDRA-C's Algorithm 1: tasks are visited in
-  priority order and each period is minimised subject to every
-  lower-priority security task *on the same core* staying schedulable.
-  This is the non-degenerate reading consistent with the original HYDRA
-  formulation (an optimisation with schedulability constraints) and is what
-  the experiments use.
-* :attr:`PeriodPolicy.GREEDY_MIN` -- the literal reading: each task's period
-  is set to its own response time on the chosen core, ignoring any task that
-  might be allocated later.  On lightly loaded cores this drives a core's
-  utilization to one and starves every subsequently allocated task; it is
-  retained as an ablation (see ``benchmarks/test_bench_ablation.py``) and to
-  document why the literal reading cannot be what the original system did.
+the global state").  :attr:`PeriodPolicy.CORE_AWARE` (the default, and
+what the experiments use) reads it as a per-core analogue of HYDRA-C's
+Algorithm 1: after allocation, each core's tasks are visited in priority
+order and each period is minimised subject to every lower-priority
+security task *on the same core* staying schedulable -- the optimisation
+with schedulability constraints of the original HYDRA formulation.  The
+literal reading (each period set to the task's own response time as it is
+placed) is rejected: on a lightly loaded core it drives utilization to one
+and starves every task allocated after it.  :attr:`PeriodPolicy.TMAX`
+keeps every period at its maximum (HYDRA-TMax).
 
 Acceptance (Fig. 7a) is decided by the allocation phase: a task set is
 schedulable under HYDRA iff every security task finds a core where its
-response time stays within its maximum period.
+response time stays within its maximum period.  The allocation is one
+python placement loop (:meth:`Hydra._pack`) over a per-class pick --
+:func:`choose_best_fit_core` here, a hashed pick in
+:class:`~repro.schemes.variants.RandomFitHydra` -- and, for the best-fit
+pick on the compiled kernel tier, one C call per task set.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.framework import SchedulingPolicy, SystemDesign
-from repro.errors import ConfigurationError, UnschedulableError
+from repro.errors import UnschedulableError
 from repro.model.platform import Platform
 from repro.model.tasks import RealTimeTask, SecurityTask
 from repro.model.taskset import TaskSet
@@ -56,18 +54,14 @@ __all__ = [
     "Hydra",
     "PeriodPolicy",
     "SecurityAllocation",
-    "best_core_for_security_task",
-    "build_security_packer",
     "choose_best_fit_core",
-    "feasible_cores_for_security_task",
 ]
 
 
 class PeriodPolicy(str, enum.Enum):
-    """How HYDRA assigns periods after allocating a security task."""
+    """How HYDRA assigns periods after allocating the security tasks."""
 
     CORE_AWARE = "core-aware"
-    GREEDY_MIN = "greedy-min"
     TMAX = "tmax"
 
 
@@ -75,12 +69,12 @@ class PeriodPolicy(str, enum.Enum):
 class SecurityAllocation:
     """Outcome of HYDRA's greedy best-fit security-task allocation phase.
 
-    The allocation is performed at the maximum periods (every non-greedy
-    period policy occupies cores at ``T^max`` until the per-core
-    minimisation pass), so the result is *identical* for the CORE_AWARE and
-    TMAX policies on the same task set and RT partition.  The batch
-    evaluation service exploits this by computing the allocation once and
-    sharing it between HYDRA and HYDRA-TMax.
+    The allocation is performed at the maximum periods (every period
+    policy occupies cores at ``T^max`` until the per-core period pass), so
+    the result is *identical* for the CORE_AWARE and TMAX policies on the
+    same task set and RT partition.  The batch evaluation service exploits
+    this by computing the allocation once and sharing it between HYDRA and
+    HYDRA-TMax.
 
     Attributes
     ----------
@@ -93,72 +87,22 @@ class SecurityAllocation:
     failed_task:
         Name of the first security task that fit on no core, or ``None``
         when every task was placed.
-    greedy:
-        True when the allocation assumed the literal GREEDY_MIN periods;
-        such a result must not be shared with non-greedy policies.
     """
 
     mapping: Dict[str, int] = field(default_factory=dict)
     response_times: Dict[str, Optional[int]] = field(default_factory=dict)
     failed_task: Optional[str] = None
-    greedy: bool = False
 
     @property
     def schedulable(self) -> bool:
         return self.failed_task is None
 
 
-def build_security_packer(
-    rt_by_core: Mapping[int, Sequence[RealTimeTask]],
-    security_by_core: Mapping[int, Sequence[Tuple[SecurityTask, int]]],
-    num_cores: int,
-    rta_context: Optional[RtaContext] = None,
-) -> SecurityPacker:
-    """A kernel packer reflecting the given per-core occupancy snapshot."""
-    context = rta_context if rta_context is not None else RtaContext(num_cores)
-    packer = SecurityPacker(context, rt_by_core, num_cores)
-    for core_index in range(num_cores):
-        for sec, period in security_by_core.get(core_index, ()):
-            packer.place(sec, core_index, period)
-    return packer
-
-
-def feasible_cores_for_security_task(
-    task: SecurityTask,
-    rt_by_core: Mapping[int, Sequence[RealTimeTask]],
-    security_by_core: Mapping[int, Sequence[Tuple[SecurityTask, int]]],
-    num_cores: int,
-) -> List[Tuple[int, int, float]]:
-    """Every core on which *task*'s response time stays within ``T^max``.
-
-    This is the single feasibility predicate every allocation policy
-    (best-fit here, random-fit in :mod:`repro.schemes.variants`) chooses
-    from -- policies differ only in which feasible core they pick, so the
-    predicate must not be duplicated per policy.  It is answered by the
-    kernel's :class:`~repro.rta.SecurityPacker`; allocation loops keep a
-    live packer instead of calling this per-probe snapshot wrapper.
-
-    Parameters
-    ----------
-    security_by_core:
-        Already-bound higher-priority security tasks per core, as
-        ``(task, period)`` pairs (the period each is currently assumed to
-        run at).
-
-    Returns
-    -------
-    One ``(core_index, response_time, utilization)`` triple per feasible
-    core, in core order; ``utilization`` is the load already bound there
-    (RT plus assumed-period security tasks).
-    """
-    packer = build_security_packer(rt_by_core, security_by_core, num_cores)
-    return packer.feasible_cores(task)
-
-
 def choose_best_fit_core(
     feasible: Sequence[Tuple[int, int, float]],
 ) -> Optional[Tuple[int, int]]:
-    """Best-fit rule over ``(core, response, utilization)`` triples.
+    """Best-fit rule over ``(core, response, utilization)`` triples (the
+    :meth:`~repro.rta.SecurityPacker.feasible_cores` predicate).
 
     Picks the *fullest* core -- the one with the highest current
     utilization -- keeping the remaining cores' slack available for later,
@@ -173,26 +117,6 @@ def choose_best_fit_core(
     if best is None:
         return None
     return best[2], best[1]
-
-
-def best_core_for_security_task(
-    task: SecurityTask,
-    rt_by_core: Mapping[int, Sequence[RealTimeTask]],
-    security_by_core: Mapping[int, Sequence[Tuple[SecurityTask, int]]],
-    num_cores: int,
-) -> Optional[Tuple[int, int]]:
-    """Best-fit core choice for one security task.
-
-    Returns
-    -------
-    ``(core_index, response_time)`` for the chosen core, or ``None`` if the
-    task's response time exceeds ``T^max`` on every core.
-    """
-    return choose_best_fit_core(
-        feasible_cores_for_security_task(
-            task, rt_by_core, security_by_core, num_cores
-        )
-    )
 
 
 class Hydra:
@@ -273,14 +197,6 @@ class Hydra:
             security_allocation = self.allocate_security(
                 taskset, rt_by_core, rta_context=rta_context
             )
-        elif security_allocation.greedy != (
-            self._period_policy is PeriodPolicy.GREEDY_MIN
-        ):
-            raise ConfigurationError(
-                "precomputed security allocation was produced under a "
-                "different period-policy family (greedy vs non-greedy) and "
-                "cannot be reused"
-            )
         response_times.update(security_allocation.response_times)
 
         if security_allocation.failed_task is not None:
@@ -341,53 +257,62 @@ class Hydra:
         ``rt_by_core`` must group the RT tasks exactly as
         :func:`repro.schedulability.partitioned.rt_tasks_by_core` does (one
         entry per platform core, tasks in priority order).  On the compiled
-        kernel tier the whole non-greedy allocation is one call
-        (:meth:`_allocate_security_compiled`).  Otherwise -- GREEDY_MIN,
-        the python tier, operands outside the kernel's guard -- the
-        placement loop keeps one kernel :class:`~repro.rta.SecurityPacker`
-        alive, so successive probes against an unchanged core share their
-        per-window interference arithmetic.  ``rta_context`` optionally
+        kernel tier the whole allocation is one call
+        (:meth:`_allocate_security_compiled`); on the python tier, and for
+        operands outside the kernel's guard, :meth:`_pack` places the tasks
+        with :func:`choose_best_fit_core`.  ``rta_context`` optionally
         supplies the task set's shared kernel context.
         """
-        context = (
-            rta_context
-            if rta_context is not None
-            else RtaContext(self._platform.num_cores)
-        )
-        greedy = self._period_policy is PeriodPolicy.GREEDY_MIN
-        if context.compiled_kernel is not None and not greedy:
+        context = self._context(rta_context)
+        if context.compiled_kernel is not None:
             allocation = self._allocate_security_compiled(
                 taskset, rt_by_core, context
             )
             if allocation is not None:
                 return allocation
+        return self._pack(
+            taskset,
+            rt_by_core,
+            context,
+            lambda _task, feasible: choose_best_fit_core(feasible),
+        )
 
+    def _pack(
+        self,
+        taskset: TaskSet,
+        rt_by_core: Mapping[int, Sequence[RealTimeTask]],
+        context: RtaContext,
+        pick: Callable[
+            [SecurityTask, Sequence[Tuple[int, int, float]]],
+            Optional[Tuple[int, int]],
+        ],
+    ) -> SecurityAllocation:
+        """Place the security tasks in priority order, each on the
+        ``(core, response)`` *pick* chooses among its feasible
+        ``(core, response, utilization)`` triples (``None``: the task fits
+        nowhere), occupying it at ``T^max`` until the per-core period pass.
+
+        One kernel :class:`~repro.rta.SecurityPacker` stays alive for the
+        whole loop, so successive probes against an unchanged core share
+        their per-window interference arithmetic.
+        """
         packer = SecurityPacker(context, rt_by_core, self._platform.num_cores)
         mapping: Dict[str, int] = {}
         responses: Dict[str, Optional[int]] = {}
-
         for task in taskset.security_by_priority():
-            choice = choose_best_fit_core(packer.feasible_cores(task))
+            choice = pick(task, packer.feasible_cores(task))
             if choice is None:
                 responses[task.name] = None
                 return SecurityAllocation(
                     mapping=mapping,
                     response_times=responses,
                     failed_task=task.name,
-                    greedy=greedy,
                 )
             core_index, response = choice
             mapping[task.name] = core_index
             responses[task.name] = response
-            # Under the literal greedy policy the task immediately claims the
-            # shortest period it can; otherwise it occupies the core at its
-            # maximum period until the per-core minimisation pass.
-            assumed_period = response if greedy else task.max_period
-            packer.place(task, core_index, assumed_period)
-
-        return SecurityAllocation(
-            mapping=mapping, response_times=responses, greedy=greedy
-        )
+            packer.place(task, core_index, task.max_period)
+        return SecurityAllocation(mapping=mapping, response_times=responses)
 
     def _allocate_security_compiled(
         self,
@@ -395,9 +320,9 @@ class Hydra:
         rt_by_core: Mapping[int, Sequence[RealTimeTask]],
         context: RtaContext,
     ) -> Optional[SecurityAllocation]:
-        """The non-greedy placement loop above in one compiled call: the
-        same probes, Eq. 1 solves and best-fit choices.  ``None`` when an
-        operand falls outside the kernel's guard."""
+        """:meth:`_pack` with the best-fit pick in one compiled call: the
+        same probes, Eq. 1 solves and choices.  ``None`` when an operand
+        falls outside the kernel's guard."""
         rt_offsets, rt_wcets, rt_periods = [0], [], []
         for core_index in range(self._platform.num_cores):
             for task in rt_by_core.get(core_index, ()):
@@ -440,15 +365,11 @@ class Hydra:
     ) -> Tuple[Dict[str, int], Dict[str, Optional[int]]]:
         """Assign periods per the configured policy and report final WCRTs.
 
-        On the compiled kernel tier CORE_AWARE and TMAX run every core in
-        one call (:meth:`_assign_periods_compiled`); GREEDY_MIN, and
-        operands outside the kernel's guards, run the per-core assigners.
+        On the compiled kernel tier every core runs in one call
+        (:meth:`_assign_periods_compiled`); the python tier, and operands
+        outside the kernel's guards, run the per-core assigners.
         """
-        context = (
-            rta_context
-            if rta_context is not None
-            else RtaContext(self._platform.num_cores)
-        )
+        context = self._context(rta_context)
         by_priority = taskset.security_by_priority()
         cores = [
             (
@@ -461,10 +382,7 @@ class Hydra:
             )
             for core_index in range(self._platform.num_cores)
         ]
-        if (
-            context.compiled_kernel is not None
-            and self._period_policy is not PeriodPolicy.GREEDY_MIN
-        ):
+        if context.compiled_kernel is not None:
             assigned = self._assign_periods_compiled(context, cores)
             if assigned is not None:
                 return assigned
@@ -488,7 +406,7 @@ class Hydra:
         context: RtaContext,
         cores: Sequence[Tuple[Sequence[RealTimeTask], Sequence[SecurityTask]]],
     ) -> Optional[Tuple[Dict[str, int], Dict[str, Optional[int]]]]:
-        """CORE_AWARE/TMAX for every core in one compiled call: the same
+        """Every core's periods in one compiled call: the same
         Eq. 1 solves, in the same order, as :meth:`_assign_periods_on_core`.
         The C search starts each solve of a task from its response in the
         last feasible probe, not from ``wcet``; iterating from that lower
@@ -521,28 +439,11 @@ class Hydra:
     ) -> Tuple[Dict[str, int], Dict[str, Optional[int]]]:
         """Period assignment for the security tasks bound to a single core."""
         periods: Dict[str, int] = {task.name: task.max_period for task in core_tasks}
-
-        if self._period_policy is PeriodPolicy.TMAX:
-            pass  # keep maxima
-        elif self._period_policy is PeriodPolicy.GREEDY_MIN:
-            for position, task in enumerate(core_tasks):
-                response = assigner.response_time(
-                    task.wcet,
-                    task.max_period,
-                    [
-                        (hp.wcet, periods[hp.name])
-                        for hp in core_tasks[:position]
-                    ],
-                )
-                periods[task.name] = (
-                    response if response is not None else task.max_period
-                )
-        else:  # CORE_AWARE
+        if self._period_policy is PeriodPolicy.CORE_AWARE:
             for position, task in enumerate(core_tasks):
                 periods[task.name] = self._core_aware_minimum_period(
                     position, core_tasks, periods, assigner
                 )
-
         responses = self._core_response_times(core_tasks, periods, assigner)
         return periods, responses
 
@@ -613,6 +514,12 @@ class Hydra:
         return responses
 
     # -- helpers ------------------------------------------------------------------------
+
+    def _context(self, rta_context: Optional[RtaContext]) -> RtaContext:
+        """*rta_context*, or a fresh one for this platform."""
+        if rta_context is not None:
+            return rta_context
+        return RtaContext(self._platform.num_cores)
 
     def _resolve_rt_allocation(
         self,

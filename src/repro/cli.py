@@ -195,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help=(
                 "print a one-line RTA-kernel summary after the run "
-                "(screen/filter hits, undecided residue, warm-seeded "
-                "solves, compiled/dedup activity); observability only, "
-                "never affects results"
+                "(exact, warm-seeded and compiled solves, LL/Bini "
+                "quick-accepts, dedup pinned/certified sets and "
+                "pinned/reused solves); observability only, never "
+                "affects results"
             ),
         )
         _add_platform_arguments(sub)
@@ -456,67 +457,55 @@ def _batch_sweep_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _format_schemes_table() -> str:
-    """Render the scheme registry as a text table."""
-    rows = [
-        (
-            spec.name,
-            spec.policy.value,
-            "yes" if spec.adapts_periods else "no",
-            "canonical" if spec.canonical else "variant",
-            ",".join(sorted(phase.value for phase in spec.phases)) or "-",
-            spec.description or "-",
-        )
-        for spec in REGISTRY
-    ]
-    headers = (
-        "scheme",
-        "policy",
-        "adapts periods",
-        "origin",
-        "shared phases",
-        "description",
-    )
+def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned text columns, two blanks apart, each as wide as its
+    widest cell."""
     widths = [
         max(len(headers[column]), *(len(row[column]) for row in rows))
         for column in range(len(headers))
     ]
-    lines = [
-        "  ".join(header.ljust(width) for header, width in zip(headers, widths))
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths))
+        for line in (headers, *rows)
+    )
+
+
+def _format_schemes_table() -> str:
+    """Render the scheme registry as a text table."""
+    return _format_table(
+        (
+            "scheme",
+            "policy",
+            "adapts periods",
+            "origin",
+            "shared phases",
+            "description",
+        ),
+        [
+            (
+                spec.name,
+                spec.policy.value,
+                "yes" if spec.adapts_periods else "no",
+                "canonical" if spec.canonical else "variant",
+                ",".join(sorted(phase.value for phase in spec.phases)) or "-",
+                spec.description or "-",
+            )
+            for spec in REGISTRY
+        ],
+    )
 
 
 def _format_kernels_table() -> str:
     """Render the kernel-backend availability report as a text table."""
     from repro.rta import kernel_status
 
-    status = kernel_status()
-    rows = [
-        (
-            name,
-            "yes" if info["available"] else "no",
-            info["detail"],
-        )
-        for name, info in status.items()
-    ]
-    headers = ("kernel", "available", "detail")
-    widths = [
-        max(len(headers[column]), *(len(row[column]) for row in rows))
-        for column in range(len(headers))
-    ]
-    lines = [
-        "  ".join(header.ljust(width) for header, width in zip(headers, widths))
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-        )
-    return "\n".join(lines)
+    return _format_table(
+        ("kernel", "available", "detail"),
+        [
+            (name, "yes" if info["available"] else "no", info["detail"])
+            for name, info in kernel_status().items()
+        ],
+    )
 
 
 def _format_backends_table() -> str:
@@ -531,27 +520,17 @@ def _format_backends_table() -> str:
             "falls back to 'fast' outside its envelope)"
         ),
     }
-    rows = [
-        (
-            name,
-            f"{cls.__module__}.{cls.__name__}",
-            descriptions.get(name, "-"),
-        )
-        for name, cls in SIMULATOR_BACKENDS.items()
-    ]
-    headers = ("backend", "class", "description")
-    widths = [
-        max(len(headers[column]), *(len(row[column]) for row in rows))
-        for column in range(len(headers))
-    ]
-    lines = [
-        "  ".join(header.ljust(width) for header, width in zip(headers, widths))
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-        )
-    return "\n".join(lines)
+    return _format_table(
+        ("backend", "class", "description"),
+        [
+            (
+                name,
+                f"{cls.__module__}.{cls.__name__}",
+                descriptions.get(name, "-"),
+            )
+            for name, cls in SIMULATOR_BACKENDS.items()
+        ],
+    )
 
 
 def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:

@@ -27,7 +27,8 @@ The backend is strictly optional and strictly behind the
 Dispatch is guarded: operands must fit the C kernels' integer-width
 preconditions (:data:`INT31_LIMIT`, ``wcet <= period`` -- see
 :func:`operands_fit` -- and :data:`MAX_COMPILED_SETS`), otherwise the work
-stays in Python.  Five analysis phases dispatch once per task set:
+stays in Python.  Five analysis phases dispatch once per task set, each
+the whole phase in one call:
 
 * RT partitioning (first-, best- or worst-fit decreasing with the exact
   Eq. 1 admission), from
@@ -48,16 +49,15 @@ stays in Python.  Five analysis phases dispatch once per task set:
 * GLOBAL-TMax's priority-ordered global RTA, from
   :meth:`~repro.rta.global_fp.GlobalRtaEngine.taskset_schedulable`.
 
-Eq. 1 still dispatches per solve from
-:meth:`~repro.rta.core_state.CoreState._solve` for what stays in Python:
-HYDRA-RF's random-fit allocation (its pick is interleaved with the
-per-task hash), the GREEDY_MIN ablation, the Eq. 1 check of a partition
-the compiled partitioner did not make, and guard fallbacks.  Every
-one-call solve counts in ``KernelStats.compiled_solves`` (the global ones
-in ``exact_solves`` too, as on the python tier), and the selector's
-certified carry-in sets in ``dedup_certified_sets``.  The sixth one-call
-entry point is not an analysis: :meth:`CompiledKernel.simulate_trials`
-runs the campaign's
+Nothing dispatches per solve: what these calls do not cover -- HYDRA-RF's
+random-fit allocation (the python placement loop it shares with HYDRA's
+python tier), the Eq. 1 check of a partition the compiled partitioner did
+not make, and guard fallbacks -- runs the python kernels, exactly as on
+the python tier.  Every one-call solve counts in
+``KernelStats.compiled_solves`` (the global ones in ``exact_solves`` too,
+as on the python tier), and the selector's certified carry-in sets in
+``dedup_certified_sets``.  The sixth entry point is not an analysis:
+:meth:`CompiledKernel.simulate_trials` runs the campaign's
 trace-free trial loop (:mod:`repro.sim.batched`) for a chunk of trials of
 one design, dispatched from
 :func:`~repro.sim.batched.simulate_trials_batched` on the default tier
@@ -100,7 +100,7 @@ KERNEL_CHOICES = ("python", "compiled", "auto")
 #: backend builds, silently python where it does not.
 DEFAULT_KERNEL = "auto"
 
-#: Operands must stay below this for a solve to dispatch to C: every
+#: Operands must stay below this for a phase to dispatch to C: every
 #: C-side window iterate is then < 2**31 and the per-term/per-core
 #: arithmetic provably fits ``int64`` (accumulations that could not are
 #: carried in ``__int128``).
@@ -152,32 +152,6 @@ class CompiledKernel:
     def __init__(self, ffi, lib) -> None:
         self._ffi = ffi
         self._lib = lib
-
-    def eq1(
-        self,
-        wcet: int,
-        threshold: int,
-        periods: Sequence[int],
-        wcets: Sequence[int],
-    ):
-        """Eq. 1 fixed point; ``None`` = exceeds threshold, or UNSUPPORTED."""
-        if wcet >= INT31_LIMIT or threshold >= INT31_LIMIT:
-            return UNSUPPORTED
-        for value in periods:
-            if value >= INT31_LIMIT:
-                return UNSUPPORTED
-        for value in wcets:
-            if value >= INT31_LIMIT:
-                return UNSUPPORTED
-        ffi = self._ffi
-        result = self._lib.hydra_eq1_solve(
-            wcet,
-            threshold,
-            len(periods),
-            ffi.new("int64_t[]", list(periods)),
-            ffi.new("int64_t[]", list(wcets)),
-        )
-        return None if result < 0 else int(result)
 
     def partition_rt(
         self,

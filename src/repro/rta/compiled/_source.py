@@ -1,12 +1,12 @@
 """C source of the compiled kernels (cffi API mode).
 
-Six exported functions cover every integer fixed point the kernel tier
-dispatches, and a seventh runs the campaign's trace-free trial loop (see
-:mod:`repro.rta.compiled`):
+Five exported functions cover every integer fixed point the kernel tier
+dispatches, each a whole phase of one task set in one call, and a sixth
+runs the campaign's trace-free trial loop (see :mod:`repro.rta.compiled`).
+Eq. 1 has one loop, ``hydra_eq1_from``, and a cold-start wrapper
+``hydra_eq1_solve``; both are ``static`` helpers of the entry points
+below, not entry points themselves:
 
-* ``hydra_eq1_solve`` -- the Eq. 1 demand iteration behind
-  :meth:`~repro.rta.core_state.CoreState._solve` (prefix and
-  appended-at-the-bottom demand), dispatched per solve;
 * ``hydra_partition_rt`` -- the whole best-, first- or worst-fit-decreasing
   RT partition of one task set
   (:func:`~repro.partitioning.heuristics.partition_rt_tasks`): each probe
@@ -27,8 +27,8 @@ dispatches, and a seventh runs the campaign's trace-free trial loop (see
   RT tasks followed by the security tasks at their current trial periods
   (both contribute identical ``ceil(x/T) * C`` terms), and CORE_AWARE
   runs :meth:`~repro.baselines.hydra.Hydra._core_aware_minimum_period`'s
-  binary search over it solve for solve.  Each solve runs the Eq. 1 loop
-  of ``hydra_eq1_solve``, warm-started from a per-task seed: the task's
+  binary search over it solve for solve.  Each solve runs
+  ``hydra_eq1_from``, warm-started from a per-task seed: the task's
   response in the last feasible probe -- a least fixed point under no
   more interference, so a lower bound that reaches the cold solve's fixed
   point (the seed ledger of ``hydra_select_periods``, on Eq. 1).  An
@@ -85,8 +85,6 @@ __all__ = ["CDEF", "C_SOURCE"]
 
 #: Declarations shared with cffi (must match the definitions below).
 CDEF = """
-int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
-                        const int64_t *periods, const int64_t *wcets);
 int64_t hydra_partition_rt(int64_t num_cores, int64_t n,
                            const int64_t *wcets, const int64_t *periods,
                            const int64_t *deadlines, const int64_t *demands,
@@ -178,8 +176,10 @@ static int64_t hydra_eq1_from(int64_t start, int64_t wcet, int64_t threshold,
     }
 }
 
-int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
-                        const int64_t *periods, const int64_t *wcets)
+/* A cold solve: the Eq. 1 loop from wcet (the RT partitioner's and the
+ * security allocation's probes). */
+static int64_t hydra_eq1_solve(int64_t wcet, int64_t threshold, int64_t n,
+                               const int64_t *periods, const int64_t *wcets)
 {
     return hydra_eq1_from(wcet, wcet, threshold, n, periods, wcets);
 }

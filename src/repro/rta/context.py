@@ -189,10 +189,10 @@ class RtaContext:
         #: ``PeriodSelector.select`` (HYDRA-C's Algorithms 1-2),
         #: ``Hydra._assign_periods`` (HYDRA's per-core periods) and
         #: ``GlobalRtaEngine.taskset_schedulable`` (GLOBAL-TMax) each run
-        #: in one call on it per task set.  ``CoreState`` dispatches Eq. 1
-        #: on it per solve for what stays in Python: HYDRA-RF's allocation,
-        #: the GREEDY_MIN ablation, the Eq. 1 check of a partition the
-        #: compiled partitioner did not make, and guard fallbacks.
+        #: in one call on it per task set.  Everything else -- HYDRA-RF's
+        #: allocation, the Eq. 1 check of a partition the compiled
+        #: partitioner did not make, guard fallbacks -- runs the python
+        #: kernels (``CoreState`` never dispatches to it).
         self.compiled_kernel = resolve_kernel(self.kernel_name)
         self.stats = KernelStats()
         self._rt_caches: Dict[object, RtWorkloadCache] = {}

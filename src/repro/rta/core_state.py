@@ -55,7 +55,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.model.time_utils import ceil_div
-from repro.rta.compiled import UNSUPPORTED
 from repro.schedulability.uniprocessor import (
     liu_layland_bound,
     response_time_upper_bound,
@@ -245,9 +244,11 @@ class CoreState:
 
         With a resource protocol in play the task's blocking term ``B``
         inflates its own demand constant (``R = C + B + I(R)`` -- the same
-        fixed point as solving with WCET ``C + B``, so the compiled kernel
-        is reused unchanged); interference from higher-priority tasks is
-        untouched, matching the classic uniprocessor blocking analysis.
+        fixed point as solving with WCET ``C + B``); interference from
+        higher-priority tasks is untouched, matching the classic
+        uniprocessor blocking analysis.  The python fixed point on either
+        kernel tier: the compiled tier runs whole phases in one C call each
+        instead (:mod:`repro.rta.compiled`).
         """
         threshold = view.deadline if limit is None else limit
         wcet = view.wcet
@@ -256,31 +257,6 @@ class CoreState:
         if wcet > threshold:
             return None
         self._context.stats.exact_solves += 1
-        kernel = getattr(self._context, "compiled_kernel", None)
-        if kernel is not None:
-            # Dispatch only when the interference source is a task list the
-            # C kernel can consume directly: the prefix demand, or the
-            # state's full-demand memo (whose closed-over task list is
-            # ``self._entries``).  An arbitrary caller-supplied demand
-            # callable stays on the python tier.  ``==``, not ``is``: every
-            # attribute access builds a new bound method, and bound methods
-            # compare equal when they wrap the same function and instance.
-            if demand is None:
-                tasks: Optional[Sequence[TaskView]] = prefix
-            elif demand == self._full_demand_at:
-                tasks = self._entries
-            else:
-                tasks = None
-            if tasks is not None:
-                solved = kernel.eq1(
-                    wcet,
-                    threshold,
-                    [task.period for task in tasks],
-                    [task.wcet for task in tasks],
-                )
-                if solved is not UNSUPPORTED:
-                    self._context.stats.compiled_solves += 1
-                    return solved
         demand_at = demand if demand is not None else (
             lambda window: self._demand_of(prefix, window)
         )

@@ -10,22 +10,21 @@ bottom of the priority order against the state's per-window demand memo,
 which is shared across every probe until the core's contents change.
 
 All allocation *policies* (best-fit, random-fit, ...) choose from the same
-:meth:`feasible_cores` predicate; policies differ only in which feasible
-core they pick, exactly as
-:func:`repro.baselines.hydra.feasible_cores_for_security_task` documents.
-The returned ``(core_index, response_time, utilization)`` triples match
-the frozen predicate bit for bit, including the left-to-right float
-utilization accumulation that downstream tie-breaks compare.
+:meth:`SecurityPacker.feasible_cores` predicate inside HYDRA's one
+placement loop (:meth:`~repro.baselines.hydra.Hydra._pack`); policies
+differ only in which feasible core they pick.  The returned
+``(core_index, response_time, utilization)`` triples match the frozen
+predicate bit for bit, including the left-to-right float utilization
+accumulation that downstream tie-breaks compare.
 
 On the compiled kernel tier HYDRA's best-fit allocation and its period
 phase each run in one C call per task set
 (:meth:`~repro.baselines.hydra.Hydra.allocate_security`,
 :meth:`~repro.baselines.hydra.Hydra._assign_periods`), so both classes
-here are the python tier of those phases.  :class:`SecurityPacker` still
-serves HYDRA-RF's random-fit allocation, the GREEDY_MIN ablation and
-operands outside the kernel's guard; there each probe's Eq. 1 solve is
-dispatched to C per solve (from :meth:`CoreState._solve`) where the
-operands fit.
+here are the python tier of those phases.  :class:`SecurityPacker` also
+serves HYDRA-RF's random-fit allocation on both tiers, and HYDRA's when an
+operand falls outside the kernel's guard; its probes are always the python
+Eq. 1 fixed point of :meth:`CoreState.probe_response`.
 """
 
 from __future__ import annotations
@@ -64,10 +63,9 @@ class CorePeriodAssigner:
     :func:`repro.schedulability.uniprocessor.uniprocessor_response_time`.
 
     This is the pure-python tier of the phase: on the compiled tier
-    :class:`~repro.baselines.hydra.Hydra` runs CORE_AWARE and TMAX for
-    every core in one call
+    :class:`~repro.baselines.hydra.Hydra` runs every core in one call
     (:meth:`~repro.rta.compiled.CompiledKernel.partitioned_periods`), so
-    only the GREEDY_MIN ablation and guard fallbacks reach this class.
+    only guard fallbacks reach this class there.
     """
 
     def __init__(self, context: RtaContext, rt_tasks: Sequence[RealTimeTask]) -> None:

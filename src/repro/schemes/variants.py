@@ -9,10 +9,13 @@ are not a pure re-parameterisation of an existing class:
   choice replaced by a deterministic pseudo-random pick among the feasible
   cores.  It lower-bounds what the allocation heuristic contributes:
   whatever acceptance/period quality HYDRA has beyond HYDRA-RF is earned by
-  best-fit packing, not by the rest of the pipeline.  Both policies choose
-  from the same feasibility predicate
-  (:func:`repro.baselines.hydra.feasible_cores_for_security_task`), so the
-  comparison isolates exactly the packing rule.
+  best-fit packing, not by the rest of the pipeline.  Both run HYDRA's one
+  placement loop (:meth:`~repro.baselines.hydra.Hydra._pack`) over the
+  same feasibility predicate
+  (:meth:`~repro.rta.SecurityPacker.feasible_cores`), so the comparison
+  isolates exactly the packing rule.  The loop is python on both kernel
+  tiers; HYDRA-RF's period phase is HYDRA's, one C call on the compiled
+  tier.
 
 The re-parameterised HYDRA-C variants (first-fit / worst-fit RT
 partitioning, forced-greedy carry-in) need no code here -- their specs in
@@ -23,19 +26,12 @@ partitioning, forced-greedy carry-in) need no code here -- their specs in
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.baselines.hydra import (
-    Hydra,
-    PeriodPolicy,
-    SecurityAllocation,
-)
-from repro.errors import ConfigurationError
-from repro.model.platform import Platform
+from repro.baselines.hydra import Hydra, SecurityAllocation
 from repro.model.tasks import RealTimeTask
 from repro.model.taskset import TaskSet
-from repro.partitioning.heuristics import FitStrategy
-from repro.rta import RtaContext, SecurityPacker
+from repro.rta import RtaContext
 
 __all__ = ["RandomFitHydra"]
 
@@ -71,26 +67,6 @@ class RandomFitHydra(Hydra):
         ]
         return zlib.crc32(";".join(parts).encode("utf-8")).to_bytes(4, "big")
 
-    def __init__(
-        self,
-        platform: Platform,
-        rt_partition_strategy: FitStrategy = FitStrategy.BEST_FIT,
-        period_policy: PeriodPolicy = PeriodPolicy.CORE_AWARE,
-    ) -> None:
-        # The override below always occupies cores at the maximum periods,
-        # which is wrong for the literal-greedy policy (it occupies at the
-        # response time and flags the allocation ``greedy``).
-        if period_policy is PeriodPolicy.GREEDY_MIN:
-            raise ConfigurationError(
-                "RandomFitHydra does not support the GREEDY_MIN period "
-                "policy; its allocation assumes max-period occupancy"
-            )
-        super().__init__(
-            platform,
-            rt_partition_strategy=rt_partition_strategy,
-            period_policy=period_policy,
-        )
-
     def allocate_security(
         self,
         taskset: TaskSet,
@@ -99,37 +75,16 @@ class RandomFitHydra(Hydra):
     ) -> SecurityAllocation:
         """Place each task on a pseudo-randomly chosen feasible core.
 
-        The feasibility triples come from the same kernel
-        :class:`~repro.rta.SecurityPacker` predicate the best-fit
-        allocation uses -- only the pick differs.
+        HYDRA's placement loop with the hashed pick in place of best fit
+        (and so never HYDRA's best-fit-only compiled call).
         """
-        context = (
-            rta_context
-            if rta_context is not None
-            else RtaContext(self._platform.num_cores)
-        )
-        packer = SecurityPacker(context, rt_by_core, self._platform.num_cores)
-        mapping: Dict[str, int] = {}
-        responses: Dict[str, Optional[int]] = {}
-        taskset_salt = self._taskset_salt(taskset)
+        salt = self._HASH_SALT + self._taskset_salt(taskset)
 
-        for task in taskset.security_by_priority():
-            feasible = packer.feasible_cores(task)
+        def pick(task, feasible):
             if not feasible:
-                responses[task.name] = None
-                return SecurityAllocation(
-                    mapping=mapping,
-                    response_times=responses,
-                    failed_task=task.name,
-                )
-            digest = zlib.crc32(
-                self._HASH_SALT + taskset_salt + task.name.encode("utf-8")
-            )
+                return None
+            digest = zlib.crc32(salt + task.name.encode("utf-8"))
             core_index, response, _utilization = feasible[digest % len(feasible)]
-            mapping[task.name] = core_index
-            responses[task.name] = response
-            # Like every non-greedy policy, occupy the core at the maximum
-            # period until the per-core minimisation pass.
-            packer.place(task, core_index, task.max_period)
+            return core_index, response
 
-        return SecurityAllocation(mapping=mapping, response_times=responses)
+        return self._pack(taskset, rt_by_core, self._context(rta_context), pick)

@@ -101,7 +101,8 @@ class JsonlCheckpointStore:
         Raises :class:`~repro.errors.ConfigurationError` when the header
         belongs to a different configuration, the file is not a checkpoint
         at all, or the record stream is corrupt (undecodable lines, unknown
-        record kinds, duplicate result keys).
+        record kinds, result records the subclass cannot decode, duplicate
+        result keys).
         """
         if not self._path.exists():
             self._create()
@@ -133,7 +134,16 @@ class JsonlCheckpointStore:
                     f"checkpoint {self._path} holds an unknown record kind "
                     f"{record.get('kind')!r}"
                 )
-            key, value = self._decode_result(record)
+            try:
+                key, value = self._decode_result(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                # A result line missing a field or holding one of the
+                # wrong type: the stream is corrupt, not resumable.
+                raise ConfigurationError(
+                    f"checkpoint {self._path} holds a malformed {self._noun} "
+                    f"record {line.decode('utf-8')!r} "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
             if key in completed:
                 # A duplicate key means the stream is corrupt (or was
                 # hand-concatenated from incompatible runs); resuming from

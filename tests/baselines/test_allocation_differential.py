@@ -2,13 +2,14 @@
 
 On the compiled kernel tier :meth:`Hydra.allocate_security` places every
 security task of a task set in one C call (``hydra_allocate_security``);
-on the python tier (and for GREEDY_MIN, HYDRA-RF and guard fallbacks) the
-:class:`~repro.rta.SecurityPacker` loop runs.  On random 1-8-core task
-sets -- cores with identical RT contents and identical security tasks (so
-best-fit utilization and response ties are common), claim-annotated sets
-under PIP/PCP blocking, and security tasks that fit nowhere -- both tiers
-must give the same mapping and responses (dict order included) and the
-same failed task, and blocking-free allocations must equal the frozen
+on the python tier (and for guard fallbacks) the placement loop
+:meth:`Hydra._pack` runs over a :class:`~repro.rta.SecurityPacker`.  On
+random 1-8-core task sets -- cores with identical RT contents and
+identical security tasks (so best-fit utilization and response ties are
+common), claim-annotated sets under PIP/PCP blocking, and security tasks
+that fit nowhere -- both tiers must give the same mapping and responses
+(dict order included) and the same failed task, and blocking-free
+allocations must equal the frozen
 :func:`~repro.batch.reference._reference_allocate_security`.
 
 Where the backend is unavailable the compiled tier is the warned python
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.hydra import Hydra, PeriodPolicy
+from repro.baselines.hydra import Hydra
 from repro.batch.reference import _reference_allocate_security
 from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
 from repro.model.tasks import ResourceClaim
@@ -103,7 +104,6 @@ def _allocate(kernel, platform, taskset, allocation, protocol):
         list(result.response_times.items()),
         result.failed_task,
     )
-    assert result.greedy is False
     return outcome, context.stats
 
 
@@ -183,16 +183,3 @@ class TestAllocationDifferential:
         assert compiled[2] is None
         assert stats.compiled_solves == 0
         assert stats.exact_solves > 0
-
-    def test_greedy_min_stays_on_the_packer(self):
-        platform = Platform(num_cores=2)
-        taskset = TaskSet.create(
-            [RealTimeTask(name="rt0", wcet=2, period=10)],
-            [SecurityTask(name="sec0", wcet=4, max_period=100)],
-        )
-        context = _context("compiled", platform)
-        result = Hydra(platform, period_policy=PeriodPolicy.GREEDY_MIN).allocate_security(
-            taskset, rt_tasks_by_core(taskset, {"rt0": 0}, platform), context
-        )
-        assert result.greedy is True
-        assert context.stats.exact_solves == 2

@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.baselines.hydra import Hydra, PeriodPolicy, best_core_for_security_task
+from repro.baselines.hydra import Hydra, choose_best_fit_core
 from repro.baselines.hydra_tmax import HydraTMax
 from repro.core.framework import SchedulingPolicy
 from repro.errors import UnschedulableError
 from repro.model import Platform, RealTimeTask, SecurityTask, TaskSet
+from repro.rta import RtaContext, SecurityPacker
 from repro.schedulability.uniprocessor import UniprocessorTask, uniprocessor_response_time
+
+
+def best_core(task, rt_by_core):
+    """HYDRA's best-fit pick for *task* on two cores holding *rt_by_core*."""
+    packer = SecurityPacker(RtaContext(2), rt_by_core, 2)
+    return choose_best_fit_core(packer.feasible_cores(task))
 
 
 class TestBestCoreSelection:
@@ -17,7 +24,7 @@ class TestBestCoreSelection:
             0: [RealTimeTask(name="light", wcet=1, period=10, priority=0)],
             1: [RealTimeTask(name="heavy", wcet=5, period=10, priority=1)],
         }
-        choice = best_core_for_security_task(task, rt_by_core, {0: [], 1: []}, 2)
+        choice = best_core(task, rt_by_core)
         assert choice is not None
         core, response = choice
         assert core == 1  # fullest feasible core (best-fit)
@@ -29,7 +36,7 @@ class TestBestCoreSelection:
             0: [RealTimeTask(name="hog", wcet=9, period=10, priority=0)],
             1: [RealTimeTask(name="light", wcet=1, period=10, priority=1)],
         }
-        choice = best_core_for_security_task(task, rt_by_core, {0: [], 1: []}, 2)
+        choice = best_core(task, rt_by_core)
         assert choice is not None
         assert choice[0] == 1
 
@@ -39,7 +46,7 @@ class TestBestCoreSelection:
             0: [RealTimeTask(name="a", wcet=5, period=10, priority=0)],
             1: [RealTimeTask(name="b", wcet=5, period=10, priority=1)],
         }
-        assert best_core_for_security_task(task, rt_by_core, {0: [], 1: []}, 2) is None
+        assert best_core(task, rt_by_core) is None
 
 
 class TestHydraRover:
@@ -88,18 +95,6 @@ class TestHydraGeneral:
         )
         with pytest.raises(UnschedulableError):
             Hydra(dual_core).design(taskset, {"a": 0, "b": 0})
-
-    def test_greedy_min_policy_assigns_response_time_as_period(self, dual_core):
-        taskset = TaskSet.create(
-            [RealTimeTask(name="rt", wcet=2, period=10)],
-            [SecurityTask(name="ids", wcet=4, max_period=200)],
-        )
-        design = Hydra(dual_core, period_policy=PeriodPolicy.GREEDY_MIN).design(
-            taskset, {"rt": 0}
-        )
-        assert design.schedulable
-        periods = design.security_periods()
-        assert periods["ids"] == design.response_times["ids"]
 
     def test_core_aware_policy_keeps_lower_priority_schedulable(self, dual_core):
         taskset = TaskSet.create(

@@ -9,7 +9,7 @@ or against the unshared per-scheme entry points.
 
 import pytest
 
-from repro.baselines.hydra import Hydra, PeriodPolicy
+from repro.baselines.hydra import Hydra
 from repro.baselines.hydra_tmax import HydraTMax
 from repro.batch.orchestrator import build_specs
 from repro.batch.reference import reference_evaluate_one
@@ -17,7 +17,6 @@ from repro.batch.results import SCHEME_NAMES, TasksetEvaluation
 from repro.batch.service import BatchDesignService, TasksetSpec
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.schedulability.partitioned import rt_tasks_by_core
 
 
 @pytest.fixture(scope="module")
@@ -94,25 +93,6 @@ class TestSharedAllocation:
             assert shared.security_periods() == unshared.security_periods()
             assert shared.response_times == unshared.response_times
             assert shared.security_allocation == unshared.security_allocation
-
-    def test_greedy_allocation_cannot_be_reused_by_non_greedy_policy(
-        self, cross_validation_config
-    ):
-        service = BatchDesignService(cross_validation_config.num_cores)
-        spec = build_specs(cross_validation_config)[0]
-        taskset, allocation = service.generate(spec)
-        greedy = Hydra(service.platform, period_policy=PeriodPolicy.GREEDY_MIN)
-        rt_by_core = rt_tasks_by_core(
-            taskset, allocation.mapping, service.platform
-        )
-        greedy_allocation = greedy.allocate_security(taskset, rt_by_core)
-        assert greedy_allocation.greedy
-        with pytest.raises(ConfigurationError):
-            Hydra(service.platform).design(
-                taskset,
-                allocation.mapping,
-                security_allocation=greedy_allocation,
-            )
 
 
 class TestServiceConfiguration:

@@ -230,9 +230,11 @@ class TestCompiledTier:
 
     @requires_compiled
     @pytest.mark.parametrize("probe", ("probe_response", "admit"))
-    def test_bottom_probe_dispatches_eq1(self, probe):
-        """A task probed below every task on a core (the HYDRA allocation's
-        question) runs one compiled Eq. 1 solve on the full-demand path."""
+    def test_core_state_solves_stay_in_python(self, probe):
+        """A task probed below every task on a core (the HYDRA placement
+        loop's question) is the python Eq. 1 solve on a compiled context
+        too: one exact solve, no compiled one, the python context's
+        answer."""
 
         def solve(kernel):
             context = RtaContext(2, kernel=kernel)
@@ -247,12 +249,13 @@ class TestCompiledTier:
                 response = state.probe_response(view, 60)
             else:
                 response = state.admit(view, need_response=True).response
-            return response, context.stats.compiled_solves
+            return response, context.stats.as_dict()
 
-        compiled_response, compiled_solves = solve("compiled")
-        python_response, python_solves = solve("python")
+        compiled_response, compiled = solve("compiled")
+        python_response, python = solve("python")
         assert compiled_response == python_response == 9
-        assert (compiled_solves, python_solves) == (1, 0)
+        assert compiled == python
+        assert (compiled["exact_solves"], compiled["compiled_solves"]) == (1, 0)
 
     @requires_compiled
     def test_summary_line_mentions_compiled_and_dedup(self):

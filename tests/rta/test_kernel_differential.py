@@ -278,8 +278,8 @@ def hydra_scenarios(draw):
     return Platform(num_cores=num_cores), taskset, allocation
 
 
-#: ``(scheme class, period policy)`` pairs whose period phase has a
-#: compiled path; GREEDY_MIN (a test-only ablation) stays in Python.
+#: ``(scheme class, period policy)`` pairs: every period phase has a
+#: compiled path.
 HYDRA_VARIANTS = (
     (Hydra, PeriodPolicy.CORE_AWARE),
     (Hydra, PeriodPolicy.TMAX),

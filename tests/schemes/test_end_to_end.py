@@ -119,20 +119,6 @@ def test_random_fit_pick_varies_per_taskset():
     assert len(salts) > 1
 
 
-def test_random_fit_rejects_the_greedy_period_policy():
-    """The override assumes max-period occupancy, which contradicts the
-    literal-greedy policy's contract -- constructing that combination must
-    fail loudly instead of silently mis-allocating."""
-    from repro.baselines.hydra import PeriodPolicy
-    from repro.errors import ConfigurationError
-    from repro.schemes.variants import RandomFitHydra
-
-    with pytest.raises(ConfigurationError, match="GREEDY_MIN"):
-        RandomFitHydra(
-            Platform.dual_core(), period_policy=PeriodPolicy.GREEDY_MIN
-        )
-
-
 def test_random_fit_allocation_is_deterministic():
     service = BatchDesignService(2, scheme_names=("HYDRA-RF",))
     taskset, allocation = next(_tasksets(seeds=range(8)))
@@ -140,3 +126,49 @@ def test_random_fit_allocation_is_deterministic():
     second = service.design_all(taskset, allocation)["HYDRA-RF"]
     assert first.security_allocation == second.security_allocation
     assert first.security_periods() == second.security_periods()
+
+
+#: HYDRA-RF's allocations (priority order) and first unplaced task on the
+#: seed-2020 4-core Table-3 sweep, one task set per group: the pick among
+#: several feasible cores, packed cores and an unschedulable set.
+RANDOM_FIT_PINS = {
+    2: (
+        {"sec0": 2, "sec1": 3, "sec2": 1, "sec3": 1, "sec4": 0,
+         "sec5": 3, "sec6": 1, "sec7": 1, "sec8": 2},
+        None,
+    ),
+    6: (
+        {"sec0": 2, "sec1": 3, "sec2": 3, "sec3": 2, "sec4": 3,
+         "sec5": 2, "sec6": 2, "sec7": 3},
+        None,
+    ),
+    9: (
+        {"sec0": 3, "sec1": 3, "sec2": 3, "sec3": 1, "sec4": 2,
+         "sec5": 3, "sec6": 3, "sec7": 2, "sec8": 3},
+        "sec9",
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", ("compiled", "python"))
+def test_random_fit_mappings_are_pinned(kernel):
+    """HYDRA-RF shares HYDRA's placement loop; its hashed picks must not
+    move with it, on either kernel tier."""
+    import warnings
+
+    from repro.batch.orchestrator import build_specs
+    from repro.experiments.config import ExperimentConfig
+
+    specs = build_specs(
+        ExperimentConfig(num_cores=4, tasksets_per_group=1, seed=2020)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        service = BatchDesignService(4, scheme_names=("HYDRA-RF",), kernel=kernel)
+    for index, (mapping, failed) in RANDOM_FIT_PINS.items():
+        taskset, allocation = service.generate(specs[index])
+        design = service.design_all(taskset, allocation)["HYDRA-RF"]
+        assert list(design.security_allocation.as_dict().items()) == list(
+            mapping.items()
+        ), index
+        assert design.metadata.get("unschedulable_task") == failed, index

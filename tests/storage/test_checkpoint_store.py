@@ -72,6 +72,8 @@ class StoreKind:
     #: The appended entry for key ``i`` and the value ``load`` returns.
     entry: Callable[[int], object]
     value: Callable[[int], object]
+    #: A result record whose payload has the wrong type.
+    mistyped: str
 
 
 SWEEP_CONFIG = ExperimentConfig(num_cores=2, tasksets_per_group=3, seed=7)
@@ -89,6 +91,7 @@ KINDS = [
         ),
         entry=lambda index: (index, evaluation(index)),
         value=evaluation,
+        mistyped='{"kind":"result","job":"x","evaluation":null}',
     ),
     StoreKind(
         noun="campaign",
@@ -99,6 +102,7 @@ KINDS = [
         ),
         entry=trial,
         value=trial,
+        mistyped='{"kind":"result","trial":7}',
     ),
 ]
 
@@ -233,6 +237,24 @@ class TestRejectedFilesStayIntact:
         before = self.torn(store)
         with pytest.raises(ConfigurationError, match="unknown record kind 'mystery'"):
             store.load()
+        assert store.path.read_bytes() == before
+
+    @pytest.mark.parametrize("case", ["missing-payload", "mistyped-payload"])
+    def test_malformed_result_record_rejected(self, store, kind, case):
+        store.load()
+        store.append_chunk([kind.entry(0)])
+        record = '{"kind":"result"}' if case == "missing-payload" else kind.mistyped
+        with store.path.open("a") as handle:
+            handle.write(record + "\n")
+        before = self.torn(store)
+        with pytest.raises(ConfigurationError) as excinfo:
+            store.load()
+        message = str(excinfo.value)
+        assert message.startswith(
+            f"checkpoint {store.path} holds a malformed {kind.noun} record "
+            f"{record!r} ("
+        )
+        assert "\n" not in message
         assert store.path.read_bytes() == before
 
     def test_duplicate_result_key_rejected(self, store, kind):

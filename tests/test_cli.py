@@ -517,3 +517,105 @@ class TestMain:
             "checkpoint; refusing to overwrite it\n"
         )
         assert binary_file.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "command,record",
+        [
+            ("sweep", '{"kind":"result"}'),
+            ("campaign", '{"kind":"result","trial":7}'),
+        ],
+    )
+    def test_malformed_checkpoint_record_is_a_clean_error(
+        self, capsys, tmp_path, command, record
+    ):
+        """A result record the store cannot decode exits 2 with one
+        ``error:`` line naming the file and the record, not a traceback,
+        and leaves the checkpoint as found."""
+        checkpoint = tmp_path / "run.jsonl"
+        argv = self.CHECKPOINT_COMMANDS[command] + ["--checkpoint", str(checkpoint)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with checkpoint.open("a") as handle:
+            handle.write(record + "\n")
+        before = checkpoint.read_bytes()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: checkpoint {checkpoint} holds a malformed {command} "
+            f"record {record!r} ("
+        )
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert checkpoint.read_bytes() == before
+
+
+def _listing(text: str) -> str:
+    """Expected stdout of a listing command; each line of *text* ends in a
+    ``|`` marker so its trailing blanks survive editors."""
+    lines = text.strip("\n").split("\n")
+    assert all(line.endswith("|") for line in lines)
+    return "".join(line[:-1] + "\n" for line in lines)
+
+
+# The three listings' exact output (``kernels`` under a fixed status
+# report: its real detail names this host's kernel cache).
+SCHEMES_LISTING = _listing(
+    """
+scheme       policy            adapts periods  origin     shared phases                                            description                                                                              |
+HYDRA-C      semi-partitioned  yes             canonical  eq1_rt_check,rt_partition                                semi-partitioned, migrating security tasks, adapted periods (the paper's contribution)   |
+HYDRA        partitioned       yes             canonical  eq1_rt_check,maxperiod_security_allocation,rt_partition  fully partitioned best-fit allocation, per-core adapted periods (prior work)             |
+GLOBAL-TMax  global            no              canonical  -                                                        global fixed-priority scheduling, periods pinned to the maxima                           |
+HYDRA-TMax   partitioned       no              canonical  eq1_rt_check,maxperiod_security_allocation,rt_partition  HYDRA allocation, periods pinned to the maxima                                           |
+HYDRA-C-FF   semi-partitioned  yes             variant    -                                                        HYDRA-C re-partitioning the RT tasks first-fit instead of honouring the legacy allocation|
+HYDRA-C-WF   semi-partitioned  yes             variant    -                                                        HYDRA-C re-partitioning the RT tasks worst-fit (load-balanced cores)                     |
+HYDRA-C-GC   semi-partitioned  yes             variant    eq1_rt_check,rt_partition                                HYDRA-C with the always-greedy (never-optimistic, faster) Eq. 8 carry-in bound           |
+HYDRA-RF     partitioned       yes             variant    eq1_rt_check,rt_partition                                HYDRA with a deterministic random-fit allocation (lower bound on the packing heuristic)  |
+"""
+)
+
+KERNELS_LISTING = _listing(
+    """
+kernel    available  detail                                              |
+python    yes        pure-python reference kernel tier (always available)|
+compiled  no         unavailable: disabled by REPRO_DISABLE_COMPILED     |
+"""
+)
+
+BACKENDS_LISTING = _listing(
+    """
+backend  class                                    description                                                                                           |
+tick     repro.sim.engine.Simulator               tick-accurate oracle (slow; the frozen reference)                                                     |
+fast     repro.sim.fast.EventCompressedSimulator  event-compressed (jumps between scheduling events)                                                    |
+batch    repro.sim.batched.TrialBatchedSimulator  trace-free event loop per campaign trial (campaign default; falls back to 'fast' outside its envelope)|
+"""
+)
+
+FIXED_KERNEL_STATUS = {
+    "python": {
+        "available": True,
+        "detail": "pure-python reference kernel tier (always available)",
+    },
+    "compiled": {
+        "available": False,
+        "detail": "unavailable: disabled by REPRO_DISABLE_COMPILED",
+    },
+}
+
+
+class TestListings:
+    @pytest.mark.parametrize(
+        "command,expected",
+        [
+            ("schemes", SCHEMES_LISTING),
+            ("kernels", KERNELS_LISTING),
+            ("backends", BACKENDS_LISTING),
+        ],
+    )
+    def test_listing_is_pinned(self, capsys, monkeypatch, command, expected):
+        import repro.rta
+
+        monkeypatch.setattr(repro.rta, "kernel_status", lambda: FIXED_KERNEL_STATUS)
+        assert main([command]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
