@@ -39,16 +39,22 @@
 #            exercised end to end through the CLI.
 #            (b) a live `hydra-c serve` daemon on a Unix socket, driven
 #            through `hydra-c query`: ping, a design query asked twice
-#            (byte-identical replies, and `stats` then counts an answer-LRU
-#            hit), the same design query to a second daemon started with
-#            --kernel python (byte-identical reply), an infeasible
-#            admission (an answer, not an error, whose reason names the RT
-#            task that fits on no core) and a feasible one, both also sent
-#            to the --kernel python daemon (byte-identical replies: the
-#            compiled RT partitioner against the python one), a query
-#            with a key the daemon has not seen that exceeds a tiny
-#            timeout budget, then SIGTERM and a clean (exit 0) drain of
-#            both daemons.
+#            (byte-identical replies, and `stats` then counts an
+#            answer-store hit), the same design query to a second daemon
+#            started with --kernel python and to a third started with
+#            --jobs 2 (byte-identical replies; after a re-ask the --jobs 2
+#            daemon's `stats` counts a hit and its workers' kernel
+#            solves), an infeasible admission (an answer, not an error,
+#            whose reason names the RT task that fits on no core) and a
+#            feasible one, both also sent to the --kernel python daemon
+#            and the feasible one to the --jobs 2 daemon (byte-identical
+#            replies: the compiled RT partitioner against the python one,
+#            worker processes against the daemon's thread), a query with
+#            a key the daemon has not seen that exceeds a tiny timeout
+#            budget, a second `serve` on the first daemon's live socket
+#            (exit 2, one `error:` line, and the first daemon still
+#            answers), then SIGTERM and a clean (exit 0) drain of all
+#            three daemons.
 #            (c) a 4-core sweep under --kernel compiled and --kernel
 #            python must print byte-identical reports; then a 2-core
 #            sweep over HYDRA-C, HYDRA, HYDRA-TMax, GLOBAL-TMax (every
@@ -178,11 +184,14 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     serve_dir=$(mktemp -d)
     serve_sock="$serve_dir/serve.sock"
     python_sock="$serve_dir/serve-python.sock"
+    jobs_sock="$serve_dir/serve-jobs.sock"
     python -m repro serve --socket "$serve_sock" --quiet &
     serve_pid=$!
     python -m repro serve --socket "$python_sock" --kernel python --quiet &
     python_pid=$!
-    trap 'kill "$serve_pid" "$python_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
+    python -m repro serve --socket "$jobs_sock" --jobs 2 --quiet &
+    jobs_pid=$!
+    trap 'kill "$serve_pid" "$python_pid" "$jobs_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
 
     query() { python -m repro query --socket "$serve_sock" "$1"; }
 
@@ -194,7 +203,7 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     design_reply=$(query "$design_query")
     grep -q '"ok":true' <<<"$design_reply"
 
-    # Re-asking a key is answered from the answer LRU: byte-identical
+    # Re-asking a key is answered from the answer store: byte-identical
     # reply, and the daemon counts the hit.
     repeat_reply=$(query "$design_query")
     if [[ "$repeat_reply" != "$design_reply" ]]; then
@@ -203,7 +212,31 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     fi
     hits=$(query '{"op": "stats"}' | grep -o '"context_hits":[0-9]*' | cut -d: -f2 || true)
     if [[ -z "$hits" || "$hits" -lt 1 ]]; then
-        echo "serve smoke FAILED: stats reports no answer-LRU hit" >&2
+        echo "serve smoke FAILED: stats reports no answer-store hit" >&2
+        exit 1
+    fi
+
+    # A --jobs 2 daemon computes misses on worker processes but stores
+    # and counts on its event loop: the same bytes, a counted hit on the
+    # re-ask, and the workers' kernel solves in its stats.
+    for _ask in 1 2; do
+        jobs_reply=$(python -m repro query --socket "$jobs_sock" "$design_query")
+        if [[ "$jobs_reply" != "$design_reply" ]]; then
+            echo "serve smoke FAILED: the --jobs 2 daemon answered differently" >&2
+            diff <(printf '%s\n' "$design_reply") <(printf '%s\n' "$jobs_reply") >&2 || true
+            exit 1
+        fi
+    done
+    jobs_stats=$(python -m repro query --socket "$jobs_sock" '{"op": "stats"}')
+    # jobs_stat NAME: one integer field of the --jobs 2 daemon's stats.
+    jobs_stat() { grep -o "\"$1\":[0-9]*" <<<"$jobs_stats" | cut -d: -f2; }
+    # The python tier counts its solves as exact ones, the compiled tier
+    # mostly as compiled ones.
+    solves=compiled_solves
+    grep -q '"kernel_tier":"python"' <<<"$jobs_stats" && solves=exact_solves
+    if [[ "$(jobs_stat context_hits)" -lt 1 || "$(jobs_stat "$solves")" -lt 1 ]]; then
+        echo "serve smoke FAILED: the --jobs 2 daemon's stats miss the hit or the workers' $solves" >&2
+        echo "$jobs_stats" >&2
         exit 1
     fi
 
@@ -236,6 +269,12 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
                            {"name": "kmod", "wcet": 223, "max_period": 10000}]}'
     feasible_reply=$(query "$feasible_query")
     grep -q '"feasible":true' <<<"$feasible_reply"
+    jobs_admit=$(python -m repro query --socket "$jobs_sock" "$feasible_query")
+    if [[ "$jobs_admit" != "$feasible_reply" ]]; then
+        echo "serve smoke FAILED: the --jobs 2 daemon answered the feasible admission differently" >&2
+        diff <(printf '%s\n' "$feasible_reply") <(printf '%s\n' "$jobs_admit") >&2 || true
+        exit 1
+    fi
 
     # Both admissions partition the RT tasks; the --kernel python daemon
     # must answer the same bytes.
@@ -262,8 +301,21 @@ if [[ "$stage" == "smoke" || "$stage" == "all" ]]; then
     grep -q '"type":"timeout"' <<<"$timeout_reply"
     grep -q '"pong":true' <<<"$(query '{"op": "ping"}')"
 
-    kill -TERM "$serve_pid" "$python_pid"
-    for pid in "$serve_pid" "$python_pid"; do
+    # A second daemon on a live socket is refused in one line (exit 2),
+    # and the first keeps its socket.
+    second_status=0
+    python -m repro serve --socket "$serve_sock" --quiet \
+        2> "$serve_dir/second.err" || second_status=$?
+    if [[ $second_status -ne 2 || $(wc -l < "$serve_dir/second.err") -ne 1 ]] \
+            || ! grep -q '^error: ' "$serve_dir/second.err"; then
+        echo "serve smoke FAILED: a second serve on a live socket exited $second_status" >&2
+        cat "$serve_dir/second.err" >&2
+        exit 1
+    fi
+    grep -q '"pong":true' <<<"$(query '{"op": "ping"}')"
+
+    kill -TERM "$serve_pid" "$python_pid" "$jobs_pid"
+    for pid in "$serve_pid" "$python_pid" "$jobs_pid"; do
         if ! wait "$pid"; then
             echo "serve smoke FAILED: daemon did not drain cleanly on SIGTERM" >&2
             exit 1

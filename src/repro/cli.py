@@ -318,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker processes for evaluation queries (1 = in-process, "
-            "one shared warm cache)"
+            "worker processes that compute unanswered queries (1 = one "
+            "thread of the daemon); every worker shares the daemon's one "
+            "answer store"
         ),
     )
     serve.add_argument(
@@ -337,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="answer LRU size per service: re-asked queries reuse their "
-        "answer (0 = every query runs cold)",
+        help="answer store size: re-asked queries reuse their answer "
+        "(0 = every query runs cold)",
     )
     serve.add_argument(
         "--kernel",

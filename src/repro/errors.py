@@ -8,12 +8,15 @@ clause.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 __all__ = [
     "ReproError",
     "AllocationError",
     "UnschedulableError",
     "SimulationError",
     "ConfigurationError",
+    "path_error",
 ]
 
 
@@ -39,3 +42,17 @@ class SimulationError(ReproError):
 
 class ConfigurationError(ReproError):
     """Raised for invalid experiment or generator configuration."""
+
+
+def path_error(what: str, path: Path, exc: OSError) -> ConfigurationError:
+    """The one-line refusal of a path the program cannot read or create.
+
+    Names the regular file that stands where a directory of *path* should
+    be (``mkdir`` reports that as "File exists"), else the OS's reason.
+    """
+    blocker = next((parent for parent in path.parents if parent.exists()), None)
+    if blocker is not None and not blocker.is_dir():
+        reason = f"{blocker} is not a directory"
+    else:
+        reason = exc.strerror or str(exc)
+    return ConfigurationError(f"cannot use {what} {path}: {reason}")

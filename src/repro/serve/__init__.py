@@ -5,7 +5,7 @@ this package answers *online* ones: a long-lived ``hydra-c serve`` daemon
 keeps the scheme engines resident and answers single admission/design
 queries at interactive latency, without paying interpreter start-up or
 scheme-registry resolution per query, and answers a re-asked query from
-its answer LRU.
+its answer store.
 
 Layering:
 
@@ -13,16 +13,20 @@ Layering:
   (one JSON object per line, ``op`` selects the query kind) and its
   validation;
 * :mod:`repro.serve.service` -- :class:`AdmissionService`, the transport-
-  independent engine: per-configuration
-  :class:`~repro.batch.service.BatchDesignService` instances and an LRU of
-  answer payloads keyed by the canonical query are kept across queries,
-  so a repeated query skips the analysis entirely while staying
-  byte-identical to the cold answer (and to the frozen
+  independent engine in two steps: a cheap one that validates a query,
+  builds its canonical key and looks it up in the answer store (an LRU of
+  answers kept as canonical JSON text), and a pure one that computes a
+  miss on a fresh context.  Per-configuration
+  :class:`~repro.batch.service.BatchDesignService` instances are kept
+  across queries, and a repeated query skips the analysis entirely while
+  staying byte-identical to the cold answer (and to the frozen
   ``reference_evaluate_one`` oracle -- pinned by ``tests/serve/``);
 * :mod:`repro.serve.daemon` -- the asyncio front end: a Unix-socket (or
-  stdin/stdout) JSON-lines server dispatching queries onto the shared
-  :class:`~repro.exec.PersistentPool`, with per-query timeouts and a
-  graceful drain on SIGTERM;
+  stdin/stdout) JSON-lines server whose event loop owns the answer store
+  and answers stored queries itself; only misses leave the loop, for one
+  evaluation thread or for the workers of the shared
+  :class:`~repro.exec.PersistentPool`.  Per-query timeouts and a graceful
+  drain on SIGTERM;
 * :mod:`repro.serve.client` -- a small blocking client used by
   ``hydra-c query``, the CI smoke stage and the tests.
 """

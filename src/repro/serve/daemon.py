@@ -5,73 +5,154 @@ One long-lived process, a JSON-lines protocol (see
 stdin/stdout (``--stdio``), and the warm
 :class:`~repro.serve.service.AdmissionService` behind it:
 
-* **dispatch** -- cheap ops (``ping``, ``stats``, ``shutdown``) are
-  answered on the event loop; evaluation ops (``design``, ``admit``) are
-  dispatched off it.  With ``jobs <= 1`` they run on a single-thread
-  executor wrapping the in-process service, so every query shares one
-  answer LRU and the event loop stays responsive while the kernel
-  grinds.  With ``jobs > 1`` raw request lines are submitted to the shared
-  :class:`~repro.exec.PersistentPool`; each (forked) worker process builds
-  its own :class:`AdmissionService` on first use and keeps it -- and its
-  answer LRU -- for the daemon's lifetime.  A worker crash surfaces as
-  ``BrokenProcessPool``; the pool is :meth:`~repro.exec.PersistentPool.reset`
-  and the query retried once before an error response is returned;
+* **the loop owns the state** -- the event loop alone runs the service's
+  cheap step (:meth:`~AdmissionService.triage`: validation, the canonical
+  key, the answer-store lookup) and owns the answer store, the counters
+  and the engine table.  ``ping``, ``stats``, ``shutdown``, invalid
+  queries and stored answers are answered there; a stored answer is
+  written out as ``{"id":<id>,"ok":true,"result":<stored text>}`` without
+  re-encoding it;
+
+* **only misses leave the loop** -- a design/admit key the store does not
+  hold is computed (:meth:`~AdmissionService.compute`) on a one-thread
+  executor (``jobs <= 1``) or on a worker of the shared
+  :class:`~repro.exec.PersistentPool` (``jobs > 1``; each forked worker
+  keeps warm engines but no answers).  The answer text and the kernel
+  counters come back to the loop, which stores and merges them.  A key
+  that is already being evaluated is awaited, not computed twice.  A
+  worker crash surfaces as ``BrokenProcessPool``; the pool is
+  :meth:`~repro.exec.PersistentPool.reset` and the miss retried once;
 
 * **per-query timeout** -- a query's ``timeout`` field (or the daemon's
-  ``--timeout`` default) bounds its evaluation via ``asyncio.wait_for``;
-  expiry answers ``ok: false`` / ``type: "timeout"`` and cancels the
-  dispatched future (work already *running* on an executor cannot be
-  interrupted mid-kernel -- it is abandoned to finish in the background,
-  its result discarded; queued work is truly cancelled);
+  ``--timeout`` default) bounds the wait for its evaluation; expiry
+  answers ``ok: false`` / ``type: "timeout"``.  The evaluation itself is
+  shared and shielded: it runs on and stores its answer, so a re-ask
+  finds it (work already running cannot be interrupted mid-kernel);
 
 * **graceful drain** -- SIGTERM/SIGINT (or a ``shutdown`` query) stop the
-  listener; every connection finishes the query it is answering, the
-  response is flushed, idle connections close, the executors shut down,
-  the socket file is removed, and the daemon exits 0.  The CI smoke stage
-  pins exactly this sequence.
+  listener; connections idle in their read are closed at once, every
+  other connection finishes the query it is answering and flushes it, the
+  executors shut down, the socket file is removed, and the daemon exits
+  0.  The CI smoke stage pins exactly this sequence.
+
+The socket path is claimed with care: a path where a daemon still
+listens is refused, a stale socket is replaced, and anything else at the
+path (a file, a directory) is left alone and refused.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import os
 import signal
+import socket
+import stat
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError, path_error
 from repro.exec import PersistentPool
 from repro.rta.compiled import DEFAULT_KERNEL
-from repro.serve.protocol import QueryError, error_response, parse_request
-from repro.serve.service import DEFAULT_MAX_CONTEXTS, AdmissionService
+from repro.serve.protocol import (
+    LINE_TOO_LONG,
+    MAX_LINE_BYTES,
+    QueryError,
+    canonical_json,
+    error_response,
+    parse_request,
+)
+from repro.serve.service import DEFAULT_MAX_CONTEXTS, AdmissionService, Query
 
 __all__ = ["ServeDaemon"]
 
-#: Ops answered directly on the event loop (no evaluation work).
-_INLINE_OPS = frozenset({"ping", "stats", "shutdown"})
-
-#: Per-worker-process service, created lazily on first query (the pool
+#: Per-worker-process service, created lazily on first miss (the pool
 #: forks workers, so the parent's ``None`` is what each worker starts from).
 _WORKER_SERVICE: Optional[AdmissionService] = None
 
 
-def _answer_in_worker(payload: Tuple[str, int, str]) -> Dict[str, object]:
-    """Pool entry point: answer one raw request line in this worker."""
+def _compute_in_worker(payload: Tuple[Query, str]) -> Tuple[str, Dict[str, int]]:
+    """Pool entry point: compute one miss on this worker's warm engines."""
     global _WORKER_SERVICE
-    line, max_contexts, kernel = payload
+    query, kernel = payload
     if _WORKER_SERVICE is None:
-        # First query in this worker: the service is built once and kept
-        # warm for the daemon's lifetime.  Its kernel tier is already
-        # resolved: the worker was forked from the daemon, whose own
-        # service loaded the compiled backend before the socket opened.
-        _WORKER_SERVICE = AdmissionService(
-            max_contexts=max_contexts, kernel=kernel
+        # First miss in this worker: the service is built once and kept
+        # warm for the daemon's lifetime.  It stores no answers (the loop
+        # does) and its kernel tier is already resolved: the worker was
+        # forked from the daemon, whose own service loaded the compiled
+        # backend before the socket opened.
+        _WORKER_SERVICE = AdmissionService(max_contexts=0, kernel=kernel)
+    return _WORKER_SERVICE.compute(query)
+
+
+def _response_line(response: Dict[str, object]) -> bytes:
+    return (canonical_json(response) + "\n").encode()
+
+
+def _answer_line(request_id: object, text: str) -> bytes:
+    """The ok line of an answer text, byte-equal to
+    ``_response_line(ok_response(request_id, json.loads(text)))``."""
+    return (
+        f'{{"id":{canonical_json(request_id)},"ok":true,"result":{text}}}\n'
+    ).encode()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at EOF), or ``None`` for a line over
+    the reader's limit, which is read and discarded up to its newline."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # the last line lacks its newline, or EOF
+    except asyncio.LimitOverrunError as exc:
+        scanned = exc.consumed
+    while True:
+        # The scanned bytes are still buffered: drop them and scan on.
+        await reader.readexactly(scanned)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            scanned = exc.consumed
+
+
+def _claim_socket_path(path: Path) -> None:
+    """Make *path* free for a new listener, or refuse it.
+
+    Only a stale socket (nothing accepts on it) is removed; a live one
+    belongs to another daemon, and any other file is not ours to delete.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise path_error("socket path", path, exc) from None
+    if not stat.S_ISSOCK(mode):
+        raise ConfigurationError(
+            f"socket path {path} exists and is not a socket; refusing to "
+            f"replace it"
         )
-    return _WORKER_SERVICE.handle_line(line)
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    probe.settimeout(1.0)
+    try:
+        probe.connect(str(path))
+    except ConnectionRefusedError:
+        path.unlink(missing_ok=True)  # stale: its daemon is gone
+        return
+    except OSError as exc:  # e.g. a daemon too busy to accept in time
+        raise path_error("socket path", path, exc) from None
+    finally:
+        probe.close()
+    raise ConfigurationError(
+        f"another hydra-c serve daemon is listening on {path}"
+    )
 
 
 class _BlockingStreamWriter:
@@ -114,19 +195,19 @@ class ServeDaemon:
     Parameters
     ----------
     jobs:
-        ``<= 1`` answers queries in-process (one shared warm service);
-        ``> 1`` fans evaluation queries out to that many worker processes,
-        each with its own warm service.
+        ``<= 1`` computes misses on one thread of this process; ``> 1``
+        on that many worker processes, each with warm engines.  Either
+        way one answer store, in this process, serves every connection.
     timeout:
         Default per-query evaluation timeout in seconds (``None`` = no
         limit); a query's own ``timeout`` field overrides it.
     max_contexts:
-        Answer LRU size of each service (see :class:`AdmissionService`).
+        Answer store size (see :class:`AdmissionService`).
     kernel:
-        Fixed-point kernel tier of each service (``"auto"``, the default,
-        ``"python"`` or ``"compiled"``; byte-equal results across tiers).
-        The daemon's own service resolves it at construction, before the
-        listener opens; the lifecycle log names the resolved tier.
+        Fixed-point kernel tier (``"auto"``, the default, ``"python"`` or
+        ``"compiled"``; byte-equal results across tiers).  The daemon's
+        own service resolves it at construction, before the listener
+        opens; the lifecycle log names the resolved tier.
     quiet:
         Suppress the stderr lifecycle log lines.
     """
@@ -145,14 +226,16 @@ class ServeDaemon:
             )
         self._jobs = max(1, jobs)
         self._timeout = timeout
-        self._max_contexts = max_contexts
         self._kernel = kernel
         self._quiet = quiet
         self._service = AdmissionService(max_contexts=max_contexts, kernel=kernel)
         self._thread_executor: Optional[ThreadPoolExecutor] = None
         self._pool: Optional[PersistentPool] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._connection_tasks: Set[asyncio.Task] = set()
+        #: Every open connection's task, and whether it is idle in its read.
+        self._connections: Dict[asyncio.Task, bool] = {}
+        #: The shared evaluation of every key being computed.
+        self._inflight: Dict[str, asyncio.Task] = {}
 
     # -- plumbing --------------------------------------------------------------
 
@@ -164,72 +247,104 @@ class ServeDaemon:
         return f"jobs={self._jobs}, kernel={self._service.kernel_tier}"
 
     def stop(self) -> None:
-        """Begin the graceful drain (idempotent; safe from signal handlers)."""
-        if self._stop_event is not None:
-            self._stop_event.set()
+        """Begin the graceful drain (idempotent; safe from signal handlers).
 
-    async def _dispatch(
-        self, line: str, request: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Run one evaluation query off the event loop."""
-        loop = asyncio.get_running_loop()
+        Connections idle in their read close now; busy ones close after
+        flushing the answer they are working on.
+        """
+        if self._stop_event is None or self._stop_event.is_set():
+            return
+        self._stop_event.set()
+        for task, idle in self._connections.items():
+            if idle:
+                task.cancel()
+
+    async def _compute(self, query: Query) -> Tuple[str, Dict[str, int]]:
+        """Compute one miss off the event loop."""
         if self._jobs <= 1:
             if self._thread_executor is None:
-                # One thread: queries from all connections serialise onto
-                # the single warm service (which is not thread-safe).
+                # One thread: misses from all connections serialise onto
+                # the warm engines (which are not thread-safe).
                 self._thread_executor = ThreadPoolExecutor(max_workers=1)
-            return await loop.run_in_executor(
-                self._thread_executor, self._service.handle, request
+            return await asyncio.get_running_loop().run_in_executor(
+                self._thread_executor, self._service.compute, query
             )
         if self._pool is None:
             self._pool = PersistentPool(max_workers=self._jobs)
-        payload = (line, self._max_contexts, self._kernel)
+        payload = (query, self._kernel)
         try:
             return await asyncio.wrap_future(
-                self._pool.submit(_answer_in_worker, payload)
+                self._pool.submit(_compute_in_worker, payload)
             )
         except BrokenProcessPool:
             # A worker died mid-query; discard the broken executor and
             # retry once on a fresh one (queries are pure).
             self._pool.reset()
             return await asyncio.wrap_future(
-                self._pool.submit(_answer_in_worker, payload)
+                self._pool.submit(_compute_in_worker, payload)
             )
 
-    async def _answer(self, line: str) -> Tuple[Dict[str, object], bool]:
-        """Answer one raw request line; returns (response, is_shutdown)."""
+    async def _evaluate(self, query: Query) -> str:
+        """The shared evaluation of one key: compute, then store on the loop."""
+        text, kernel_counts = await self._compute(query)
+        return self._service.store(query.key, text, kernel_counts)
+
+    def _evaluation(self, query: Query) -> asyncio.Task:
+        """The running evaluation of *query*'s key, started if there is none."""
+        task = self._inflight.get(query.key)
+        if task is None:
+            task = asyncio.create_task(self._evaluate(query))
+            self._inflight[query.key] = task
+            task.add_done_callback(
+                lambda done, key=query.key: self._settled(key, done)
+            )
+        return task
+
+    def _settled(self, key: str, task: asyncio.Task) -> None:
+        del self._inflight[key]
+        if not task.cancelled():
+            # A waiter that timed out no longer looks (``shield`` drops
+            # its callback), so a failure none is left to see is
+            # retrieved here instead of logged as never retrieved.
+            task.exception()
+
+    async def _answer(self, line: str) -> Tuple[bytes, bool]:
+        """Answer one raw request line; returns (response line, is_shutdown)."""
+        service = self._service
         try:
             request = parse_request(line)
         except QueryError as exc:
-            return error_response(None, "query", str(exc)), False
-        request_id = request.get("id")
-        op = request.get("op")
-        if op in _INLINE_OPS:
-            # Cheap ops stay on the loop; with worker processes the stats
-            # are the front end's (workers keep their own counters).
-            return self._service.handle(request), op == "shutdown"
+            return _response_line(service.refuse(exc)), False
+        outcome = service.triage(request)
+        if not isinstance(outcome, Query):
+            return _response_line(outcome), request["op"] == "shutdown"
+        if outcome.stored is not None:
+            return _answer_line(outcome.request_id, outcome.stored), False
         timeout = request.get("timeout", self._timeout)
-        work = asyncio.ensure_future(self._dispatch(line, request))
+        # Shielded: one waiter's budget must not cancel the shared work.
+        waiter = asyncio.shield(self._evaluation(outcome))
         try:
-            return await asyncio.wait_for(work, timeout), False
+            if timeout is None:
+                text = await waiter
+            else:
+                text = await asyncio.wait_for(waiter, timeout)
         except asyncio.TimeoutError:
-            # wait_for already cancelled `work`; running kernel work on an
-            # executor finishes in the background and is discarded.
-            return (
-                error_response(
-                    request_id,
-                    "timeout",
-                    f"query exceeded its {timeout} s evaluation budget",
-                ),
-                False,
+            response = error_response(
+                outcome.request_id,
+                "timeout",
+                f"query exceeded its {timeout} s evaluation budget",
+            )
+        except ReproError as exc:
+            response = error_response(
+                outcome.request_id, "configuration", str(exc)
             )
         except Exception as exc:  # unexpected: answer, don't kill the daemon
-            return (
-                error_response(
-                    request_id, "internal", f"{type(exc).__name__}: {exc}"
-                ),
-                False,
+            response = error_response(
+                outcome.request_id, "internal", f"{type(exc).__name__}: {exc}"
             )
+        else:
+            return _answer_line(outcome.request_id, text), False
+        return _response_line(response), False
 
     # -- connection handling ---------------------------------------------------
 
@@ -237,36 +352,40 @@ class ServeDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One connection: answer queries in order until EOF or drain."""
-        assert self._stop_event is not None
-        stop_wait = asyncio.ensure_future(self._stop_event.wait())
+        stop_event = self._stop_event
+        assert stop_event is not None
+        task = asyncio.current_task()
+        assert task is not None
+        connections = self._connections
+        connections[task] = False
         try:
-            while True:
-                read = asyncio.ensure_future(reader.readline())
-                done, _ = await asyncio.wait(
-                    {read, stop_wait},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if read not in done:
-                    # Draining while idle: close without reading further.
-                    read.cancel()
-                    break
-                raw = read.result()
-                if not raw:
+            while not stop_event.is_set():
+                connections[task] = True  # idle: a drain may cancel the read
+                raw = await _read_line(reader)
+                connections[task] = False
+                if raw is None:
+                    data = _response_line(
+                        self._service.refuse(QueryError(LINE_TOO_LONG))
+                    )
+                    is_shutdown = False
+                elif not raw:
                     break  # client closed
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                response, is_shutdown = await self._answer(line)
-                writer.write(
-                    (json.dumps(response, separators=(",", ":")) + "\n").encode()
-                )
+                else:
+                    line = raw.decode("utf-8", errors="replace").strip()
+                    if not line:
+                        continue
+                    data, is_shutdown = await self._answer(line)
+                writer.write(data)
                 await writer.drain()
                 if is_shutdown:
                     self.stop()
-                if self._stop_event.is_set():
-                    break
+        except asyncio.CancelledError:
+            if not stop_event.is_set():
+                raise
+            # stop() cancelled this idle read: end normally, since the
+            # server would log a connection task that ends cancelled.
         finally:
-            stop_wait.cancel()
+            del connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -275,17 +394,6 @@ class ServeDaemon:
             except NotImplementedError:
                 # The bare stdio pipe protocol has no close waiter.
                 pass
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._connection_tasks.add(task)
-        try:
-            await self._serve_stream(reader, writer)
-        finally:
-            self._connection_tasks.discard(task)
 
     # -- lifecycles ------------------------------------------------------------
 
@@ -299,7 +407,7 @@ class ServeDaemon:
 
     def _shutdown_executors(self) -> None:
         if self._thread_executor is not None:
-            self._thread_executor.shutdown(wait=True)
+            self._thread_executor.shutdown(wait=True, cancel_futures=True)
             self._thread_executor = None
         if self._pool is not None:
             self._pool.close()
@@ -307,22 +415,25 @@ class ServeDaemon:
 
     async def run_unix(self, socket_path) -> int:
         """Serve on a Unix domain socket until stopped; returns exit code."""
+        path = Path(socket_path)
+        _claim_socket_path(path)
         self._stop_event = asyncio.Event()
         self._install_signal_handlers()
-        path = Path(socket_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        server = await asyncio.start_unix_server(
-            self._handle_connection, path=str(path)
-        )
+        try:
+            server = await asyncio.start_unix_server(
+                self._serve_stream, path=str(path), limit=MAX_LINE_BYTES
+            )
+        except OSError as exc:
+            raise path_error("socket path", path, exc) from None
         self._log(f"listening on {path} ({self._describe()})")
         try:
             await self._stop_event.wait()
             self._log("draining")
             server.close()
             await server.wait_closed()
-            if self._connection_tasks:
+            if self._connections:
                 await asyncio.gather(
-                    *tuple(self._connection_tasks), return_exceptions=True
+                    *tuple(self._connections), return_exceptions=True
                 )
         finally:
             self._shutdown_executors()
@@ -335,7 +446,7 @@ class ServeDaemon:
         self._stop_event = asyncio.Event()
         self._install_signal_handlers()
         loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
         try:
             await loop.connect_read_pipe(
                 lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
@@ -359,7 +470,8 @@ class ServeDaemon:
             writer = _BlockingStreamWriter(sys.stdout.buffer, loop)
         self._log(f"serving on stdio ({self._describe()})")
         try:
-            await self._serve_stream(reader, writer)
+            # A task of its own, so a drain can cancel it while idle.
+            await asyncio.create_task(self._serve_stream(reader, writer))
         finally:
             self._shutdown_executors()
         self._log("stopped")

@@ -23,9 +23,18 @@ response::
 ``id`` is an opaque client token echoed back verbatim (``null`` when
 omitted) -- the daemon answers queries in arrival order on each
 connection, but the token lets clients correlate regardless.  ``timeout``
-(seconds, design/admit only) bounds one query's evaluation; an expired
-query answers ``ok: false`` with ``type: "timeout"`` and the connection
-stays usable.
+(seconds, design/admit only) bounds one query's *evaluation*: an answer
+the daemon has stored is returned whatever the budget, and a query that
+must be evaluated and overruns it answers ``ok: false`` with ``type:
+"timeout"``; the connection stays usable.
+
+Bounds: a request line holds at most :data:`MAX_LINE_BYTES` (64 KiB)
+before its newline -- a longer one is answered with a query error and
+skipped up to its newline -- and ``num_cores`` is at most
+:data:`MAX_CORES` (64), which keeps one evaluation to seconds: a design
+query costs about six times as much per doubling of the cores (seed 7:
+0.2 s at 32 cores, 1.1 s at 64, on the compiled tier of a 2-vCPU Xeon
+host).
 
 Malformed input is answered, not dropped: every parse/validation failure
 becomes an ``ok: false`` response carrying :class:`QueryError`'s message,
@@ -41,8 +50,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ReproError
 
 __all__ = [
+    "MAX_CORES",
+    "LINE_TOO_LONG",
+    "MAX_LINE_BYTES",
     "QueryError",
     "OPS",
+    "canonical_json",
     "parse_request",
     "ok_response",
     "error_response",
@@ -55,6 +68,19 @@ __all__ = [
 #: The operations a daemon answers.
 OPS = ("ping", "stats", "design", "admit", "shutdown")
 
+#: The longest request line, in bytes before its newline.
+MAX_LINE_BYTES = 64 * 1024
+
+#: The answer to a request line over :data:`MAX_LINE_BYTES`.
+LINE_TOO_LONG = f"request line exceeds {MAX_LINE_BYTES} bytes"
+
+#: The most cores a ``design`` or ``admit`` query may ask for.
+MAX_CORES = 64
+
+#: Compact JSON text: the encoding of every response line, stored answer
+#: and answer key.
+canonical_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class QueryError(ReproError):
     """An invalid query (unknown op, missing/ill-typed field, bad JSON)."""
@@ -62,10 +88,14 @@ class QueryError(ReproError):
 
 def parse_request(line: str) -> Dict[str, object]:
     """Parse one request line into its envelope, validating ``op``."""
+    if len(line.encode("utf-8", "replace")) > MAX_LINE_BYTES:
+        raise QueryError(LINE_TOO_LONG)
     try:
         request = json.loads(line)
     except json.JSONDecodeError as exc:
         raise QueryError(f"request is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise QueryError("request nests too deeply") from None
     if not isinstance(request, dict):
         raise QueryError("request must be a JSON object")
     op = request.get("op")
@@ -103,6 +133,7 @@ def require_int(
     field: str,
     minimum: Optional[int] = None,
     default: Optional[int] = None,
+    maximum: Optional[int] = None,
 ) -> int:
     value = request.get(field, default)
     if value is None:
@@ -111,6 +142,8 @@ def require_int(
         raise QueryError(f"field {field!r} must be an integer")
     if minimum is not None and value < minimum:
         raise QueryError(f"field {field!r} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise QueryError(f"field {field!r} must be <= {maximum}")
     return value
 
 

@@ -1,19 +1,33 @@
 """The transport-independent admission engine behind ``hydra-c serve``.
 
-:class:`AdmissionService` answers one parsed query at a time and keeps two
-levels of state across queries:
+:class:`AdmissionService` answers a query in two steps:
+
+* :meth:`~AdmissionService.triage`, the cheap step: it counts the query,
+  answers ``ping``/``stats``/``shutdown`` and every invalid query on the
+  spot, and turns a valid ``design``/``admit`` into a :class:`Query`
+  carrying the query's canonical key and, when the answer store holds
+  that key, the stored answer;
+* :meth:`~AdmissionService.compute`, the pure step: it evaluates one miss
+  on a fresh :class:`~repro.rta.RtaContext` and returns the answer as its
+  canonical JSON text with that context's kernel counters, which
+  :meth:`~AdmissionService.store` then keeps and merges.
+
+State kept across queries:
 
 * one :class:`~repro.batch.service.BatchDesignService` per distinct
   ``(num_cores, schemes, search_mode)`` configuration -- scheme plugins
   are resolved and constructed once, not per query;
-* an LRU of answer payloads keyed by the query's canonical identity.
-  Answers are pure functions of that key, so *re-asking* a query (the
-  common interactive pattern: probe, tweak, probe again) returns the
-  stored payload without re-running generation, partitioning or any
-  analysis.  Each computed answer runs on a fresh
-  :class:`~repro.rta.RtaContext`; a stored answer is byte-identical to the
+* the answer store, an LRU of answers as canonical JSON text keyed by the
+  query's canonical identity.  Answers are pure functions of that key, so
+  *re-asking* a query (the common interactive pattern: probe, tweak, probe
+  again) returns the stored text without re-running generation,
+  partitioning or any analysis.  A stored answer is byte-identical to the
   cold one, and to the frozen ``reference_evaluate_one`` oracle
   (``tests/serve/test_admission_service.py`` pins both).
+
+:meth:`~AdmissionService.handle` chains the steps in-process; the daemon
+runs :meth:`~AdmissionService.triage` and :meth:`~AdmissionService.store`
+on its event loop and only :meth:`~AdmissionService.compute` off it.
 
 The two query kinds mirror the two ways the paper is used online:
 
@@ -28,20 +42,21 @@ The two query kinds mirror the two ways the paper is used online:
 
 from __future__ import annotations
 
-import copy
 import json
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.batch.service import BatchDesignService, TasksetSpec
 from repro.errors import AllocationError, ConfigurationError, ReproError
 from repro.model.tasks import RealTimeTask, SecurityTask
 from repro.model.taskset import TaskSet
 from repro.partitioning.heuristics import partition_rt_tasks
-from repro.rta import KernelStats, RtaContext
+from repro.rta import KernelStats
 from repro.rta.compiled import DEFAULT_KERNEL, normalise_kernel, resolve_kernel
 from repro.serve.protocol import (
+    MAX_CORES,
     QueryError,
+    canonical_json,
     error_response,
     ok_response,
     parse_request,
@@ -50,10 +65,29 @@ from repro.serve.protocol import (
     require_task_list,
 )
 
-__all__ = ["AdmissionService", "DEFAULT_MAX_CONTEXTS"]
+__all__ = ["AdmissionService", "DEFAULT_MAX_CONTEXTS", "Query"]
 
-#: Default size of the per-query answer LRU.
+#: Default size of the answer store.
 DEFAULT_MAX_CONTEXTS = 64
+
+#: ``(num_cores, schemes, search_mode)``: which warm engine answers.
+Config = Tuple[int, Optional[Tuple[str, ...]], str]
+
+
+class Query(NamedTuple):
+    """One valid ``design``/``admit`` query, as :meth:`AdmissionService.triage`
+    leaves it: all :meth:`AdmissionService.compute` needs (picklable, so a
+    worker process can compute it) plus the stored answer of a hit."""
+
+    request_id: object
+    op: str
+    config: Config
+    #: The canonical identity: the answer store's key.
+    key: str
+    #: A :class:`TasksetSpec` (``design``) or a :class:`TaskSet` (``admit``).
+    operand: object
+    #: The stored answer text on a hit, ``None`` on a miss.
+    stored: Optional[str]
 
 
 class AdmissionService:
@@ -62,10 +96,10 @@ class AdmissionService:
     Parameters
     ----------
     max_contexts:
-        How many answer payloads to keep (least recently used evicted
-        first).  ``0`` disables answer reuse entirely -- every query runs
-        cold, which is the byte-identical baseline the serve benchmark
-        compares against.
+        How many answers to store (least recently used evicted first).
+        ``0`` disables answer reuse entirely -- every query runs cold,
+        which is the byte-identical baseline the serve benchmark compares
+        against.
     kernel:
         Fixed-point kernel tier for every context this service creates
         (``"auto"``, the default, ``"python"`` or ``"compiled"``;
@@ -92,67 +126,36 @@ class AdmissionService:
         self.kernel_tier = (
             "python" if resolve_kernel(self._kernel) is None else "compiled"
         )
-        self._services: Dict[tuple, BatchDesignService] = {}
-        self._answers: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        self._services: Dict[Config, BatchDesignService] = {}
+        self._answers: "OrderedDict[str, str]" = OrderedDict()
         #: Running kernel counters: every computed answer's fresh context
         #: merges in here, so the totals never shrink as answers are
         #: evicted.
         self._kernel_stats = KernelStats()
         #: Queries answered (any op), successful or not.
         self.queries = 0
-        #: Design/admit queries answered from the answer LRU.
+        #: Design/admit queries answered from the answer store.
         self.context_hits = 0
 
-    # -- cache plumbing --------------------------------------------------------
-
-    def _service_for(
-        self,
-        num_cores: int,
-        schemes: Optional[Tuple[str, ...]],
-        search_mode: str,
-    ) -> BatchDesignService:
-        key = (num_cores, schemes, search_mode)
-        service = self._services.get(key)
+    def _service_for(self, config: Config) -> BatchDesignService:
+        service = self._services.get(config)
         if service is None:
+            num_cores, schemes, search_mode = config
             service = BatchDesignService(
                 num_cores,
                 scheme_names=schemes,
                 search_mode=search_mode,
                 kernel=self._kernel,
             )
-            self._services[key] = service
+            self._services[config] = service
         return service
 
-    def _answer(
-        self,
-        query_key: str,
-        service: BatchDesignService,
-        compute: Callable[[RtaContext], Dict[str, object]],
-    ) -> Dict[str, object]:
-        """The stored answer for *query_key*, else ``compute`` on a fresh
-        context (whose counters join the running totals) and store it."""
-        answer = self._answers.get(query_key)
-        if answer is not None:
-            self._answers.move_to_end(query_key)
-            self.context_hits += 1
-        else:
-            context = service._new_context()
-            try:
-                answer = compute(context)
-            finally:
-                self._kernel_stats.merge(context.stats.as_dict())
-            if self._max_contexts:
-                self._answers[query_key] = answer
-                while len(self._answers) > self._max_contexts:
-                    self._answers.popitem(last=False)
-        # Each caller gets its own copy, so no caller can alter a stored
-        # answer under the next one.
-        return copy.deepcopy(answer)
+    # -- the cheap step --------------------------------------------------------
 
-    def _common_fields(
-        self, request: Dict[str, object]
-    ) -> Tuple[int, Optional[Tuple[str, ...]], str]:
-        num_cores = require_int(request, "num_cores", minimum=1)
+    def _config(self, request: Dict[str, object]) -> Config:
+        num_cores = require_int(
+            request, "num_cores", minimum=1, maximum=MAX_CORES
+        )
         schemes = request.get("schemes")
         if schemes is not None:
             if not isinstance(schemes, list) or not all(
@@ -163,17 +166,15 @@ class AdmissionService:
         search_mode = request.get("search_mode", "binary")
         if not isinstance(search_mode, str):
             raise QueryError("'search_mode' must be a string")
-        return num_cores, schemes, search_mode
+        return (num_cores, schemes, search_mode)
 
-    # -- query handlers --------------------------------------------------------
-
-    def _handle_design(self, request: Dict[str, object]) -> Dict[str, object]:
-        num_cores, schemes, search_mode = self._common_fields(request)
+    def _design_query(self, request: Dict[str, object]) -> Tuple[Config, str, object]:
+        config = self._config(request)
         seed = require_int(request, "seed", minimum=0)
         group_index = require_int(request, "group_index", minimum=0, default=0)
         normalized_range = require_range(request, "normalized_range")
-        service = self._service_for(num_cores, schemes, search_mode)
-        query_key = json.dumps(
+        num_cores, schemes, search_mode = config
+        key = canonical_json(
             [
                 "design",
                 num_cores,
@@ -182,8 +183,7 @@ class AdmissionService:
                 group_index,
                 list(normalized_range),
                 seed,
-            ],
-            separators=(",", ":"),
+            ]
         )
         spec = TasksetSpec(
             job_index=0,
@@ -191,21 +191,7 @@ class AdmissionService:
             normalized_range=normalized_range,
             seed=seed,
         )
-
-        def compute(context: RtaContext) -> Dict[str, object]:
-            generated = service.generate(spec, rta_context=context)
-            if generated is None:
-                return {"evaluation": None}
-            taskset, allocation = generated
-            evaluation = service.evaluate_taskset(
-                taskset,
-                allocation,
-                group_index=group_index,
-                rta_context=context,
-            )
-            return {"evaluation": evaluation.to_json()}
-
-        return self._answer(query_key, service, compute)
+        return config, key, spec
 
     def _decode_taskset(self, request: Dict[str, object]) -> TaskSet:
         rt_entries = require_task_list(
@@ -243,11 +229,11 @@ class AdmissionService:
         except (TypeError, ValueError) as exc:
             raise QueryError(f"invalid task set: {exc}") from exc
 
-    def _handle_admit(self, request: Dict[str, object]) -> Dict[str, object]:
-        num_cores, schemes, search_mode = self._common_fields(request)
+    def _admit_query(self, request: Dict[str, object]) -> Tuple[Config, str, object]:
+        config = self._config(request)
         taskset = self._decode_taskset(request)
-        service = self._service_for(num_cores, schemes, search_mode)
-        query_key = json.dumps(
+        num_cores, schemes, search_mode = config
+        key = canonical_json(
             [
                 "admit",
                 num_cores,
@@ -261,29 +247,9 @@ class AdmissionService:
                     [t.name, t.wcet, t.max_period, t.coverage_units]
                     for t in taskset.security_tasks
                 ],
-            ],
-            separators=(",", ":"),
+            ]
         )
-
-        def compute(context: RtaContext) -> Dict[str, object]:
-            try:
-                allocation = partition_rt_tasks(
-                    taskset, service.platform, rta_context=context
-                )
-            except AllocationError as exc:
-                # The workload's legacy RT system does not fit: an expected
-                # outcome of admission control, reported as a result.
-                return {"feasible": False, "reason": str(exc), "evaluation": None}
-            evaluation = service.evaluate_taskset(
-                taskset, allocation, rta_context=context
-            )
-            return {
-                "feasible": True,
-                "reason": None,
-                "evaluation": evaluation.to_json(),
-            }
-
-        return self._answer(query_key, service, compute)
+        return config, key, taskset
 
     def _handle_stats(self) -> Dict[str, object]:
         return {
@@ -295,10 +261,13 @@ class AdmissionService:
             "kernel": self._kernel_stats.as_dict(),
         }
 
-    # -- entry points ----------------------------------------------------------
+    def triage(self, request: Dict[str, object]) -> Union[Dict[str, object], Query]:
+        """Count one parsed request and answer it unless it needs evaluation.
 
-    def handle(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Answer one parsed request; never raises for query-shaped input."""
+        Returns the response of ``ping``, ``stats``, ``shutdown`` and of an
+        invalid query; for a valid ``design``/``admit`` returns its
+        :class:`Query`, whose ``stored`` holds the stored answer on a hit.
+        """
         request_id = request.get("id")
         self.queries += 1
         try:
@@ -308,24 +277,108 @@ class AdmissionService:
             if op == "stats":
                 return ok_response(request_id, self._handle_stats())
             if op == "shutdown":
-                # The daemon intercepts shutdown before dispatching here;
-                # answering it directly keeps the service usable alone.
+                # The daemon begins its drain on this answer; answering it
+                # here keeps the service usable alone.
                 return ok_response(request_id, {"stopping": True})
             if op == "design":
-                return ok_response(request_id, self._handle_design(request))
-            if op == "admit":
-                return ok_response(request_id, self._handle_admit(request))
-            raise QueryError(f"unknown op {op!r}")
+                config, key, operand = self._design_query(request)
+            elif op == "admit":
+                config, key, operand = self._admit_query(request)
+            else:
+                raise QueryError(f"unknown op {op!r}")
+            # Building the engine validates the scheme names and search mode.
+            self._service_for(config)
         except QueryError as exc:
             return error_response(request_id, "query", str(exc))
         except ReproError as exc:
             return error_response(request_id, "configuration", str(exc))
+        stored = self._answers.get(key)
+        if stored is not None:
+            self._answers.move_to_end(key)
+            self.context_hits += 1
+        return Query(request_id, op, config, key, operand, stored)
+
+    def refuse(self, exc: QueryError) -> Dict[str, object]:
+        """Count and answer a request line that did not parse."""
+        self.queries += 1
+        return error_response(None, "query", str(exc))
+
+    # -- the pure step ---------------------------------------------------------
+
+    def compute(self, query: Query) -> Tuple[str, Dict[str, int]]:
+        """Evaluate one query on a fresh context.
+
+        Returns the answer's canonical JSON text and the context's kernel
+        counters.  Reads no answer and writes none, so a worker process
+        can run it on its own warm service.
+        """
+        service = self._service_for(query.config)
+        context = service._new_context()
+        if query.op == "design":
+            generated = service.generate(query.operand, rta_context=context)
+            if generated is None:
+                answer: Dict[str, object] = {"evaluation": None}
+            else:
+                taskset, allocation = generated
+                evaluation = service.evaluate_taskset(
+                    taskset,
+                    allocation,
+                    group_index=query.operand.group_index,
+                    rta_context=context,
+                )
+                answer = {"evaluation": evaluation.to_json()}
+        else:
+            try:
+                allocation = partition_rt_tasks(
+                    query.operand, service.platform, rta_context=context
+                )
+            except AllocationError as exc:
+                # The workload's legacy RT system does not fit: an expected
+                # outcome of admission control, reported as a result.
+                answer = {"feasible": False, "reason": str(exc), "evaluation": None}
+            else:
+                evaluation = service.evaluate_taskset(
+                    query.operand, allocation, rta_context=context
+                )
+                answer = {
+                    "feasible": True,
+                    "reason": None,
+                    "evaluation": evaluation.to_json(),
+                }
+        return canonical_json(answer), context.stats.as_dict()
+
+    def store(self, key: str, text: str, kernel_counts: Dict[str, int]) -> str:
+        """Keep one computed answer and merge its counters; returns *text*."""
+        self._kernel_stats.merge(kernel_counts)
+        if self._max_contexts:
+            self._answers[key] = text
+            self._answers.move_to_end(key)
+            while len(self._answers) > self._max_contexts:
+                self._answers.popitem(last=False)
+        return text
+
+    # -- in-process entry points -----------------------------------------------
+
+    def handle(self, request: Dict[str, object]) -> Dict[str, object]:
+        """Answer one parsed request; never raises for query-shaped input."""
+        outcome = self.triage(request)
+        if not isinstance(outcome, Query):
+            return outcome
+        text = outcome.stored
+        if text is None:
+            try:
+                text = self.store(outcome.key, *self.compute(outcome))
+            except ReproError as exc:
+                return error_response(
+                    outcome.request_id, "configuration", str(exc)
+                )
+        # A fresh decode: no caller can alter a stored answer.
+        return ok_response(outcome.request_id, json.loads(text))
 
     def handle_line(self, line: str) -> Dict[str, object]:
-        """Parse and answer one raw request line (the worker entry point)."""
+        """Parse and answer one raw request line."""
         try:
             request = parse_request(line)
         except QueryError as exc:
-            self.queries += 1
-            return error_response(None, "query", str(exc))
+            return self.refuse(exc)
         return self.handle(request)

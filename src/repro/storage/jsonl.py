@@ -32,7 +32,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, path_error
 
 __all__ = ["JsonlCheckpointStore"]
 
@@ -104,10 +104,18 @@ class JsonlCheckpointStore:
         record kinds, result records the subclass cannot decode, duplicate
         result keys).
         """
+        if self._path.is_dir():
+            raise ConfigurationError(
+                f"checkpoint {self._path} is a directory; --checkpoint takes "
+                f"a path to a JSONL file"
+            )
         if not self._path.exists():
             self._create()
             return {}
-        raw = self._path.read_bytes()
+        try:
+            raw = self._path.read_bytes()
+        except OSError as exc:
+            raise path_error("checkpoint", self._path, exc) from None
         end = raw.rfind(b"\n") + 1  # just past the last complete line
         if not end:
             # Self-heal ONLY the kill-during-header-write window: the file
@@ -172,8 +180,12 @@ class JsonlCheckpointStore:
 
     def _create(self) -> None:
         """(Re)initialise the file with just this run's header line."""
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._write("w", self._header_line())
+        try:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._write("w", self._header_line())
+        except OSError as exc:
+            # E.g. a parent that is a regular file: nothing is created.
+            raise path_error("checkpoint", self._path, exc) from None
 
     def _write(self, mode: str, text: str) -> None:
         with self._path.open(mode, encoding="utf-8") as handle:

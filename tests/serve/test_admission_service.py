@@ -11,7 +11,8 @@ import pytest
 
 from repro.batch.reference import reference_evaluate_one
 from repro.rta import compiled
-from repro.serve.service import AdmissionService
+from repro.serve.protocol import MAX_CORES, MAX_LINE_BYTES
+from repro.serve.service import AdmissionService, Query
 
 DESIGN_QUERY = {
     "op": "design",
@@ -144,6 +145,56 @@ class TestDesignParity:
         }
 
 
+class TestTwoSteps:
+    """``triage`` (validate, key, look up) and ``compute`` (evaluate one
+    miss) are the daemon's two steps; ``handle`` chains them."""
+
+    def test_triage_answers_cheap_ops_and_queues_misses(self):
+        service = AdmissionService()
+        assert service.triage({"op": "ping", "id": 1}) == {
+            "id": 1,
+            "ok": True,
+            "result": {"pong": True},
+        }
+        query = service.triage(dict(DESIGN_QUERY, id="a"))
+        assert isinstance(query, Query)
+        assert query.request_id == "a" and query.stored is None
+        assert service.queries == 2 and service.context_hits == 0
+
+    def test_compute_is_pure_and_store_keeps_its_text(self):
+        service = AdmissionService()
+        query = service.triage(dict(DESIGN_QUERY))
+        text, counts = service.compute(query)
+        # Computing stores nothing and merges nothing.
+        stats = service.handle({"op": "stats"})["result"]
+        assert stats["contexts"] == 0
+        assert stats["kernel"]["exact_solves"] == 0
+        assert counts["exact_solves"] > 0
+        assert service.compute(query) == (text, counts)
+
+        assert service.store(query.key, text, counts) == text
+        hit = service.triage(dict(DESIGN_QUERY, id=9))
+        assert hit.stored == text and service.context_hits == 1
+        cold = AdmissionService(max_contexts=0).handle(dict(DESIGN_QUERY))
+        assert json.loads(text) == cold["result"]
+        assert text == json.dumps(cold["result"], separators=(",", ":"))
+
+    @pytest.mark.parametrize("query", [DESIGN_QUERY, FEASIBLE_ADMIT])
+    def test_num_cores_is_bounded(self, query):
+        """A query past MAX_CORES once kept the evaluation thread busy for
+        minutes; the bound itself is a valid query."""
+        service = AdmissionService()
+        assert isinstance(
+            service.triage(dict(query, num_cores=MAX_CORES)), Query
+        )
+        response = service.handle(dict(query, num_cores=MAX_CORES + 1))
+        assert not response["ok"]
+        assert response["error"] == {
+            "type": "query",
+            "message": "field 'num_cores' must be <= 64",
+        }
+
+
 class TestAdmit:
     def test_feasible_workload_designs_every_scheme(self):
         service = AdmissionService()
@@ -215,6 +266,29 @@ class TestErrorHandling:
         response = AdmissionService().handle_line('{"op": ')
         assert not response["ok"]
         assert response["error"]["type"] == "query"
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            (
+                '{"op": "ping", "pad": "' + "x" * MAX_LINE_BYTES + '"}',
+                "request line exceeds 65536 bytes",
+            ),
+            ("[" * 5000 + "]" * 5000, "request nests too deeply"),
+        ],
+    )
+    def test_handle_line_answers_oversized_and_deeply_nested_lines(
+        self, line, message
+    ):
+        """Regression: a 10 KB line nesting 5,000 arrays raised
+        RecursionError out of ``handle_line``."""
+        service = AdmissionService()
+        assert service.handle_line(line) == {
+            "id": None,
+            "ok": False,
+            "error": {"type": "query", "message": message},
+        }
+        assert service.queries == 1
 
     def test_handle_line_answers_an_infinite_range_bound(self):
         """Regression: ``json.loads`` parses ``Infinity``, which once

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.serve.protocol import (
+    MAX_CORES,
+    MAX_LINE_BYTES,
     QueryError,
     error_response,
     ok_response,
     parse_request,
+    require_int,
     require_range,
 )
 
@@ -44,7 +47,32 @@ class TestParseRequest:
                 parse_request(f'{{"op": "ping", "timeout": {bad}}}')
 
 
+    def test_line_limit_counts_utf8_bytes(self):
+        """A line may hold MAX_LINE_BYTES bytes, the daemon's read limit;
+        one more is refused, also when the excess is a multi-byte
+        character."""
+        head = '{"op": "ping", "pad": "'
+        fill = MAX_LINE_BYTES - len(head) - 2
+        assert parse_request(head + "x" * fill + '"}')["op"] == "ping"
+        with pytest.raises(QueryError, match="exceeds 65536 bytes"):
+            parse_request(head + "x" * (fill + 1) + '"}')
+        with pytest.raises(QueryError, match="exceeds 65536 bytes"):
+            parse_request(head + "x" * (fill - 1) + 'é"}')
+
+    def test_deep_nesting_is_a_query_error(self):
+        """``json.loads`` raises RecursionError, not a decode error, on a
+        short line nesting thousands of arrays."""
+        with pytest.raises(QueryError, match="nests too deeply"):
+            parse_request("[" * 5000 + "]" * 5000)
+
+
 class TestFieldValidation:
+    def test_integer_bounds_are_inclusive(self):
+        request = {"num_cores": MAX_CORES}
+        assert require_int(request, "num_cores", maximum=MAX_CORES) == 64
+        with pytest.raises(QueryError, match="must be <= 64"):
+            require_int({"num_cores": MAX_CORES + 1}, "num_cores", maximum=MAX_CORES)
+
     @pytest.mark.parametrize(
         "pair", [[0.05, float("inf")], [float("nan"), 0.2], [0.05, 10**400]]
     )

@@ -548,6 +548,40 @@ class TestMain:
         assert "Traceback" not in captured.err
         assert checkpoint.read_bytes() == before
 
+    @pytest.mark.parametrize("command", ["sweep", "campaign"])
+    def test_directory_checkpoint_is_a_clean_error(
+        self, capsys, tmp_path, command
+    ):
+        """Regression: a directory as --checkpoint ended in an
+        IsADirectoryError traceback."""
+        folder = tmp_path / "runs"
+        folder.mkdir()
+        (folder / "keep.txt").write_text("mine\n")
+        argv = self.CHECKPOINT_COMMANDS[command] + ["--checkpoint", str(folder)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {folder} is a directory; --checkpoint takes "
+            "a path to a JSONL file\n"
+        )
+        assert [entry.name for entry in folder.iterdir()] == ["keep.txt"]
+
+    @pytest.mark.parametrize("command", ["sweep", "campaign"])
+    def test_checkpoint_under_a_regular_file_is_a_clean_error(
+        self, capsys, tmp_path, command
+    ):
+        """Regression: a --checkpoint whose parent is a regular file ended
+        in a FileExistsError traceback."""
+        blocker = tmp_path / "notes.txt"
+        blocker.write_text("mine\n")
+        checkpoint = blocker / "run.jsonl"
+        argv = self.CHECKPOINT_COMMANDS[command] + ["--checkpoint", str(checkpoint)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot use checkpoint {checkpoint}: {blocker} is not a "
+            "directory\n"
+        )
+        assert blocker.read_text() == "mine\n"
+
 
 def _listing(text: str) -> str:
     """Expected stdout of a listing command; each line of *text* ends in a
